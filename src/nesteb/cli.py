@@ -420,10 +420,7 @@ def main(argv=None) -> int:
         logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
     try:
         return args.func(args)
-    except NestError as e:
-        print(json.dumps({"error": type(e).__name__, "detail": str(e)}), file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (ValueError, OSError) as e:
         print(json.dumps({"error": type(e).__name__, "detail": str(e)}), file=sys.stderr)
         return 1
 

@@ -73,6 +73,8 @@ class Bandwidths:
     h_sigma: float
 
     def __post_init__(self):
+        object.__setattr__(self, "h_x", float(self.h_x))
+        object.__setattr__(self, "h_sigma", float(self.h_sigma))
         if not (self.h_x > 0 and np.isfinite(self.h_x)):
             raise ValueError(f"h_x must be positive and finite, got {self.h_x}")
         if not (self.h_sigma > 0 and np.isfinite(self.h_sigma)):

@@ -178,11 +178,13 @@ def k_groups_fit(sample: HeteroSample, k: int) -> KGroupsFit:
 # ---------------------------------------------------------------------------
 
 
-def _floored(f_raw: np.ndarray, wsum: np.ndarray, floor_eps: float) -> np.ndarray:
+def _in_sample_f1_f(ctx: KernelContext, jackknife: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(f1, f) at every training point with f floored; degenerate rows raise."""
+    f_raw, f1, _, wsum = in_sample_triple(ctx, jackknife=jackknife)
     bad = np.flatnonzero(wsum == 0.0)
     if bad.size:
         raise DegenerateWeights(bad)
-    return np.maximum(f_raw, floor_eps)
+    return f1, np.maximum(f_raw, ctx.floor_eps)
 
 
 def nest_estimates(
@@ -191,24 +193,18 @@ def nest_estimates(
     floor_eps: float = DEFAULT_FLOOR,
     jackknife: bool = False,
 ) -> np.ndarray:
-    ctx = KernelContext(sample, bw, floor_eps)
-    f_raw, f1, _, wsum = in_sample_triple(ctx, jackknife=jackknife)
-    f = _floored(f_raw, wsum, floor_eps)
+    f1, f = _in_sample_f1_f(KernelContext(sample, bw, floor_eps), jackknife)
     return sample.x + sample.sigma**2 * f1 / f
 
 
 def tf_estimates(sample: HeteroSample, h: float, floor_eps: float = DEFAULT_FLOOR) -> np.ndarray:
-    ctx = pooled_context(sample.x, h, floor_eps)
-    f_raw, f1, _, wsum = in_sample_triple(ctx)
-    f = _floored(f_raw, wsum, floor_eps)
+    f1, f = _in_sample_f1_f(pooled_context(sample.x, h, floor_eps))
     return sample.x + sample.sigma**2 * f1 / f
 
 
 def scaled_estimates(sample: HeteroSample, h: float, floor_eps: float = DEFAULT_FLOOR) -> np.ndarray:
     z = sample.x / sample.sigma
-    ctx = pooled_context(z, h, floor_eps)
-    f_raw, f1, _, wsum = in_sample_triple(ctx)
-    f = _floored(f_raw, wsum, floor_eps)
+    f1, f = _in_sample_f1_f(pooled_context(z, h, floor_eps))
     return sample.sigma * (z + f1 / f)
 
 

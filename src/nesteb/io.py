@@ -67,16 +67,3 @@ def read_csv(path: str, required: list[str]) -> list[dict[str, str]]:
             rows.append(dict(zip(header, row)))
     return rows
 
-
-def parse_float(value: str, path: str, line: int, column: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise CsvFormatError(path, line, f"column {column!r}: not a number: {value!r}") from None
-
-
-def parse_int(value: str, path: str, line: int, column: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise CsvFormatError(path, line, f"column {column!r}: not an integer: {value!r}") from None

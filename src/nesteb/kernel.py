@@ -14,10 +14,18 @@ The kernel normalizing constant cancels inside w_j, so weights are computed
 from bare exponentials; a weight normalizer that underflows to exactly zero
 raises DegenerateWeights rather than extrapolating.
 
-Numerical contract: evaluation is an O(n)-per-query direct sum reduced in
-training-index order with a deterministic, single-threaded, BLAS-free numpy
-reduction. Output is reproducible for a fixed input order and independent of
-the batch/block partition of the queries.
+Numerical contract: one routine, :func:`density_grid`, evaluates every
+pairwise sum in the package. Its four callers are the final in-sample fit
+(:func:`in_sample_triple`), batch queries (:func:`density_eval_batch`), the
+cross-fitted SURE surfaces and the Monte Carlo SURE check (both in
+:mod:`nesteb.sure`). Each query is an O(n) direct sum reduced in
+training-index order by a deterministic, single-threaded, BLAS-free numpy
+reduction, so output is reproducible for a fixed input order and independent
+of the block partition of the queries. Queries are processed in row blocks
+whose pairwise matrices hold at most ``_BLOCK_ELEMS`` = 2^21 elements
+(16 MB of float64) each; the weight cache of a block holds one such matrix
+per h_sigma value, next to the x-difference matrix and the three kernel
+matrices of one h_x value.
 """
 
 from __future__ import annotations
@@ -31,8 +39,8 @@ from .errors import DegenerateWeights
 
 SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 
-# Row-block size cap for pairwise matrices, in elements (~32 MB of float64).
-_BLOCK_ELEMS = 1 << 22
+# Row-block size cap for each pairwise matrix, in elements (16 MB of float64).
+_BLOCK_ELEMS = 1 << 21
 
 DEFAULT_FLOOR = 1e-12
 
@@ -87,44 +95,57 @@ def _reduce(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, b)
 
 
-def _triple_blocked(
+def density_grid(
     xq: np.ndarray,
     sq: np.ndarray,
     xt: np.ndarray,
     st: np.ndarray,
-    bw: Bandwidths,
+    hx_values,
+    hs_values,
     qkey: np.ndarray | None = None,
     tkey: np.ndarray | None = None,
 ):
-    """Raw (f, f1, f2) and weight normalizers at each query, in row blocks.
+    """Raw (f, f1, f2) at each query for every (h_x, h_sigma) grid cell, and
+    the weight normalizers, evaluated in row blocks.
 
     When qkey/tkey are given, training columns whose key equals the query
-    row's key are excluded (used for CV fold masking and jackknifing).
-    Returns (f_raw, f1, f2, wsum); rows with wsum == 0 are left as NaN and
-    must be handled by the caller.
+    row's key are excluded (CV fold masking and jackknifing). Returns
+    (f_raw, f1, f2, wsum) with shapes (nx, ns, m) for the first three and
+    (ns, m) for wsum; rows with wsum == 0 are left as NaN and must be
+    handled by the caller.
     """
     m, n = xq.shape[0], xt.shape[0]
-    f = np.empty(m)
-    f1 = np.empty(m)
-    f2 = np.empty(m)
-    wsum = np.empty(m)
-    hxj = bw.h_x * st
+    nx, ns = len(hx_values), len(hs_values)
+    f, f1, f2 = (np.empty((nx, ns, m)) for _ in range(3))
+    wsum = np.empty((ns, m))
     step = max(1, _BLOCK_ELEMS // max(n, 1))
     for lo in range(0, m, step):
         hi = min(m, lo + step)
         dx = xq[lo:hi, None] - xt[None, :]
-        ds = sq[lo:hi, None] - st[None, :]
-        wn = _weight_numerators(ds * ds, bw.h_sigma)
-        if qkey is not None:
-            wn *= qkey[lo:hi, None] != tkey[None, :]
-        ws = wn.sum(axis=1)
-        k0, k1, k2 = _kx_parts(dx, hxj)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            f[lo:hi] = _reduce(wn, k0) / ws
-            f1[lo:hi] = _reduce(wn, k1) / ws
-            f2[lo:hi] = _reduce(wn, k2) / ws
-        wsum[lo:hi] = ws
+        ds2 = (sq[lo:hi, None] - st[None, :]) ** 2
+        cached = []
+        for j, hs in enumerate(hs_values):
+            wn = _weight_numerators(ds2, hs)
+            if qkey is not None:
+                wn *= qkey[lo:hi, None] != tkey[None, :]
+            wsum[j, lo:hi] = ws = wn.sum(axis=1)
+            cached.append((wn, ws))
+        del ds2  # freed before the h_x loop allocates its kernel matrices
+        for i, hx in enumerate(hx_values):
+            k0, k1, k2 = _kx_parts(dx, hx * st)
+            for j, (wn, ws) in enumerate(cached):
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    f[i, j, lo:hi] = _reduce(wn, k0) / ws
+                    f1[i, j, lo:hi] = _reduce(wn, k1) / ws
+                    f2[i, j, lo:hi] = _reduce(wn, k2) / ws
     return f, f1, f2, wsum
+
+
+def _single_cell(ctx: KernelContext, xq: np.ndarray, sq: np.ndarray, key: np.ndarray | None = None):
+    """:func:`density_grid` on the context's one bandwidth pair, as 1-D arrays."""
+    t = ctx.train
+    f, f1, f2, wsum = density_grid(xq, sq, t.x, t.sigma, [ctx.bw.h_x], [ctx.bw.h_sigma], key, key)
+    return f[0, 0], f1[0, 0], f2[0, 0], wsum[0]
 
 
 def sigma_weights(ctx: KernelContext, sigma: float) -> np.ndarray:
@@ -157,7 +178,7 @@ def density_eval_batch(ctx: KernelContext, xs, sigmas) -> list[DensityEval]:
         return []
     if not np.all(sq > 0):
         raise ValueError("all query sigmas must be positive")
-    f, f1, f2, wsum = _triple_blocked(xq, sq, ctx.train.x, ctx.train.sigma, ctx.bw)
+    f, f1, f2, wsum = _single_cell(ctx, xq, sq)
     bad = np.flatnonzero(wsum == 0.0)
     if bad.size:
         raise DegenerateWeights(bad)
@@ -180,5 +201,4 @@ def in_sample_triple(ctx: KernelContext, jackknife: bool = False):
     leave-self-out estimator); otherwise the full estimator is used.
     """
     t = ctx.train
-    key = np.arange(t.n) if jackknife else None
-    return _triple_blocked(t.x, t.sigma, t.x, t.sigma, ctx.bw, qkey=key, tkey=key)
+    return _single_cell(ctx, t.x, t.sigma, np.arange(t.n) if jackknife else None)

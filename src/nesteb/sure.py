@@ -37,22 +37,10 @@ import numpy as np
 
 from .data import Bandwidths, FoldAssignment, HeteroSample, kfold_split
 from .errors import AllCellsDegenerate, BadGroupCount, DegenerateWeights, EmptyMonteCarlo
-from .kernel import (
-    DEFAULT_FLOOR,
-    KernelContext,
-    _kx_parts,
-    _reduce,
-    _triple_blocked,
-    _weight_numerators,
-    density_eval,
-)
+from .kernel import DEFAULT_FLOOR, KernelContext, density_eval, density_grid
 from .data import DensityEval
 from .estimators import k_groups_fit
 from .priors import PriorSpec
-
-# Smaller blocks than the kernel module: per-fold weight matrices for every
-# h_sigma value are cached per block.
-_BLOCK_ELEMS = 1 << 21
 
 _FLOOR_FRACTION = 0.01
 
@@ -119,10 +107,15 @@ class SureReport:
                 yield hx, hs, float(self.surface[i, j]), bool(self.degenerate[i, j])
 
 
+def _sure_values(f, f1, f2, sigma, power: int):
+    """Per-point SURE  sigma^2 + sigma^power * (2 f f2 - f1^2) / f^2  from a
+    (floored) density triple; elementwise over arrays."""
+    return sigma**2 + sigma**power * ((2.0 * f * f2 - f1 * f1) / (f * f))
+
+
 def sure_from_density(d: DensityEval, sigma: float) -> float:
     """Per-point SURE value from an already-evaluated density triple."""
-    s2 = sigma * sigma
-    return float(s2 + s2 * s2 * (2.0 * d.f * d.f2 - d.f1 * d.f1) / (d.f * d.f))
+    return float(_sure_values(d.f, d.f1, d.f2, sigma, 4))
 
 
 def sure_point(ctx: KernelContext, x: float, sigma: float) -> float:
@@ -148,39 +141,10 @@ def _cv_surface(
     with shapes (nx, ns, n), (nx, ns), (ns,). Queries whose weight normalizer
     underflows get NaN and flag their h_sigma column via zero_rows.
     """
-    n = xd.shape[0]
-    nx, ns = len(hx_values), len(hs_values)
-    s2 = sigma_risk**2
-    spow = sigma_risk**bracket_power
-    per_point = np.empty((nx, ns, n))
-    floored = np.zeros((nx, ns), dtype=np.int64)
-    zero_rows = np.zeros(ns, dtype=bool)
-    step = max(1, _BLOCK_ELEMS // max(n, 1))
-    for lo in range(0, n, step):
-        hi = min(n, lo + step)
-        dx = xd[lo:hi, None] - xd[None, :]
-        ds2 = (sd[lo:hi, None] - sd[None, :]) ** 2
-        mask = fold_of[lo:hi, None] != fold_of[None, :]
-        cached = []
-        for hs in hs_values:
-            wn = _weight_numerators(ds2, hs) * mask
-            ws = wn.sum(axis=1)
-            cached.append((wn, ws))
-        for j, (_, ws) in enumerate(cached):
-            if np.any(ws == 0.0):
-                zero_rows[j] = True
-        for i, hx in enumerate(hx_values):
-            k0, k1, k2 = _kx_parts(dx, hx * sd)
-            for j, (wn, ws) in enumerate(cached):
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    f_raw = _reduce(wn, k0) / ws
-                    f1 = _reduce(wn, k1) / ws
-                    f2 = _reduce(wn, k2) / ws
-                floored[i, j] += int(np.count_nonzero(f_raw < floor_eps))
-                f = np.maximum(f_raw, floor_eps)
-                bracket = (2.0 * f * f2 - f1 * f1) / (f * f)
-                per_point[i, j, lo:hi] = s2[lo:hi] + spow[lo:hi] * bracket
-    return per_point, floored, zero_rows
+    f_raw, f1, f2, wsum = density_grid(xd, sd, xd, sd, hx_values, hs_values, fold_of, fold_of)
+    floored = np.count_nonzero(f_raw < floor_eps, axis=-1)
+    per_point = _sure_values(np.maximum(f_raw, floor_eps), f1, f2, sigma_risk, bracket_power)
+    return per_point, floored, (wsum == 0.0).any(axis=1)
 
 
 def sure_compound_cv(
@@ -204,16 +168,12 @@ def sure_compound_cv(
 
 def _argmin_cell(surface: np.ndarray, degenerate: np.ndarray) -> tuple[int, int]:
     """Minimal non-degenerate cell; ties broken by smallest h_sigma, then
-    smallest h_x."""
+    smallest h_x (the first minimum of the transposed array)."""
     if degenerate.all():
         raise AllCellsDegenerate()
-    masked = np.where(degenerate, np.inf, surface)
-    vmin = masked.min()
-    for j in range(surface.shape[1]):
-        for i in range(surface.shape[0]):
-            if masked[i, j] == vmin:
-                return i, j
-    raise AssertionError("unreachable")
+    masked = np.where(degenerate, np.inf, surface).T
+    j, i = np.unravel_index(np.argmin(masked), masked.shape)
+    return int(i), int(j)
 
 
 _SELECTION_RULES = ("penalized", "argmin")
@@ -290,10 +250,7 @@ def tune_pooled(
     )
     surface, scores = _selection_scores(pp[:, 0, :], xd.shape[0], selection)
     degenerate = zero[0] | (floored[:, 0] > _FLOOR_FRACTION * xd.shape[0])
-    if degenerate.all():
-        raise AllCellsDegenerate()
-    masked = np.where(degenerate, np.inf, scores)
-    best = int(np.argmin(masked))  # first minimal index = smallest h on ties
+    best, _ = _argmin_cell(scores[:, None], degenerate[:, None])
     return PooledSureReport(hv, surface, scores, degenerate, hv[best])
 
 
@@ -370,14 +327,13 @@ def sure_unbiasedness_check(
     sig_s = sigma_law.draw(rng_mc, n_mc)
     x_s = mu_s + sig_s * rng_mc.standard_normal(n_mc)
 
-    f_raw, f1, f2, wsum = _triple_blocked(x_s, sig_s, x_t, sig_t, bw)
-    bad = np.flatnonzero(wsum == 0.0)
+    f_raw, f1, f2, wsum = density_grid(x_s, sig_s, x_t, sig_t, [bw.h_x], [bw.h_sigma])
+    bad = np.flatnonzero(wsum[0] == 0.0)
     if bad.size:
         raise DegenerateWeights(bad)
-    f = np.maximum(f_raw, floor_eps)
-    s2 = sig_s**2
-    s_vals = s2 + s2 * s2 * (2.0 * f * f2 - f1 * f1) / (f * f)
-    delta = x_s + s2 * f1 / f
+    f, f1, f2 = np.maximum(f_raw[0, 0], floor_eps), f1[0, 0], f2[0, 0]
+    s_vals = _sure_values(f, f1, f2, sig_s, 4)
+    delta = x_s + sig_s**2 * f1 / f
     sq_err = (delta - mu_s) ** 2
     diff = s_vals - sq_err
     se = float(np.std(diff, ddof=1) / np.sqrt(n_mc)) if n_mc > 1 else float("inf")

@@ -121,6 +121,26 @@ class TestEstimateCommand:
         assert abs(got[0]) <= 0.5 and abs(got[1]) <= 0.5
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--scenario", "normal", "--estimators", "naive,kgroups:"],
+        ["tune", "--input", "{inp}", "--grid-hx", "0.5,0.3"],
+        ["estimate", "--input", "{inp}", "--hx", "-1", "--hsigma", "0.2"],
+        ["simulate", "--scenario", "normal", "--ratio", "1.5"],
+    ],
+    ids=["bad-kgroups-token", "descending-grid", "negative-hx", "ratio-above-one"],
+)
+def test_value_errors_exit_1_with_one_json_line(tmp_path, capsys, argv):
+    inp, out = tmp_path / "in.csv", tmp_path / "out.csv"
+    write_sample_csv(inp, [0.0, 1.0, 2.0], [1.0, 0.5, 0.8])
+    rc = main([a.format(inp=inp) for a in argv] + ["--output", str(out)])
+    assert rc == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ValueError"
+
+
 class TestTuneCommand:
     def test_small_grid_surface_and_argmin_line(self, tmp_path, capsys):
         rng = np.random.default_rng(2)

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import nesteb.kernel
 from nesteb.data import Bandwidths, validate_sample
 from nesteb.errors import DegenerateWeights
 from nesteb.kernel import (
     KernelContext,
     density_eval,
     density_eval_batch,
+    in_sample_triple,
     pooled_context,
     sigma_weights,
 )
@@ -132,6 +134,32 @@ class TestDensityEvalBatch:
         with pytest.raises(DegenerateWeights) as err:
             density_eval_batch(ctx, [0.0, 0.0], [1.0, 99.0])
         assert err.value.indices == (1,)
+
+
+class TestBlockPartition:
+    """Results must not depend on how queries are split into row blocks."""
+
+    def sample_and_ctx(self):
+        rng = np.random.default_rng(11)
+        s = validate_sample(rng.normal(size=41), rng.uniform(0.4, 2.0, 41))
+        return rng, KernelContext(s, Bandwidths(0.5, 0.3))
+
+    @pytest.mark.parametrize("jackknife", [False, True])
+    def test_in_sample_triple(self, monkeypatch, jackknife):
+        _, ctx = self.sample_and_ctx()
+        one_block = in_sample_triple(ctx, jackknife=jackknife)
+        monkeypatch.setattr(nesteb.kernel, "_BLOCK_ELEMS", 100)  # 2 rows per block
+        blocked = in_sample_triple(ctx, jackknife=jackknife)
+        for a, b in zip(one_block, blocked):
+            np.testing.assert_array_equal(a, b)
+
+    def test_density_eval_batch(self, monkeypatch):
+        rng, ctx = self.sample_and_ctx()
+        xq = rng.normal(size=25)
+        sq = rng.uniform(0.5, 1.9, 25)
+        one_block = density_eval_batch(ctx, xq, sq)
+        monkeypatch.setattr(nesteb.kernel, "_BLOCK_ELEMS", 100)
+        assert density_eval_batch(ctx, xq, sq) == one_block
 
 
 class TestKernelProperties:

@@ -210,14 +210,21 @@ class TestTune:
             tune(s, grid)
 
     def test_blocking_does_not_change_results(self, monkeypatch):
+        # two h_sigma values: the per-h_sigma weight cache spans many blocks
         s = random_sample(n=40, seed=7)
-        grid = SureGrid((0.4, 0.8), (0.3,), k=4, seed=6)
+        grid = SureGrid((0.4, 0.8), (0.3, 0.5), k=4, seed=6)
         full = tune(s, grid)
-        monkeypatch.setattr("nesteb.sure._BLOCK_ELEMS", 64)
+        monkeypatch.setattr(nesteb.kernel, "_BLOCK_ELEMS", 64)
         small = tune(s, grid)
         np.testing.assert_array_equal(full.surface, small.surface)
         np.testing.assert_array_equal(full.selection, small.selection)
         np.testing.assert_array_equal(full.per_point, small.per_point)
+
+    def test_argmin_holds_python_floats(self):
+        s = random_sample(n=40, seed=7)
+        rep = tune(s, default_grid(s, k=4, seed=6))
+        assert type(rep.argmin.h_x) is float
+        assert type(rep.argmin.h_sigma) is float
 
     def test_sure_selection_close_to_true_risk_optimum(self):
         # true-risk oracle: exhaustive search using the known means
