@@ -27,11 +27,7 @@ from .estimators import (
     TF,
     estimate,
     k_groups_fit,
-    nest_point,
-    oracle_posterior_mean,
-    scaled_point,
     stabilize_sign,
-    tf_point,
     truncate_estimates,
 )
 from .kernel import KernelContext, density_eval, density_eval_batch, sigma_weights
@@ -52,7 +48,6 @@ from .sure import (
     SureGrid,
     SureReport,
     default_grid,
-    sure_compound_cv,
     sure_point,
     sure_unbiasedness_check,
     tune,
@@ -86,22 +81,17 @@ __all__ = [
     "estimate",
     "k_groups_fit",
     "kfold_split",
-    "nest_point",
-    "oracle_posterior_mean",
     "point_mass",
     "run_bias_experiment",
     "run_mse_study",
-    "scaled_point",
     "scenario_from_ratio",
     "selection_bias_formula",
     "sigma_weights",
     "solve_sigma_M",
     "stabilize_sign",
-    "sure_compound_cv",
     "sure_point",
     "sure_unbiasedness_check",
     "tf_average_shrinkage",
-    "tf_point",
     "truncate_estimates",
     "tune",
     "validate_sample",

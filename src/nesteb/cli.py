@@ -26,24 +26,25 @@ from .estimators import (
     Oracle,
     Scaled,
     TF,
+    check_unique_names,
     default_truncation_bound,
     estimate,
+    post_processed,
 )
 from .expfam import Beta, Binomial, FamilyPoint, Gamma, NegBinomial, ScoreEstimate, lh_prime, posterior_mean
 from .io import CsvFormatError, read_csv, write_csv_atomic
 from .priors import NormalPrior, SparseMixPrior, TwoPointPrior
 from .simulation import (
+    resolve_spec,
     run_bias_experiment,
     run_mse_study,
     scenario_from_ratio,
+    study_spec,
     table_specs,
 )
-from .simulation import resolve_spec
 from .sure import SureGrid, default_grid, tune
 
 log = logging.getLogger("nesteb")
-
-_SHRINKAGE = {"nest", "tf", "scaled", "kgroups"}
 
 
 def _manifest(command: str, args: argparse.Namespace, **resolved) -> None:
@@ -96,52 +97,57 @@ def _load_sample(path: str):
     return ids, validate_sample(xs, sigmas)
 
 
+def _oracle(opts) -> Oracle:
+    if opts.prior is None:
+        raise NestError("--prior is required for the oracle method")
+    return Oracle(opts.prior)
+
+
+def _nest(opts) -> Nest:
+    if (opts.hx is None) != (opts.hsigma is None):
+        missing = "--hsigma" if opts.hsigma is None else "--hx"
+        raise ValueError(f"nest takes both --hx and --hsigma or neither; {missing} is missing")
+    return Nest(None if opts.hx is None else Bandwidths(opts.hx, opts.hsigma))
+
+
+# One entry per method token, shared by `estimate --method` and `simulate
+# --estimators`. Each builds the method from the command's options: prior,
+# fixed bandwidths hx/hsigma (None leaves them to the SURE tuner) and k.
+_METHODS = {
+    "naive": lambda opts: Naive(),
+    "oracle": _oracle,
+    "nest": _nest,
+    "tf": lambda opts: TF(opts.hx),
+    "scaled": lambda opts: Scaled(opts.hx),
+    "kgroups": lambda opts: KGroups(opts.k),
+}
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
 
 def cmd_estimate(args) -> int:
+    methods = args.method or ["nest"]
+    check_unique_names(methods)
+    prior = _parse_prior(args.prior) if args.prior else None
+    opts = argparse.Namespace(prior=prior, hx=args.hx, hsigma=args.hsigma, k=args.k_groups)
+    chosen = [_METHODS[name](opts) for name in methods]
     ids, sample = _load_sample(args.input)
     if sample.n == 1:
         log.warning("single-row input: density fits degenerate to the query point itself")
-    methods = args.method or ["nest"]
-    bw = None
-    if args.hx is not None and args.hsigma is not None:
-        bw = Bandwidths(args.hx, args.hsigma)
     bound = None
     if args.truncate is not None:
         bound = default_truncation_bound(sample.n) if args.truncate == "auto" else float(args.truncate)
 
     columns: dict[str, np.ndarray] = {}
     resolved_log: dict[str, object] = {}
-    for name in methods:
-        if name == "naive":
-            spec = EstimatorSpec(Naive())
-        elif name == "oracle":
-            if not args.prior:
-                raise NestError("--prior is required for the oracle method")
-            spec = EstimatorSpec(Oracle(_parse_prior(args.prior)))
-        elif name == "nest":
-            spec = EstimatorSpec(Nest(bw))
-        elif name == "tf":
-            spec = EstimatorSpec(TF(args.hx))
-        elif name == "scaled":
-            spec = EstimatorSpec(Scaled(args.hx))
-        elif name == "kgroups":
-            spec = EstimatorSpec(KGroups(args.k_groups))
-        else:
-            raise NestError(f"unknown method {name!r}")
-        if name in _SHRINKAGE:
-            spec = EstimatorSpec(spec.method, bound, args.stabilize_sign)
+    for name, method in zip(methods, chosen):
+        spec = post_processed(method, bound, args.stabilize_sign)
         spec = resolve_spec(spec, sample, folds_k=args.folds, seed=args.seed)
-        m = spec.method
-        if isinstance(m, Nest):
-            resolved_log[name] = {"h_x": m.bw.h_x, "h_sigma": m.bw.h_sigma}
-        elif isinstance(m, (TF, Scaled)):
-            resolved_log[name] = {"h": m.h}
-        elif isinstance(m, KGroups):
-            resolved_log[name] = {"k": m.k, "h_per_group": list(m.h_per_group)}
+        if (described := spec.method.describe()) is not None:
+            resolved_log[name] = described
         columns[name] = estimate(spec, sample)
 
     header = ["id", "x", "sigma"] + methods
@@ -192,25 +198,15 @@ _SCENARIO_PRIORS = {
 
 
 def _parse_estimators(text: str, prior, n: int) -> list[EstimatorSpec]:
-    stabilize = isinstance(prior, SparseMixPrior)
-    bound = default_truncation_bound(n)
+    """`simulate --estimators` tokens: the method table's names, with the
+    group count appended to k-Groups as kgroups:K."""
     specs = []
     for token in text.split(","):
-        token = token.strip()
-        if token == "naive":
-            specs.append(EstimatorSpec(Naive()))
-        elif token == "oracle":
-            specs.append(EstimatorSpec(Oracle(prior)))
-        elif token == "nest":
-            specs.append(EstimatorSpec(Nest(), truncation_bound=bound, stabilize_sign=stabilize))
-        elif token == "tf":
-            specs.append(EstimatorSpec(TF(), stabilize_sign=stabilize))
-        elif token == "scaled":
-            specs.append(EstimatorSpec(Scaled(), stabilize_sign=stabilize))
-        elif token.startswith("kgroups:"):
-            specs.append(EstimatorSpec(KGroups(int(token.split(":")[1])), stabilize_sign=stabilize))
-        else:
-            raise NestError(f"unknown estimator {token!r}")
+        name, sep, k = token.strip().partition(":")
+        if name not in _METHODS or bool(sep) != (name == "kgroups"):
+            raise NestError(f"unknown estimator {token.strip()!r}")
+        opts = argparse.Namespace(prior=prior, hx=None, hsigma=None, k=int(k) if sep else None)
+        specs.append(study_spec(_METHODS[name](opts), prior, n))
     return specs
 
 
@@ -351,10 +347,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", parents=[common], help="estimate means from a CSV of (id, x, sigma)")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--method", action="append", choices=["naive", "oracle", "nest", "tf", "scaled", "kgroups"],
-                   help="repeatable; one output column per method (default: nest)")
-    p.add_argument("--hx", type=float, help="fixed bandwidth: NEST h_x multiplier, or the pooled h for tf/scaled")
-    p.add_argument("--hsigma", type=float, help="fixed NEST h_sigma (sigma units)")
+    p.add_argument("--method", action="append", choices=list(_METHODS),
+                   help="repeatable, each method at most once; one output column per method (default: nest)")
+    p.add_argument("--hx", type=float,
+                   help="fixed bandwidth: NEST h_x multiplier (with --hsigma), or the pooled h for tf/scaled")
+    p.add_argument("--hsigma", type=float, help="fixed NEST h_sigma in sigma units (with --hx)")
     p.add_argument("--k-groups", type=int, default=2, dest="k_groups")
     p.add_argument("--folds", type=int, default=10)
     p.add_argument("--prior", help="oracle prior: normal:m,tau | sparsemix:p0,m,tau | twopoint:p0,a,b")
@@ -377,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratio", type=float, default=0.9, help="target var(mu)/var(X) in (0,1)")
     p.add_argument("--n", type=int)
     p.add_argument("--reps", type=int)
-    p.add_argument("--estimators", help="comma list: naive,oracle,nest,tf,scaled,kgroups:K")
+    p.add_argument("--estimators", help=f"comma list of {','.join(_METHODS)}; kgroups takes a group count, kgroups:K")
     p.add_argument("--folds", type=int, default=10)
     p.add_argument("--output", required=True)
     profile = p.add_mutually_exclusive_group()

@@ -17,6 +17,7 @@ is a density-derivative ratio f1/f:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from .errors import BadGroupCount, DegenerateWeights
 from .kernel import (
     DEFAULT_FLOOR,
     KernelContext,
-    density_eval,
     in_sample_triple,
     pooled_context,
 )
@@ -37,19 +37,47 @@ from .priors import PriorSpec
 # ---------------------------------------------------------------------------
 
 
+def _resolved(value, what: str):
+    if value is None:
+        raise ValueError(f"{what} unresolved; tune first or pass fixed values")
+    return value
+
+
+class _Rule:
+    """What every method dataclass provides: ``apply(sample)`` returns the
+    raw estimates (before post-processing); ``describe()`` returns the
+    resolved bandwidths reported in the CLI manifest, or None for rules that
+    have none. Bandwidths left None are filled in by
+    ``simulation.resolve_spec``. ``shrinks`` marks the Tweedie-type rules,
+    the only ones truncation and sign stabilization apply to."""
+
+    shrinks: ClassVar[bool] = True
+
+    def describe(self) -> dict | None:
+        return None
+
+
 @dataclass(frozen=True)
-class Naive:
+class Naive(_Rule):
     name: str = "naive"
+    shrinks: ClassVar[bool] = False
+
+    def apply(self, sample: HeteroSample) -> np.ndarray:
+        return sample.x.copy()
 
 
 @dataclass(frozen=True)
-class Oracle:
+class Oracle(_Rule):
     prior: PriorSpec
     name: str = "oracle"
+    shrinks: ClassVar[bool] = False
+
+    def apply(self, sample: HeteroSample) -> np.ndarray:
+        return np.asarray(self.prior.posterior_mean(sample.x, sample.sigma), dtype=float)
 
 
 @dataclass(frozen=True)
-class Nest:
+class Nest(_Rule):
     """Bandwidths may be left None and resolved later by the SURE tuner.
     ``jackknife=True`` excludes each point from its own density fit."""
 
@@ -57,27 +85,51 @@ class Nest:
     jackknife: bool = False
     name: str = "nest"
 
+    def apply(self, sample: HeteroSample) -> np.ndarray:
+        return nest_estimates(sample, _resolved(self.bw, "NEST bandwidths"), jackknife=self.jackknife)
+
+    def describe(self) -> dict:
+        return {"h_x": self.bw.h_x, "h_sigma": self.bw.h_sigma}
+
 
 @dataclass(frozen=True)
-class TF:
+class TF(_Rule):
     h: float | None = None
     name: str = "tf"
 
+    def apply(self, sample: HeteroSample) -> np.ndarray:
+        return tf_estimates(sample, _resolved(self.h, "TF bandwidth"))
+
+    def describe(self) -> dict:
+        return {"h": self.h}
+
 
 @dataclass(frozen=True)
-class Scaled:
+class Scaled(_Rule):
     h: float | None = None
     name: str = "scaled"
 
+    def apply(self, sample: HeteroSample) -> np.ndarray:
+        return scaled_estimates(sample, _resolved(self.h, "Scaled bandwidth"))
+
+    def describe(self) -> dict:
+        return {"h": self.h}
+
 
 @dataclass(frozen=True)
-class KGroups:
+class KGroups(_Rule):
     k: int = 2
     h_per_group: tuple[float, ...] | None = None
 
     @property
     def name(self) -> str:
         return f"{self.k}-groups"
+
+    def apply(self, sample: HeteroSample) -> np.ndarray:
+        return kgroups_estimates(sample, self.k, _resolved(self.h_per_group, "k-Groups bandwidths"))
+
+    def describe(self) -> dict:
+        return {"k": self.k, "h_per_group": list(self.h_per_group)}
 
 
 Method = Naive | Oracle | Nest | TF | Scaled | KGroups
@@ -102,37 +154,18 @@ def default_truncation_bound(n: int, scale: float = 2.0) -> float:
     return scale * float(np.log(max(n, 2)))
 
 
-# ---------------------------------------------------------------------------
-# Scalar rules
-# ---------------------------------------------------------------------------
+def post_processed(method: Method, bound: float | None, stabilize: bool) -> EstimatorSpec:
+    """Attach truncation and sign stabilization to a shrinkage rule; the
+    oracle and naive rules are never modified."""
+    if not method.shrinks:
+        return EstimatorSpec(method)
+    return EstimatorSpec(method, bound, stabilize)
 
 
-def nest_point(ctx: KernelContext, x: float, sigma: float) -> float:
-    """x + sigma^2 * f1/f with (f, f1) from the weighted KDE (f floored)."""
-    d = density_eval(ctx, x, sigma)
-    return float(x + sigma * sigma * d.f1 / d.f)
-
-
-def tf_point(train_x, h: float, x: float, sigma: float) -> float:
-    """Homoscedastic Tweedie rule with a pooled fixed-bandwidth KDE.
-
-    The pooled density ignores heterogeneity; the query point's own sigma^2
-    multiplies the pooled score.
-    """
-    d = density_eval(pooled_context(train_x, h), x, 1.0)
-    return float(x + sigma * sigma * d.f1 / d.f)
-
-
-def scaled_point(train: HeteroSample, h: float, x: float, sigma: float) -> float:
-    """Standardize, apply the unit-variance Tweedie rule, undo the scaling."""
-    z = x / sigma
-    d = density_eval(pooled_context(train.x / train.sigma, h), z, 1.0)
-    return float(sigma * (z + d.f1 / d.f))
-
-
-def oracle_posterior_mean(prior: PriorSpec, x: float, sigma: float) -> float:
-    """Exact posterior mean E(mu | x, sigma) under a closed-form prior."""
-    return float(prior.posterior_mean(x, sigma))
+def check_unique_names(names: list[str]) -> None:
+    """Each estimator may appear once: its name keys an output column."""
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate estimator names: {names}")
 
 
 # ---------------------------------------------------------------------------
@@ -246,29 +279,7 @@ def stabilize_sign(x, mu_hat) -> np.ndarray:
 
 def estimate(spec: EstimatorSpec, sample: HeteroSample) -> np.ndarray:
     """Apply the configured method to every observation, then post-process."""
-    m = spec.method
-    if isinstance(m, Naive):
-        mu = sample.x.copy()
-    elif isinstance(m, Oracle):
-        mu = np.asarray(m.prior.posterior_mean(sample.x, sample.sigma), dtype=float)
-    elif isinstance(m, Nest):
-        if m.bw is None:
-            raise ValueError("NEST bandwidths unresolved; tune first or set them")
-        mu = nest_estimates(sample, m.bw, jackknife=m.jackknife)
-    elif isinstance(m, TF):
-        if m.h is None:
-            raise ValueError("TF bandwidth unresolved; tune first or set it")
-        mu = tf_estimates(sample, m.h)
-    elif isinstance(m, Scaled):
-        if m.h is None:
-            raise ValueError("Scaled bandwidth unresolved; tune first or set it")
-        mu = scaled_estimates(sample, m.h)
-    elif isinstance(m, KGroups):
-        if m.h_per_group is None:
-            raise ValueError("k-Groups bandwidths unresolved; tune first or set them")
-        mu = kgroups_estimates(sample, m.k, m.h_per_group)
-    else:
-        raise TypeError(f"unknown method {m!r}")
+    mu = spec.method.apply(sample)
     if spec.truncation_bound is not None:
         mu = truncate_estimates(mu, spec.truncation_bound)
     if spec.stabilize_sign:

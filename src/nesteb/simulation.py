@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
@@ -29,8 +29,10 @@ from .estimators import (
     Oracle,
     Scaled,
     TF,
+    check_unique_names,
     default_truncation_bound,
     estimate,
+    post_processed,
 )
 from .priors import PriorSpec, SparseMixPrior
 from .sure import default_grid, pooled_grid_for, tune, tune_kgroups, tune_pooled
@@ -175,6 +177,22 @@ class MseTable:
             yield name, row
 
 
+def _pooled_h(xd, sample: HeteroSample, folds_k: int, seed: int, bracket_power: int = 4) -> float:
+    folds = kfold_split(sample.n, min(folds_k, sample.n), seed)
+    return tune_pooled(xd, sample.sigma, pooled_grid_for(xd), folds, bracket_power=bracket_power).best_h
+
+
+# Method type -> (the field SURE tuning fills in, its tuner(method, sample,
+# folds_k, seed)). The tuners look tune, tune_pooled and tune_kgroups up in
+# this module at call time, so a wrapper installed here sees every call.
+_TUNERS = {
+    Nest: ("bw", lambda m, s, k, seed: tune(s, default_grid(s, k=k, seed=seed)).argmin),
+    TF: ("h", lambda m, s, k, seed: _pooled_h(s.x, s, k, seed)),
+    Scaled: ("h", lambda m, s, k, seed: _pooled_h(s.x / s.sigma, s, k, seed, bracket_power=2)),
+    KGroups: ("h_per_group", lambda m, s, k, seed: tune_kgroups(s, m.k, k, seed)),
+}
+
+
 def resolve_spec(
     spec: EstimatorSpec,
     sample: HeteroSample,
@@ -182,25 +200,11 @@ def resolve_spec(
     seed: int = 0,
 ) -> EstimatorSpec:
     """Fill in any unresolved bandwidths by SURE tuning on this sample."""
-    m = spec.method
-    if isinstance(m, Nest) and m.bw is None:
-        rep = tune(sample, default_grid(sample, k=folds_k, seed=seed))
-        m = Nest(rep.argmin, m.jackknife)
-    elif isinstance(m, TF) and m.h is None:
-        folds = kfold_split(sample.n, min(folds_k, sample.n), seed)
-        rep = tune_pooled(sample.x, sample.sigma, pooled_grid_for(sample.x), folds)
-        m = TF(rep.best_h)
-    elif isinstance(m, Scaled) and m.h is None:
-        folds = kfold_split(sample.n, min(folds_k, sample.n), seed)
-        z = sample.x / sample.sigma
-        rep = tune_pooled(z, sample.sigma, pooled_grid_for(z), folds, bracket_power=2)
-        m = Scaled(rep.best_h)
-    elif isinstance(m, KGroups) and m.h_per_group is None:
-        hs = tune_kgroups(sample, m.k, folds_k, seed)
-        m = KGroups(m.k, hs)
-    else:
+    field, tuner = _TUNERS.get(type(spec.method), (None, None))
+    if field is None or getattr(spec.method, field) is not None:
         return spec
-    return EstimatorSpec(m, spec.truncation_bound, spec.stabilize_sign)
+    method = replace(spec.method, **{field: tuner(spec.method, sample, folds_k, seed)})
+    return replace(spec, method=method)
 
 
 def _mse_rep(args) -> tuple[int, dict[str, float]]:
@@ -234,8 +238,7 @@ def run_mse_study(
     """Draw reps, tune kernel estimators per rep, and aggregate MSE with the
     standard error of the across-rep mean."""
     names = [s.name for s in specs]
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate estimator names: {names}")
+    check_unique_names(names)
     argslist = [(scenario, tuple(specs), folds_k, rep) for rep in range(scenario.reps)]
     per_rep_dicts = _run_indexed(_mse_rep, argslist, threads)
     per_rep = {name: np.array([d[name] for d in per_rep_dicts]) for name in names}
@@ -247,28 +250,18 @@ def run_mse_study(
     return MseTable(scenario.label, scenario.n, scenario.reps, rows, per_rep)
 
 
-def table_specs(
-    prior: PriorSpec,
-    n: int,
-    include_kgroups: tuple[int, ...] = (),
-    stabilize: bool | None = None,
-) -> list[EstimatorSpec]:
-    """The standard estimator lineup for one table cell. Sign stabilization
-    is applied to Tweedie-type rules only, by default exactly when the prior
-    has a point mass at zero; the oracle and naive rows are never modified."""
-    if stabilize is None:
-        stabilize = isinstance(prior, SparseMixPrior)
-    bound = default_truncation_bound(n)
-    specs = [
-        EstimatorSpec(Oracle(prior)),
-        EstimatorSpec(Naive()),
-        EstimatorSpec(Nest(), truncation_bound=bound, stabilize_sign=stabilize),
-        EstimatorSpec(TF(), stabilize_sign=stabilize),
-        EstimatorSpec(Scaled(), stabilize_sign=stabilize),
-    ]
-    for k in include_kgroups:
-        specs.append(EstimatorSpec(KGroups(k), stabilize_sign=stabilize))
-    return specs
+def study_spec(method, prior: PriorSpec, n: int) -> EstimatorSpec:
+    """The studies' post-processing: NEST is truncated at 2 log n, and every
+    shrinkage rule is sign-stabilized exactly when the prior has a point mass
+    at zero; the oracle and naive rules are never modified."""
+    bound = default_truncation_bound(n) if isinstance(method, Nest) else None
+    return post_processed(method, bound, isinstance(prior, SparseMixPrior))
+
+
+def table_specs(prior: PriorSpec, n: int, include_kgroups: tuple[int, ...] = ()) -> list[EstimatorSpec]:
+    """The standard estimator lineup for one table cell."""
+    methods = [Oracle(prior), Naive(), Nest(), TF(), Scaled(), *(KGroups(k) for k in include_kgroups)]
+    return [study_spec(m, prior, n) for m in methods]
 
 
 # ---------------------------------------------------------------------------

@@ -69,18 +69,15 @@ class SureGrid:
 
 def unit_grid() -> tuple[float, ...]:
     """The canonical ten-point grid 0.1, 0.2, ..., 1.0."""
-    return tuple(np.round(np.arange(1, 11) * 0.1, 10))
+    return tuple(float(v) for v in np.round(np.arange(1, 11) * 0.1, 10))
 
 
 def default_grid(sample: HeteroSample, k: int = 10, seed: int = 0) -> SureGrid:
     """h_x over 0.1..1.0 (multipliers on sigma_j); h_sigma over 0.1..1.0
-    times sd(sigma). Homoscedastic samples (sd == 0) fall back to an absolute
-    scale of 1; the weights are then uniform for every h_sigma anyway."""
-    scale = float(np.std(sample.sigma))
-    if scale == 0.0:
-        scale = 1.0
-    hs = tuple(v * scale for v in unit_grid())
-    return SureGrid(unit_grid(), hs, k=k, seed=seed)
+    times sd(sigma) (:func:`pooled_grid_for`). Homoscedastic samples
+    (sd == 0) fall back to an absolute scale of 1; the weights are then
+    uniform for every h_sigma anyway."""
+    return SureGrid(unit_grid(), pooled_grid_for(sample.sigma), k=k, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -145,25 +142,6 @@ def _cv_surface(
     floored = np.count_nonzero(f_raw < floor_eps, axis=-1)
     per_point = _sure_values(np.maximum(f_raw, floor_eps), f1, f2, sigma_risk, bracket_power)
     return per_point, floored, (wsum == 0.0).any(axis=1)
-
-
-def sure_compound_cv(
-    sample: HeteroSample,
-    bw: Bandwidths,
-    folds: FoldAssignment,
-    floor_eps: float = DEFAULT_FLOOR,
-) -> float:
-    """Compound SURE S(h) = sum_i S_i with each point scored by a density
-    fitted on the complement of its fold."""
-    if folds.n != sample.n:
-        raise ValueError("fold assignment does not match sample size")
-    pp, _, zero = _cv_surface(
-        sample.x, sample.sigma, sample.sigma,
-        [bw.h_x], [bw.h_sigma], folds.fold_of, floor_eps, 4,
-    )
-    if zero[0]:
-        raise DegenerateWeights(np.flatnonzero(np.isnan(pp[0, 0])))
-    return float(pp[0, 0].sum())
 
 
 def _argmin_cell(surface: np.ndarray, degenerate: np.ndarray) -> tuple[int, int]:

@@ -160,6 +160,7 @@ def test_criterion_5_selection_bias_formula():
     report("criterion-5", ok, "; ".join(details))
 
 
+@pytest.mark.slow
 def test_criterion_6_bias_experiment():
     reps = 200 if FULL else 50
     res = run_bias_experiment("single-center", reps=reps, select_k=20, seed=2026, n=5000, threads=THREADS)

@@ -1,17 +1,18 @@
 import csv
 import json
+import logging
 import math
 
 import numpy as np
 import pytest
 
-from nesteb.cli import main
+from nesteb.cli import _parse_estimators, main
 from nesteb.data import Bandwidths
 from nesteb.errors import NonsensicalCounts
 from nesteb.estimators import EstimatorSpec, Nest, estimate
 from nesteb.io import fmt_value, read_csv, write_csv_atomic
 from nesteb.priors import NormalPrior
-from nesteb.simulation import draw_scenario, scenario_from_ratio
+from nesteb.simulation import draw_scenario, resolve_spec, scenario_from_ratio
 
 
 def write_sample_csv(path, x, sigma, ids=None):
@@ -128,8 +129,11 @@ class TestEstimateCommand:
         ["tune", "--input", "{inp}", "--grid-hx", "0.5,0.3"],
         ["estimate", "--input", "{inp}", "--hx", "-1", "--hsigma", "0.2"],
         ["simulate", "--scenario", "normal", "--ratio", "1.5"],
+        ["estimate", "--input", "{inp}", "--method", "naive", "--method", "tf", "--method", "naive"],
+        ["estimate", "--input", "{inp}", "--method", "nest", "--hx", "0.5"],
     ],
-    ids=["bad-kgroups-token", "descending-grid", "negative-hx", "ratio-above-one"],
+    ids=["bad-kgroups-token", "descending-grid", "negative-hx", "ratio-above-one",
+         "duplicate-method", "lone-hx-with-nest"],
 )
 def test_value_errors_exit_1_with_one_json_line(tmp_path, capsys, argv):
     inp, out = tmp_path / "in.csv", tmp_path / "out.csv"
@@ -139,6 +143,59 @@ def test_value_errors_exit_1_with_one_json_line(tmp_path, capsys, argv):
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("given,missing", [("--hx", "--hsigma"), ("--hsigma", "--hx")])
+def test_nest_takes_both_fixed_bandwidths_or_neither(tmp_path, capsys, given, missing):
+    inp, out = tmp_path / "in.csv", tmp_path / "out.csv"
+    write_sample_csv(inp, [0.0, 1.0, 2.0], [1.0, 0.5, 0.8])
+    rc = main(["estimate", "--input", str(inp), "--output", str(out),
+               "--method", "tf", "--method", "nest", given, "0.5"])
+    assert rc == 1
+    assert missing in json.loads(capsys.readouterr().err.strip())["detail"]
+    assert not out.exists()
+
+
+def test_estimate_manifest_resolved_shape(tmp_path, caplog):
+    # the shape the manifest's consumers parse: one entry per tuned method
+    rng = np.random.default_rng(5)
+    inp, out = tmp_path / "in.csv", tmp_path / "out.csv"
+    write_sample_csv(inp, rng.normal(size=40), rng.uniform(0.5, 1.5, 40))
+    caplog.set_level(logging.INFO, logger="nesteb")
+    rc = main(["estimate", "--input", str(inp), "--output", str(out), "--folds", "4",
+               "--method", "nest", "--method", "tf", "--method", "scaled", "--method", "kgroups",
+               "--method", "naive", "--truncate"])
+    assert rc == 0
+    manifest = json.loads(caplog.records[-1].getMessage())["manifest"]
+    resolved = manifest["resolved"]
+    assert set(resolved) == {"nest", "tf", "scaled", "kgroups"}
+    assert set(resolved["nest"]) == {"h_x", "h_sigma"}
+    assert set(resolved["tf"]) == set(resolved["scaled"]) == {"h"}
+    assert resolved["kgroups"]["k"] == 2 and len(resolved["kgroups"]["h_per_group"]) == 2
+    assert all(isinstance(v, float) for v in (*resolved["nest"].values(), resolved["tf"]["h"],
+                                              resolved["scaled"]["h"], *resolved["kgroups"]["h_per_group"]))
+    assert manifest["truncate"] == pytest.approx(2 * math.log(40))
+    assert list(read_rows(out)[0]) == ["id", "x", "sigma", "nest", "tf", "scaled", "kgroups", "naive"]
+
+
+@pytest.mark.parametrize("token,keys", [
+    ("naive", None), ("oracle", None), ("nest", {"h_x", "h_sigma"}), ("tf", {"h"}),
+    ("scaled", {"h"}), ("kgroups:2", {"k", "h_per_group"}),
+])
+def test_method_table_walk(token, keys):
+    # parse -> resolve_spec -> estimate -> describe for every method token
+    prior = NormalPrior(3, 1)
+    s = draw_scenario(scenario_from_ratio(prior, 0.75, n=40, reps=1, seed=4), 0)
+    (spec,) = _parse_estimators(token, prior, s.n)
+    resolved = resolve_spec(spec, s, folds_k=4, seed=1)
+    mu = estimate(resolved, s)
+    assert mu.shape == (s.n,) and np.all(np.isfinite(mu))
+    described = resolved.method.describe()
+    assert (None if described is None else set(described)) == keys
+    if keys is None:
+        assert resolved is spec  # nothing to tune
+    else:
+        json.dumps(described)  # manifest-ready
 
 
 class TestTuneCommand:

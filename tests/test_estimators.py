@@ -19,15 +19,12 @@ from nesteb.estimators import (
     k_groups_fit,
     kgroups_estimates,
     nest_estimates,
-    nest_point,
-    oracle_posterior_mean,
     scaled_estimates,
-    scaled_point,
     stabilize_sign,
     tf_estimates,
-    tf_point,
     truncate_estimates,
 )
+from nesteb.kernel import density_eval, pooled_context
 from nesteb.priors import NormalPrior, SparseMixPrior, TwoPointPrior
 
 
@@ -36,23 +33,40 @@ def random_sample(n=60, seed=0, lo=0.5, hi=2.0):
     return validate_sample(rng.normal(size=n), rng.uniform(lo, hi, n))
 
 
+def tweedie(ctx, x, sigma, kde_sigma=None):
+    """Tweedie's formula at one query: x + sigma^2 * f1/f, the density
+    evaluated at (x, kde_sigma) (kde_sigma defaults to sigma)."""
+    d = density_eval(ctx, x, sigma if kde_sigma is None else kde_sigma)
+    return x + sigma * sigma * d.f1 / d.f
+
+
+def tf_at(train_x, h, x, sigma):
+    """The TF rule at one query: the pooled KDE's score times sigma^2."""
+    return tweedie(pooled_context(train_x, h), x, sigma, kde_sigma=1.0)
+
+
+def scaled_at(train, h, x, sigma):
+    """The scaled rule at one query: unit-variance Tweedie in z = x/sigma."""
+    return sigma * tweedie(pooled_context(train.x / train.sigma, h), x / sigma, 1.0)
+
+
 class TestNaiveAndOracle:
     def test_naive_is_identity(self):
         s = random_sample()
         np.testing.assert_array_equal(estimate(EstimatorSpec(Naive()), s), s.x)
 
     def test_oracle_normal_closed_form(self):
-        assert oracle_posterior_mean(NormalPrior(3.0, 1.0), 5.0, 1.0) == pytest.approx(4.0)
+        assert NormalPrior(3.0, 1.0).posterior_mean(5.0, 1.0) == pytest.approx(4.0)
 
     def test_oracle_prior_mean_fixed_point(self):
-        assert oracle_posterior_mean(NormalPrior(3.0, 1.0), 3.0, 1.0) == pytest.approx(3.0)
+        assert NormalPrior(3.0, 1.0).posterior_mean(3.0, 1.0) == pytest.approx(3.0)
 
     def test_oracle_two_point_symmetry_midpoint(self):
-        assert oracle_posterior_mean(TwoPointPrior(0.5, 0.0, 3.0), 1.5, 1.0) == pytest.approx(1.5)
+        assert TwoPointPrior(0.5, 0.0, 3.0).posterior_mean(1.5, 1.0) == pytest.approx(1.5)
 
     def test_oracle_sparse_mix_against_quadrature(self):
         # frozen from the quadrature oracle over the prior (point mass + N(3, 0.3^2))
-        got = oracle_posterior_mean(SparseMixPrior(0.7, 3.0, 0.3), 0.0, 1.0)
+        got = float(SparseMixPrior(0.7, 3.0, 0.3).posterior_mean(0.0, 1.0))
         assert got == pytest.approx(0.018079383994453156, rel=1e-10)
 
 
@@ -61,14 +75,14 @@ class TestNestPoint:
         xs = np.array([-2.0, -1.0, 1.0, 2.0]) + 0.5
         s = validate_sample(xs, np.full(4, 1.1))
         ctx = KernelContext(s, Bandwidths(0.6, 0.4))
-        assert nest_point(ctx, 0.5, 1.1) == pytest.approx(0.5, abs=1e-12)
+        assert tweedie(ctx, 0.5, 1.1) == pytest.approx(0.5, abs=1e-12)
 
     def test_single_kernel_closed_form(self):
         x0, s0 = 2.0, 1.5
         ctx = KernelContext(validate_sample([x0], [s0]), Bandwidths(0.7, 0.5))
         x, sig = 0.5, 0.8
         expect = x + sig**2 * (x0 - x) / (0.7 * s0) ** 2
-        assert nest_point(ctx, x, sig) == pytest.approx(expect, rel=1e-14)
+        assert tweedie(ctx, x, sig) == pytest.approx(expect, rel=1e-14)
 
     def test_two_group_data_reduces_to_per_group_tf(self):
         # with h_sigma tiny relative to the sigma gap, the cross-group weights
@@ -92,10 +106,10 @@ class TestNestPoint:
 class TestTfAndScaledPoints:
     def test_tf_zero_score_at_pooled_center(self):
         train = [-2.0, -0.5, 0.5, 2.0]
-        assert tf_point(train, 0.8, 0.0, 1.3) == pytest.approx(0.0, abs=1e-12)
+        assert tf_at(train, 0.8, 0.0, 1.3) == pytest.approx(0.0, abs=1e-12)
 
     def test_tf_single_kernel_closed_form(self):
-        assert tf_point([2.0], 0.6, 0.5, 0.8) == pytest.approx(0.5 + 0.64 * 1.5 / 0.36, rel=1e-14)
+        assert tf_at([2.0], 0.6, 0.5, 0.8) == pytest.approx(0.5 + 0.64 * 1.5 / 0.36, rel=1e-14)
 
     def test_tf_equals_nest_on_homoscedastic_data(self):
         rng = np.random.default_rng(9)
@@ -105,9 +119,7 @@ class TestTfAndScaledPoints:
         h = 0.52
         ctx = KernelContext(s, Bandwidths(h / common, 0.7))
         for xq in (-1.0, 0.2, 2.2):
-            assert tf_point(xs, h, xq, common) == pytest.approx(
-                nest_point(ctx, xq, common), abs=1e-10
-            )
+            assert tf_at(xs, h, xq, common) == pytest.approx(tweedie(ctx, xq, common), abs=1e-10)
 
     def test_scaled_identity_when_all_unit_sigma(self):
         rng = np.random.default_rng(10)
@@ -122,7 +134,7 @@ class TestTfAndScaledPoints:
         x, sig, h = 0.5, 0.8, 0.6
         z0, z = 2.0 / 1.5, 0.5 / 0.8
         expect = sig * (z + (z0 - z) / h**2)
-        assert scaled_point(train, h, x, sig) == pytest.approx(expect, rel=1e-14)
+        assert scaled_at(train, h, x, sig) == pytest.approx(expect, rel=1e-14)
 
 
 class TestKGroups:

@@ -5,7 +5,7 @@ import pytest
 
 import nesteb.kernel
 from nesteb.data import Bandwidths, DensityEval, kfold_split, validate_sample
-from nesteb.errors import AllCellsDegenerate, DegenerateWeights, EmptyMonteCarlo
+from nesteb.errors import AllCellsDegenerate, EmptyMonteCarlo
 from nesteb.estimators import nest_estimates
 from nesteb.kernel import KernelContext
 from nesteb.priors import NormalPrior
@@ -14,7 +14,6 @@ from nesteb.sure import (
     SureGrid,
     _argmin_cell,
     default_grid,
-    sure_compound_cv,
     sure_from_density,
     sure_point,
     sure_unbiasedness_check,
@@ -22,6 +21,7 @@ from nesteb.sure import (
     tune_kgroups,
     tune_pooled,
     pooled_grid_for,
+    unit_grid,
 )
 
 SQRT_2PI = math.sqrt(2 * math.pi)
@@ -30,6 +30,24 @@ SQRT_2PI = math.sqrt(2 * math.pi)
 def random_sample(n=60, seed=0):
     rng = np.random.default_rng(seed)
     return validate_sample(rng.normal(3.0, 1.0, n), rng.uniform(0.4, 1.6, n))
+
+
+def compound_sure(sample, bw, k, seed):
+    """S(h) at one bandwidth pair: the surface of a 1x1 grid, cross-fitted on
+    kfold_split(n, k, seed)."""
+    grid = SureGrid((bw.h_x,), (bw.h_sigma,), k=k, seed=seed)
+    return tune(sample, grid, selection="argmin").surface[0, 0]
+
+
+def per_fold_reference(sample, bw, folds):
+    """Per-point SURE by the reference loop: one context per fold complement,
+    each held-out point scored by sure_point."""
+    out = np.empty(sample.n)
+    for g in range(folds.k):
+        ctx = KernelContext(sample.subset(folds.complement_of(g)), bw)
+        for i in folds.indices_of(g):
+            out[i] = sure_point(ctx, sample.x[i], sample.sigma[i])
+    return out
 
 
 class TestSurePoint:
@@ -65,28 +83,19 @@ class TestCompoundCv:
     def test_two_point_closed_form(self):
         # n=2, K=2: each point scored against the other alone
         s = validate_sample([0.0, 1.0], [1.0, 2.0])
-        folds = kfold_split(2, 2, seed=123)
-        got = sure_compound_cv(s, Bandwidths(0.5, 0.4), folds)
-        assert got == pytest.approx(132.0, rel=1e-12)
+        assert compound_sure(s, Bandwidths(0.5, 0.4), k=2, seed=123) == pytest.approx(132.0, rel=1e-12)
 
     def test_matches_per_fold_context_reference(self):
         s = random_sample(n=30, seed=1)
         folds = kfold_split(30, 5, seed=9)
         bw = Bandwidths(0.5, 0.3)
-        total = 0.0
-        for g in range(5):
-            train = s.subset(folds.complement_of(g))
-            ctx = KernelContext(train, bw)
-            for i in folds.indices_of(g):
-                total += sure_point(ctx, s.x[i], s.sigma[i])
-        got = sure_compound_cv(s, bw, folds)
-        assert got == pytest.approx(total, rel=1e-11)
+        total = per_fold_reference(s, bw, folds).sum()
+        assert compound_sure(s, bw, k=5, seed=9) == pytest.approx(total, rel=1e-11)
 
     def test_deterministic(self):
         s = random_sample(n=40, seed=2)
-        folds = kfold_split(40, 4, seed=5)
-        a = sure_compound_cv(s, Bandwidths(0.4, 0.25), folds)
-        b = sure_compound_cv(s, Bandwidths(0.4, 0.25), folds)
+        a = compound_sure(s, Bandwidths(0.4, 0.25), k=4, seed=5)
+        b = compound_sure(s, Bandwidths(0.4, 0.25), k=4, seed=5)
         assert a == b
 
     def test_cv_hygiene_held_out_points_invisible(self):
@@ -100,28 +109,19 @@ class TestCompoundCv:
         x2[i] += 5.0
         s2 = validate_sample(x2, s.sigma)
 
-        def per_point_scores(sample):
-            out = np.empty(sample.n)
-            for fold in range(4):
-                ctx = KernelContext(sample.subset(folds.complement_of(fold)), bw)
-                for j in folds.indices_of(fold):
-                    out[j] = sure_point(ctx, sample.x[j], sample.sigma[j])
-            return out
-
-        a = per_point_scores(s)
-        b = per_point_scores(s2)
+        a = per_fold_reference(s, bw, folds)
+        b = per_fold_reference(s2, bw, folds)
         same_fold = folds.indices_of(g)
         untouched = same_fold[same_fold != i]
         np.testing.assert_array_equal(a[untouched], b[untouched])
         # and the compound path agrees with the reference on both samples
-        assert sure_compound_cv(s, bw, folds) == pytest.approx(a.sum(), rel=1e-11)
-        assert sure_compound_cv(s2, bw, folds) == pytest.approx(b.sum(), rel=1e-11)
+        assert compound_sure(s, bw, k=4, seed=1) == pytest.approx(a.sum(), rel=1e-11)
+        assert compound_sure(s2, bw, k=4, seed=1) == pytest.approx(b.sum(), rel=1e-11)
 
     def test_degenerate_weights_propagate(self):
         s = validate_sample([0.0, 1.0], [1.0, 100.0])
-        folds = kfold_split(2, 2, seed=0)
-        with pytest.raises(DegenerateWeights):
-            sure_compound_cv(s, Bandwidths(0.5, 0.001), folds)
+        with pytest.raises(AllCellsDegenerate):
+            compound_sure(s, Bandwidths(0.5, 0.001), k=2, seed=0)
 
 
 class TestTune:
@@ -130,8 +130,9 @@ class TestTune:
         grid = SureGrid((0.5,), (0.3,), k=5, seed=11)
         rep = tune(s, grid)
         assert rep.argmin == Bandwidths(0.5, 0.3)
-        folds = kfold_split(25, 5, seed=11)
-        assert rep.surface[0, 0] == pytest.approx(sure_compound_cv(s, Bandwidths(0.5, 0.3), folds))
+        ref = per_fold_reference(s, Bandwidths(0.5, 0.3), kfold_split(25, 5, seed=11))
+        assert rep.surface[0, 0] == pytest.approx(ref.sum(), rel=1e-11)
+        np.testing.assert_allclose(rep.per_point, ref, rtol=1e-11)
         assert rep.per_point.shape == (25,)
         assert rep.per_point.sum() == pytest.approx(rep.surface[0, 0])
 
@@ -226,6 +227,17 @@ class TestTune:
         assert type(rep.argmin.h_x) is float
         assert type(rep.argmin.h_sigma) is float
 
+    def test_grid_and_report_values_are_python_floats(self):
+        s = random_sample(n=30, seed=7)
+        grid = default_grid(s, k=3, seed=6)
+        rep = tune(s, grid)
+        values = (*unit_grid(), *pooled_grid_for(s.x), *grid.h_x_values, *grid.h_sigma_values,
+                  *rep.h_x_values, *rep.h_sigma_values)
+        assert all(type(v) is float for v in values)
+        # the h_sigma axis is the pooled grid over sigma: 0.1..1.0 times sd(sigma)
+        assert grid.h_sigma_values == pooled_grid_for(s.sigma)
+        assert grid.h_sigma_values[-1] == float(np.std(s.sigma))
+
     def test_sure_selection_close_to_true_risk_optimum(self):
         # true-risk oracle: exhaustive search using the known means
         sc = scenario_from_ratio(NormalPrior(3.0, 1.0), 9.6 / 10.6, n=1000, reps=1, seed=42)
@@ -260,7 +272,7 @@ class TestTunePooled:
         folds = kfold_split(50, 5, seed=3)
         pooled = tune_pooled(x, np.ones(50), (0.3, 0.6), folds)
         for idx, h in enumerate((0.3, 0.6)):
-            ref = sure_compound_cv(s_unit, Bandwidths(h, 1.0), folds)
+            ref = compound_sure(s_unit, Bandwidths(h, 1.0), k=5, seed=3)
             assert pooled.surface[idx] == pytest.approx(ref, rel=1e-12)
 
     def test_kgroups_tuner_returns_one_h_per_group(self):
