@@ -122,6 +122,9 @@ _METHODS = {
     "kgroups": lambda opts: KGroups(opts.k),
 }
 
+# The methods that use each fixed-bandwidth flag of `estimate`.
+_FLAG_USERS = {"hx": ("nest", "tf", "scaled"), "hsigma": ("nest",)}
+
 
 # ---------------------------------------------------------------------------
 # Commands
@@ -131,6 +134,9 @@ _METHODS = {
 def cmd_estimate(args) -> int:
     methods = args.method or ["nest"]
     check_unique_names(methods)
+    for flag, users in _FLAG_USERS.items():
+        if getattr(args, flag) is not None and not set(users) & set(methods):
+            raise ValueError(f"--{flag} is used only by {', '.join(users)}; none of them was requested")
     prior = _parse_prior(args.prior) if args.prior else None
     opts = argparse.Namespace(prior=prior, hx=args.hx, hsigma=args.hsigma, k=args.k_groups)
     chosen = [_METHODS[name](opts) for name in methods]

@@ -18,14 +18,26 @@ Numerical contract: one routine, :func:`density_grid`, evaluates every
 pairwise sum in the package. Its four callers are the final in-sample fit
 (:func:`in_sample_triple`), batch queries (:func:`density_eval_batch`), the
 cross-fitted SURE surfaces and the Monte Carlo SURE check (both in
-:mod:`nesteb.sure`). Each query is an O(n) direct sum reduced in
-training-index order by a deterministic, single-threaded, BLAS-free numpy
-reduction, so output is reproducible for a fixed input order and independent
-of the block partition of the queries. Queries are processed in row blocks
-whose pairwise matrices hold at most ``_BLOCK_ELEMS`` = 2^21 elements
-(16 MB of float64) each; the weight cache of a block holds one such matrix
-per h_sigma value, next to the x-difference matrix and the three kernel
-matrices of one h_x value.
+:mod:`nesteb.sure`). With u_j = (x - x_j)/h_xj, E_j = exp(-u_j^2 / 2), the
+unnormalized (masked) sigma weights t_j and T = sum_j t_j, one grid cell is
+
+    f  = S0 / (sqrt(2 pi) h_x T),      S0 = sum_j t_j E_j / sigma_j
+    f1 = -S1 / (sqrt(2 pi) h_x^3 T),   S1 = sum_j t_j E_j (x - x_j) / sigma_j^3
+    f2 = S2 / (sqrt(2 pi) h_x^3 T),    S2 = sum_j t_j E_j (u_j^2 - 1) / sigma_j^3
+
+Per row block of b queries, the weights t for every h_sigma form one
+(b, ns, n) array and the three kernel rows for every h_x one (b, 3 nx, n)
+array, and a single einsum contraction over the training index gives every
+(h_sigma, h_x, component) sum. Each sum is a dot product over the training
+index, taken in chunks of 4096 columns whose partial sums are added in index
+order, so a query's values depend on its own row only: output does not
+depend on the block partition of the queries. The contraction calls no BLAS,
+so output does not depend on the BLAS thread count either (a per-row BLAS
+gemm would: OpenBLAS rounds a threaded gemm differently, seen at n >= 3000).
+The rows per block are chosen so that all matrices of a block together, the
+weights, the kernel rows and three (b, n) scratch matrices, that is
+(ns + 3 nx + 3) n elements per query, hold at most ``_BLOCK_ELEMS`` = 2^21
+elements (16 MB of float64).
 """
 
 from __future__ import annotations
@@ -39,8 +51,13 @@ from .errors import DegenerateWeights
 
 SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 
-# Row-block size cap for each pairwise matrix, in elements (16 MB of float64).
+# Row-block cap on all pairwise matrices of a block together, in elements
+# (16 MB of float64).
 _BLOCK_ELEMS = 1 << 21
+
+# Columns per einsum call in the training-index sum; below numpy's 8192-element
+# iterator buffer, so each chunk is one inner-loop dot product per output.
+_SUM_COLS = 4096
 
 DEFAULT_FLOOR = 1e-12
 
@@ -76,23 +93,13 @@ def _weight_numerators(dsig2: np.ndarray, h_sigma: float) -> np.ndarray:
     return np.exp(dsig2 * (-0.5 / (h_sigma * h_sigma)))
 
 
-def _kx_parts(dx: np.ndarray, hxj: np.ndarray):
-    """Kernel matrix and its two x-derivative factors.
-
-    dx has shape (m, n) with dx[i, j] = x_query_i - x_train_j; hxj has shape
-    (n,). Returns (K0, K1, K2) where row sums against the normalized weights
-    give f, f1, f2.
-    """
-    u = dx / hxj
-    k0 = np.exp(-0.5 * u * u) / (SQRT_2PI * hxj)
-    k1 = k0 * (-u / hxj)
-    k2 = k0 * ((u * u - 1.0) / (hxj * hxj))
-    return k0, k1, k2
-
-
-def _reduce(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Deterministic per-row sum of products (no BLAS dispatch)."""
-    return np.einsum("ij,ij->i", a, b)
+def _contract(w: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """s[r, j, c] = sum over training index t of w[r, j, t] * k[r, c, t], summed
+    in chunks of _SUM_COLS columns whose partial sums are added in index order."""
+    s = np.einsum("rjt,rct->rjc", w[..., :_SUM_COLS], k[..., :_SUM_COLS])
+    for lo in range(_SUM_COLS, w.shape[-1], _SUM_COLS):
+        s += np.einsum("rjt,rct->rjc", w[..., lo : lo + _SUM_COLS], k[..., lo : lo + _SUM_COLS])
+    return s
 
 
 def density_grid(
@@ -115,29 +122,52 @@ def density_grid(
     handled by the caller.
     """
     m, n = xq.shape[0], xt.shape[0]
-    nx, ns = len(hx_values), len(hs_values)
+    hx = np.asarray(hx_values, dtype=float)
+    nx, ns = hx.size, len(hs_values)
     f, f1, f2 = (np.empty((nx, ns, m)) for _ in range(3))
     wsum = np.empty((ns, m))
-    step = max(1, _BLOCK_ELEMS // max(n, 1))
+    wscale = np.array([-0.5 / (h * h) for h in hs_values])[:, None]
+    inv_s = 1.0 / st
+    inv_s2 = inv_s * inv_s
+    inv_s3 = inv_s2 * inv_s
+    step = max(1, min(m, _BLOCK_ELEMS // ((ns + 3 * nx + 3) * max(n, 1))))
+    w_buf = np.empty((step, ns, n))       # masked weight numerators, every h_sigma
+    k_buf = np.empty((step, 3 * nx, n))   # kernel rows, every (h_x, component)
+    a_buf, p1_buf, p2_buf = np.empty((3, step, n))
+    hcol = hx[:, None, None]
     for lo in range(0, m, step):
         hi = min(m, lo + step)
-        dx = xq[lo:hi, None] - xt[None, :]
-        ds2 = (sq[lo:hi, None] - st[None, :]) ** 2
-        cached = []
-        for j, hs in enumerate(hs_values):
-            wn = _weight_numerators(ds2, hs)
-            if qkey is not None:
-                wn *= qkey[lo:hi, None] != tkey[None, :]
-            wsum[j, lo:hi] = ws = wn.sum(axis=1)
-            cached.append((wn, ws))
-        del ds2  # freed before the h_x loop allocates its kernel matrices
-        for i, hx in enumerate(hx_values):
-            k0, k1, k2 = _kx_parts(dx, hx * st)
-            for j, (wn, ws) in enumerate(cached):
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    f[i, j, lo:hi] = _reduce(wn, k0) / ws
-                    f1[i, j, lo:hi] = _reduce(wn, k1) / ws
-                    f2[i, j, lo:hi] = _reduce(wn, k2) / ws
+        w, k, a, p1, p2 = (buf[: hi - lo] for buf in (w_buf, k_buf, a_buf, p1_buf, p2_buf))
+        np.subtract(sq[lo:hi, None], st, out=a)
+        a *= a
+        np.multiply(a[:, None, :], wscale, out=w)
+        np.exp(w, out=w)
+        if qkey is not None:
+            w *= (qkey[lo:hi, None] != tkey)[:, None, :]
+        ws = w.sum(axis=-1).T
+        wsum[:, lo:hi] = ws
+        np.subtract(xq[lo:hi, None], xt, out=a)      # dx
+        np.multiply(a, inv_s3, out=p1)               # dx / s^3
+        np.multiply(p1, a, out=p2)
+        p2 *= inv_s2                                 # dx^2 / s^5
+        a *= a
+        a *= -0.5 * inv_s2                           # -dx^2 / (2 s^2)
+        for i, h in enumerate(hx):
+            e, k1, k2 = k[:, 3 * i], k[:, 3 * i + 1], k[:, 3 * i + 2]
+            np.multiply(a, 1.0 / (h * h), out=e)
+            np.exp(e, out=e)                         # E = exp(-u^2 / 2)
+            np.multiply(e, p1, out=k1)               # E dx / s^3
+            np.multiply(p2, 1.0 / (h * h), out=k2)
+            k2 -= inv_s3
+            k2 *= e                                  # E (u^2 - 1) / s^3
+            e *= inv_s                               # E / s
+        s = _contract(w, k).reshape(hi - lo, ns, nx, 3).transpose(3, 2, 1, 0)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            norm = SQRT_2PI * ws
+            f[:, :, lo:hi] = s[0] / (hcol * norm)
+            norm3 = hcol**3 * norm
+            f1[:, :, lo:hi] = -s[1] / norm3
+            f2[:, :, lo:hi] = s[2] / norm3
     return f, f1, f2, wsum
 
 

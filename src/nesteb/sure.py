@@ -35,10 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Bandwidths, FoldAssignment, HeteroSample, kfold_split
+from .data import Bandwidths, DensityEval, FoldAssignment, HeteroSample, kfold_split
 from .errors import AllCellsDegenerate, BadGroupCount, DegenerateWeights, EmptyMonteCarlo
 from .kernel import DEFAULT_FLOOR, KernelContext, density_eval, density_grid
-from .data import DensityEval
 from .estimators import k_groups_fit
 from .priors import PriorSpec
 

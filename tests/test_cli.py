@@ -131,9 +131,16 @@ class TestEstimateCommand:
         ["simulate", "--scenario", "normal", "--ratio", "1.5"],
         ["estimate", "--input", "{inp}", "--method", "naive", "--method", "tf", "--method", "naive"],
         ["estimate", "--input", "{inp}", "--method", "nest", "--hx", "0.5"],
+        # flags no requested method uses; the absent input shows they fail before the CSV is read
+        ["estimate", "--input", "{inp}.absent", "--method", "kgroups", "--hx", "0.5"],
+        ["estimate", "--input", "{inp}.absent", "--method", "tf", "--hsigma", "0.5"],
+        ["estimate", "--input", "{inp}.absent", "--method", "scaled", "--hsigma", "0.3"],
+        ["estimate", "--input", "{inp}.absent", "--method", "naive", "--method", "oracle",
+         "--prior", "normal:0,1", "--hx", "0.5", "--hsigma", "0.3"],
     ],
     ids=["bad-kgroups-token", "descending-grid", "negative-hx", "ratio-above-one",
-         "duplicate-method", "lone-hx-with-nest"],
+         "duplicate-method", "lone-hx-with-nest", "hx-with-kgroups", "hsigma-with-tf",
+         "hsigma-with-scaled", "both-flags-unused"],
 )
 def test_value_errors_exit_1_with_one_json_line(tmp_path, capsys, argv):
     inp, out = tmp_path / "in.csv", tmp_path / "out.csv"

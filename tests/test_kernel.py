@@ -1,15 +1,20 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import nesteb.kernel
-from nesteb.data import Bandwidths, validate_sample
+from nesteb.data import Bandwidths, kfold_split, validate_sample
 from nesteb.errors import DegenerateWeights
 from nesteb.kernel import (
     KernelContext,
     density_eval,
+    density_grid,
     density_eval_batch,
     in_sample_triple,
     pooled_context,
@@ -225,3 +230,127 @@ class TestKernelProperties:
         d = density_eval(ctx, 0.5, 1.0)
         manual = sum(phi(0.5 - xj, 0.7) for xj in xs) / 3
         np.testing.assert_allclose(d.f, manual, rtol=1e-14)
+
+
+def reference_grid(xq, sq, xt, st, hx_values, hs_values, key=None):
+    """f, f1, f2, wsum by the module docstring's sums, one term at a time.
+
+    Also returns, for each of f, f1, f2, the sum of the absolute values of
+    its terms: the scale of the rounding error of any evaluation order.
+    """
+    nx, ns, m = len(hx_values), len(hs_values), len(xq)
+    out = np.full((6, nx, ns, m), np.nan)
+    wsum = np.zeros((ns, m))
+    for j, hs in enumerate(hs_values):
+        for q in range(m):
+            t = [0.0 if key is not None and key[k] == key[q]
+                 else math.exp(-((sq[q] - st[k]) ** 2) / (2 * hs * hs))
+                 for k in range(len(xt))]
+            wsum[j, q] = sum(t)
+            if wsum[j, q] == 0.0:
+                continue
+            for i, hx in enumerate(hx_values):
+                acc = np.zeros(6)
+                for k, tk in enumerate(t):
+                    hxj = hx * st[k]
+                    z = (xq[q] - xt[k]) / hxj
+                    wphi = tk / wsum[j, q] * phi(xq[q] - xt[k], hxj)
+                    terms = (wphi, wphi * (xt[k] - xq[q]) / hxj**2, wphi / hxj**2 * (z * z - 1.0))
+                    acc[:3] += terms
+                    acc[3:] += np.abs(terms)
+                out[:, i, j, q] = acc
+    return out[:3], out[3:], wsum
+
+
+def grid_case(name):
+    """(xq, sq, xt, st, hx_values, hs_values, key) for the named reference case."""
+    rng = np.random.default_rng(21)
+    n = 30
+    x = rng.normal(size=n)
+    key = kfold_split(n, 4, 0).fold_of
+    if name == "heteroscedastic-3x3":
+        s = rng.uniform(0.4, 2.0, n)
+        return x, s, x, s, (0.3, 0.6, 1.0), (0.2, 0.5, 0.9), key
+    if name == "unit-sigma-pooled":
+        s = np.ones(n)
+        return x, s, x, s, (0.2, 0.5, 1.1), (1.0,), key
+    if name == "weight-underflow":
+        # one sigma far from every other: its weight normalizer underflows at
+        # the two small h_sigma values and not at the large one
+        s = np.append(rng.uniform(0.5, 1.5, n - 1), 30.0)
+        return x, s, x, s, (0.4, 0.8), (0.2, 0.5, 40.0), key
+    # more training points than one chunk of the training-index sum
+    xt, st = rng.normal(size=9000), rng.uniform(0.4, 2.0, 9000)
+    return x[:3], st[:3], xt, st, (0.3, 0.9), (0.2, 0.6), None
+
+
+class TestDensityGrid:
+    CASES = ["heteroscedastic-3x3", "unit-sigma-pooled", "weight-underflow", "long-training-index"]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_reference_sums(self, case):
+        xq, sq, xt, st, hxs, hss, key = grid_case(case)
+        *got, wsum = density_grid(xq, sq, xt, st, hxs, hss, key, key)
+        ref, scale, ref_wsum = reference_grid(xq, sq, xt, st, hxs, hss, key)
+        np.testing.assert_allclose(wsum, ref_wsum, rtol=1e-12, atol=0)
+        zero = ref_wsum == 0.0
+        assert zero.any() == (case == "weight-underflow")
+        for g, r, sc in zip(got, ref, scale):
+            np.testing.assert_array_equal(np.isnan(g), np.broadcast_to(zero, g.shape))
+            ok = ~np.isnan(r)
+            # rtol 1e-12 of each sum's absolute-term scale: f1 and f2 cross zero
+            assert np.all(np.abs(g[ok] - r[ok]) <= 1e-12 * sc[ok])
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_one_row_per_block_is_bitwise_equal(self, monkeypatch, case):
+        xq, sq, xt, st, hxs, hss, key = grid_case(case)
+        one_block = density_grid(xq, sq, xt, st, hxs, hss, key, key)
+        monkeypatch.setattr(nesteb.kernel, "_BLOCK_ELEMS", 1)
+        for a, b in zip(one_block, density_grid(xq, sq, xt, st, hxs, hss, key, key)):
+            np.testing.assert_array_equal(a, b)
+
+    def test_blas_thread_count_does_not_change_output(self):
+        # 40 queries against n = 5000 on a 16 x 10 grid, where a per-row
+        # OpenBLAS gemm rounds differently under two threads, and against
+        # n = 10000 on one cell
+        code = (
+            "import hashlib, numpy as np\n"
+            "from nesteb.data import kfold_split\n"
+            "from nesteb.kernel import density_grid\n"
+            "rng = np.random.default_rng(5)\n"
+            "h = hashlib.sha256()\n"
+            "for n, nx, ns in ((5000, 16, 10), (10000, 1, 1)):\n"
+            "    x, s = rng.normal(size=n), rng.uniform(0.4, 2.0, n)\n"
+            "    key = kfold_split(n, 10, 0).fold_of\n"
+            "    hx, hs = np.linspace(0.1, 1.0, nx), np.linspace(0.1, 1.0, ns)\n"
+            "    for a in density_grid(x[:40], s[:40], x, s, hx, hs, key[:40], key):\n"
+            "        h.update(a.tobytes())\n"
+            "print(h.hexdigest())\n"
+        )
+        src = os.path.dirname(os.path.dirname(nesteb.kernel.__file__))
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                 text=True, timeout=300, check=True)
+            digests.append(run.stdout.strip())
+        assert len(digests[0]) == 64 and digests[0] == digests[1]
+
+    def test_peak_memory_follows_block_budget(self):
+        rng = np.random.default_rng(8)
+        n = 2000
+        x, s = rng.normal(size=n), rng.uniform(0.4, 2.0, n)
+        key = kfold_split(n, 10, 0).fold_of
+        grid = tuple(0.1 * k for k in range(1, 11))
+        tracemalloc.start()
+        try:
+            out = density_grid(x, s, x, s, grid, grid, key, key)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the block matrices hold at most _BLOCK_ELEMS float64 elements; the
+        # per-block temporaries (key mask, matmul result, per-cell quotients)
+        # get a quarter of that again
+        budget = 8 * nesteb.kernel._BLOCK_ELEMS * 1.25
+        assert peak <= budget + sum(a.nbytes for a in out)
