@@ -26,14 +26,29 @@ unnormalized (masked) sigma weights t_j and T = sum_j t_j, one grid cell is
     f2 = S2 / (sqrt(2 pi) h_x^3 T),    S2 = sum_j t_j E_j (u_j^2 - 1) / sigma_j^3
 
 Per row block of b queries, the weights t for every h_sigma form one
-(b, ns, n) array and the three kernel rows for every h_x one (b, 3 nx, n)
-array, and a single einsum contraction over the training index gives every
-(h_sigma, h_x, component) sum. Each sum is a dot product over the training
-index, taken in chunks of 4096 columns whose partial sums are added in index
-order, so a query's values depend on its own row only: output does not
-depend on the block partition of the queries. The contraction calls no BLAS,
-so output does not depend on the BLAS thread count either (a per-row BLAS
-gemm would: OpenBLAS rounds a threaded gemm differently, seen at n >= 3000).
+(ns, b, n) array and the three kernel rows for every h_x one (3 nx, b, n)
+array, one contiguous (b, n) plane per h_sigma and per (h_x, component).
+One batched gemm (``np.matmul``) per chunk of ``_SUM_COLS`` = 256 training
+columns then gives every (h_sigma, h_x, component) sum, and the chunk sums
+are added in index order. Each query row is its own (ns x 256) by
+(256 x 3 nx) gemm, so a query's values depend on its own row only: output
+does not depend on the block partition of the queries. The chunk width is a
+constant, so output does not depend on the grid or on ``_BLOCK_ELEMS``
+either.
+
+Thread-count rule: the gemms run with the OpenBLAS bundled with NumPy pinned
+to one thread (its ``scipy_openblas_set_num_threads64_``, called through
+ctypes), and the previous count is restored afterwards. So every gemm takes
+OpenBLAS's single-thread path, whatever ``OPENBLAS_NUM_THREADS`` says. A
+fixed chunk width alone is not a rule: OpenBLAS threads a gemm once m n k
+passes a cutoff, and on a SkylakeX core unpinned gemms rounded differently
+under one and two threads at every width tried: 256 columns on 60 x 60 and
+100 x 100 grids (n = 2000 and 1000), 512 on 30 x 30 and 40 x 40 grids, 4096
+on a 20 x 20 grid. Pinning costs three library calls per row block; it
+measured no slower than the unpinned gemm. Under a NumPy that carries no
+such library (another BLAS) the gemms run unpinned, and the output then
+depends on that BLAS's threading.
+
 The rows per block are chosen so that all matrices of a block together, the
 weights, the kernel rows and three (b, n) scratch matrices, that is
 (ns + 3 nx + 3) n elements per query, hold at most ``_BLOCK_ELEMS`` = 2^21
@@ -42,6 +57,12 @@ elements (16 MB of float64).
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,9 +76,14 @@ SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 # (16 MB of float64).
 _BLOCK_ELEMS = 1 << 21
 
-# Columns per einsum call in the training-index sum; below numpy's 8192-element
-# iterator buffer, so each chunk is one inner-loop dot product per output.
-_SUM_COLS = 4096
+# Columns per gemm in the training-index sum (the gemm's k dimension). A
+# constant: the rounding of each sum then depends on n alone, not on the row
+# block or the grid. 256 and 512 measured alike; 128 was slower.
+_SUM_COLS = 256
+
+# Serializes pinning, so that concurrent callers cannot restore each other's
+# thread count in the wrong order.
+_PIN_LOCK = threading.Lock()
 
 DEFAULT_FLOOR = 1e-12
 
@@ -93,12 +119,47 @@ def _weight_numerators(dsig2: np.ndarray, h_sigma: float) -> np.ndarray:
     return np.exp(dsig2 * (-0.5 / (h_sigma * h_sigma)))
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) thread-count functions of the OpenBLAS bundled with NumPy,
+    or None when NumPy carries no such library."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    found = glob.glob(os.path.join(libs, "libscipy_openblas64_*"))
+    if not found:
+        return None
+    lib = ctypes.CDLL(found[0])   # already loaded by NumPy: the same library state
+    get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with the bundled OpenBLAS on one thread, then restore."""
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    with _PIN_LOCK:
+        old = get()
+        set_(1)
+        try:
+            yield
+        finally:
+            set_(old)
+
+
 def _contract(w: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """s[r, j, c] = sum over training index t of w[r, j, t] * k[r, c, t], summed
-    in chunks of _SUM_COLS columns whose partial sums are added in index order."""
-    s = np.einsum("rjt,rct->rjc", w[..., :_SUM_COLS], k[..., :_SUM_COLS])
-    for lo in range(_SUM_COLS, w.shape[-1], _SUM_COLS):
-        s += np.einsum("rjt,rct->rjc", w[..., lo : lo + _SUM_COLS], k[..., lo : lo + _SUM_COLS])
+    """s[r, j, c] = sum over training index t of w[j, r, t] * k[c, r, t]: one
+    single-thread gemm per query row r and chunk of _SUM_COLS columns, the
+    chunk sums added in index order."""
+    wr, kr = w.transpose(1, 0, 2), k.transpose(1, 2, 0)
+    with _one_blas_thread():
+        s = np.matmul(wr[..., :_SUM_COLS], kr[:, :_SUM_COLS])
+        for lo in range(_SUM_COLS, w.shape[-1], _SUM_COLS):
+            s += np.matmul(wr[..., lo : lo + _SUM_COLS], kr[:, lo : lo + _SUM_COLS])
     return s
 
 
@@ -126,25 +187,26 @@ def density_grid(
     nx, ns = hx.size, len(hs_values)
     f, f1, f2 = (np.empty((nx, ns, m)) for _ in range(3))
     wsum = np.empty((ns, m))
-    wscale = np.array([-0.5 / (h * h) for h in hs_values])[:, None]
+    wscale = np.array([-0.5 / (h * h) for h in hs_values])[:, None, None]
     inv_s = 1.0 / st
     inv_s2 = inv_s * inv_s
     inv_s3 = inv_s2 * inv_s
     step = max(1, min(m, _BLOCK_ELEMS // ((ns + 3 * nx + 3) * max(n, 1))))
-    w_buf = np.empty((step, ns, n))       # masked weight numerators, every h_sigma
-    k_buf = np.empty((step, 3 * nx, n))   # kernel rows, every (h_x, component)
+    w_buf = np.empty((ns, step, n))       # masked weight numerators, one plane per h_sigma
+    k_buf = np.empty((3 * nx, step, n))   # kernel rows, one plane per (h_x, component)
     a_buf, p1_buf, p2_buf = np.empty((3, step, n))
     hcol = hx[:, None, None]
     for lo in range(0, m, step):
         hi = min(m, lo + step)
-        w, k, a, p1, p2 = (buf[: hi - lo] for buf in (w_buf, k_buf, a_buf, p1_buf, p2_buf))
+        w, k = w_buf[:, : hi - lo], k_buf[:, : hi - lo]
+        a, p1, p2 = a_buf[: hi - lo], p1_buf[: hi - lo], p2_buf[: hi - lo]
         np.subtract(sq[lo:hi, None], st, out=a)
         a *= a
-        np.multiply(a[:, None, :], wscale, out=w)
+        np.multiply(a, wscale, out=w)
         np.exp(w, out=w)
         if qkey is not None:
-            w *= (qkey[lo:hi, None] != tkey)[:, None, :]
-        ws = w.sum(axis=-1).T
+            w *= qkey[lo:hi, None] != tkey
+        ws = w.sum(axis=-1)
         wsum[:, lo:hi] = ws
         np.subtract(xq[lo:hi, None], xt, out=a)      # dx
         np.multiply(a, inv_s3, out=p1)               # dx / s^3
@@ -153,7 +215,7 @@ def density_grid(
         a *= a
         a *= -0.5 * inv_s2                           # -dx^2 / (2 s^2)
         for i, h in enumerate(hx):
-            e, k1, k2 = k[:, 3 * i], k[:, 3 * i + 1], k[:, 3 * i + 2]
+            e, k1, k2 = k[3 * i], k[3 * i + 1], k[3 * i + 2]
             np.multiply(a, 1.0 / (h * h), out=e)
             np.exp(e, out=e)                         # E = exp(-u^2 / 2)
             np.multiply(e, p1, out=k1)               # E dx / s^3

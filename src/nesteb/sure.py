@@ -58,8 +58,8 @@ class SureGrid:
             arr = np.asarray(vals, dtype=float)
             if arr.size == 0:
                 raise ValueError(f"{name} must be nonempty")
-            if not np.all(arr > 0):
-                raise ValueError(f"{name} must be positive")
+            if not np.all((arr > 0) & np.isfinite(arr)):
+                raise ValueError(f"{name} must be positive and finite")
             if arr.size > 1 and not np.all(np.diff(arr) > 0):
                 raise ValueError(f"{name} must be strictly ascending")
         if self.k < 2:
@@ -96,11 +96,22 @@ class SureReport:
     argmin: Bandwidths
     per_point: np.ndarray | None = None
 
+    @property
+    def on_edge(self) -> tuple[bool, bool]:
+        """Per coordinate (h_x, h_sigma): whether the argmin sits on the
+        first or last grid value."""
+        return (_on_edge(self.h_x_values, self.argmin.h_x),
+                _on_edge(self.h_sigma_values, self.argmin.h_sigma))
+
     def iter_cells(self):
         """Yield (h_x, h_sigma, S, degenerate) in deterministic grid order."""
         for i, hx in enumerate(self.h_x_values):
             for j, hs in enumerate(self.h_sigma_values):
                 yield hx, hs, float(self.surface[i, j]), bool(self.degenerate[i, j])
+
+
+def _on_edge(values: tuple[float, ...], chosen: float) -> bool:
+    return chosen in (values[0], values[-1])
 
 
 def _sure_values(f, f1, f2, sigma, power: int):
@@ -204,6 +215,11 @@ class PooledSureReport:
     degenerate: np.ndarray
     best_h: float
 
+    @property
+    def on_edge(self) -> bool:
+        """Whether best_h sits on the first or last grid value."""
+        return _on_edge(self.h_values, self.best_h)
+
 
 def tune_pooled(
     xd,
@@ -220,8 +236,8 @@ def tune_pooled(
     xd = np.asarray(xd, dtype=float).reshape(-1)
     sigma_risk = np.asarray(sigma_risk, dtype=float).reshape(-1)
     hv = tuple(float(h) for h in h_values)
-    if len(hv) == 0 or any(h <= 0 for h in hv):
-        raise ValueError("h_values must be nonempty and positive")
+    if len(hv) == 0 or not all(0 < h < np.inf for h in hv):
+        raise ValueError("h_values must be nonempty, positive and finite")
     pp, floored, zero = _cv_surface(
         xd, np.ones_like(xd), sigma_risk, hv, [1.0], folds.fold_of, floor_eps, bracket_power
     )
@@ -233,8 +249,12 @@ def tune_pooled(
 
 def pooled_grid_for(values) -> tuple[float, ...]:
     """Data-relative pooled-KDE grid: 0.1..1.0 times the sd of the fitting
-    coordinates (fallback scale 1 for constant input)."""
-    scale = float(np.std(np.asarray(values, dtype=float)))
+    coordinates (fallback scale 1 for constant input). Raises ValueError when
+    the sd is not finite (it overflows for values near the float64 limit)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = float(np.std(np.asarray(values, dtype=float)))
+    if not np.isfinite(scale):
+        raise ValueError(f"pooled grid scale sd = {scale} is not finite")
     if scale == 0.0:
         scale = 1.0
     return tuple(v * scale for v in unit_grid())

@@ -2,6 +2,7 @@ import csv
 import json
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -150,6 +151,22 @@ def test_value_errors_exit_1_with_one_json_line(tmp_path, capsys, argv):
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "ValueError"
+
+
+def test_non_finite_grid_scale_exits_1_before_tuning(tmp_path, capsys):
+    # sd(x) overflows to inf; the pooled grid is refused before any kernel sum
+    inp, out = tmp_path / "in.csv", tmp_path / "out.csv"
+    write_sample_csv(inp, [1.0, 1e308, 2.0], [1.0, 0.5, 1.0], ids=["a", "b", "c"])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["estimate", "--input", str(inp), "--output", str(out), "--method", "tf"])
+    assert rc == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "ValueError" and "sd = inf" in payload["detail"]
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("given,missing", [("--hx", "--hsigma"), ("--hsigma", "--hx")])

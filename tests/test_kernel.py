@@ -284,6 +284,19 @@ def grid_case(name):
     return x[:3], st[:3], xt, st, (0.3, 0.9), (0.2, 0.6), None
 
 
+def run_under_blas_threads(code):
+    """stdout lines of `python -c code` under OPENBLAS_NUM_THREADS 1 and 2."""
+    src = os.path.dirname(os.path.dirname(nesteb.kernel.__file__))
+    out = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=300, check=True)
+        out.append(run.stdout.splitlines())
+    return out
+
+
 class TestDensityGrid:
     CASES = ["heteroscedastic-3x3", "unit-sigma-pooled", "weight-underflow", "long-training-index"]
 
@@ -311,31 +324,51 @@ class TestDensityGrid:
 
     def test_blas_thread_count_does_not_change_output(self):
         # 40 queries against n = 5000 on a 16 x 10 grid, where a per-row
-        # OpenBLAS gemm rounds differently under two threads, and against
-        # n = 10000 on one cell
+        # OpenBLAS gemm rounds differently under two threads; n = 10000 on
+        # one cell; 20 x 20 at n = 3000, where 4096-column chunks broke;
+        # 60 x 60 at n = 2000, where unpinned 256-column gemms broke; and the
+        # pooled 10 x 1 grid (sigma = 1) at n = 5000
         code = (
             "import hashlib, numpy as np\n"
             "from nesteb.data import kfold_split\n"
             "from nesteb.kernel import density_grid\n"
             "rng = np.random.default_rng(5)\n"
-            "h = hashlib.sha256()\n"
-            "for n, nx, ns in ((5000, 16, 10), (10000, 1, 1)):\n"
+            "for n, nx, ns in ((5000, 16, 10), (10000, 1, 1), (3000, 20, 20), (2000, 60, 60), (5000, 10, 1)):\n"
+            "    h = hashlib.sha256()\n"
             "    x, s = rng.normal(size=n), rng.uniform(0.4, 2.0, n)\n"
+            "    if ns == 1 and nx > 1:\n"
+            "        s = np.ones(n)\n"
             "    key = kfold_split(n, 10, 0).fold_of\n"
             "    hx, hs = np.linspace(0.1, 1.0, nx), np.linspace(0.1, 1.0, ns)\n"
             "    for a in density_grid(x[:40], s[:40], x, s, hx, hs, key[:40], key):\n"
             "        h.update(a.tobytes())\n"
-            "print(h.hexdigest())\n"
+            "    print(h.hexdigest())\n"
         )
-        src = os.path.dirname(os.path.dirname(nesteb.kernel.__file__))
-        digests = []
-        for threads in ("1", "2"):
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-            run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                                 text=True, timeout=300, check=True)
-            digests.append(run.stdout.strip())
-        assert len(digests[0]) == 64 and digests[0] == digests[1]
+        one, two = run_under_blas_threads(code)
+        assert len(one) == 5 and one == two
+
+    def test_gemms_run_on_one_blas_thread(self):
+        # the thread-count rule's mechanism: pinned inside, restored after
+        get, _ = nesteb.kernel._openblas_threads()
+        before = get()
+        with nesteb.kernel._one_blas_thread():
+            assert get() == 1
+        assert get() == before
+
+    def test_blas_thread_count_does_not_change_tune(self):
+        code = (
+            "import hashlib, numpy as np\n"
+            "from nesteb.data import validate_sample\n"
+            "from nesteb.sure import default_grid, tune\n"
+            "rng = np.random.default_rng(6)\n"
+            "sigma = rng.uniform(0.1, 2.0, 3000)\n"
+            "s = validate_sample(rng.normal(size=3000) + sigma * rng.normal(size=3000), sigma)\n"
+            "rep = tune(s, default_grid(s))\n"
+            "print(hashlib.sha256(rep.surface.tobytes() + rep.selection.tobytes()).hexdigest())\n"
+            "print(rep.argmin.h_x, rep.argmin.h_sigma)\n"
+        )
+        one, two = run_under_blas_threads(code)
+        assert len(one) == 2 and one == two
 
     def test_peak_memory_follows_block_budget(self):
         rng = np.random.default_rng(8)

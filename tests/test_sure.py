@@ -282,6 +282,36 @@ class TestTunePooled:
         assert all(h > 0 for h in hs)
 
 
+class TestGridEdges:
+    """on_edge: the argmin sits on the first or last value of its grid axis."""
+
+    def zero_means(self):
+        # every mean is zero: the density of x is smooth, so a bandwidth far
+        # below its scale loses to the largest one offered
+        rng = np.random.default_rng(1)
+        sigma = rng.uniform(0.5, 1.5, 200)
+        return validate_sample(sigma * rng.standard_normal(200), sigma)
+
+    def test_nest_flags(self):
+        s = self.zero_means()
+        hs = default_grid(s).h_sigma_values
+        fine = tune(s, SureGrid((0.1, 0.2, 0.3), hs, k=5, seed=0))
+        assert fine.argmin.h_x == 0.3 and fine.on_edge[0]
+        wide = tune(s, SureGrid((0.5, 0.7, 0.9), hs, k=5, seed=0))
+        assert wide.argmin.h_x == 0.7 and not wide.on_edge[0]
+        for rep in (fine, wide):
+            assert rep.on_edge[1] == (rep.argmin.h_sigma in (hs[0], hs[-1]))
+            assert all(type(flag) is bool for flag in rep.on_edge)
+
+    def test_pooled_flag(self):
+        s = self.zero_means()
+        folds = kfold_split(s.n, 5, seed=0)
+        rep = tune_pooled(s.x, s.sigma, pooled_grid_for(s.x), folds)
+        assert rep.best_h == rep.h_values[-1] and rep.on_edge is True
+        rep = tune_pooled(s.x, s.sigma, (0.1, 0.2, 0.3), folds)
+        assert rep.best_h == 0.2 and rep.on_edge is False
+
+
 class TestUnbiasedness:
     def test_empty_monte_carlo(self):
         with pytest.raises(EmptyMonteCarlo):
@@ -319,6 +349,21 @@ class TestGridValidation:
             SureGrid((0.1,), (-0.1,))
         with pytest.raises(ValueError):
             SureGrid((0.1,), (0.1,), k=1)
+        with pytest.raises(ValueError, match="finite"):
+            SureGrid((0.1, math.inf), (0.1,))
+        with pytest.raises(ValueError, match="finite"):
+            SureGrid((0.1,), (math.nan,))
+
+    def test_non_finite_pooled_grids_rejected(self):
+        # sd overflows to inf near the float64 limit; an inf grid would run a
+        # whole tune on NaN surfaces before anything noticed
+        x = np.array([1.0, 1e308, 2.0])
+        with pytest.raises(ValueError, match="sd = inf"):
+            pooled_grid_for(x)
+        folds = kfold_split(3, 3, seed=0)
+        for bad in ((0.5, math.inf), (math.nan,)):
+            with pytest.raises(ValueError, match="finite"):
+                tune_pooled([0.0, 1.0, 2.0], np.ones(3), bad, folds)
 
     def test_default_grid_scales_with_sigma_spread(self):
         s = random_sample(n=50, seed=12)
