@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .data import (
     Bandwidths,
-    DensityEval,
     FoldAssignment,
     HeteroSample,
     kfold_split,
@@ -30,7 +29,7 @@ from .estimators import (
     stabilize_sign,
     truncate_estimates,
 )
-from .kernel import KernelContext, density_eval, density_eval_batch, sigma_weights
+from .kernel import KernelContext, in_sample_triple
 from .priors import NormalPrior, SparseMixPrior, TwoPointPrior, point_mass
 from .simulation import (
     SimScenario,
@@ -48,14 +47,12 @@ from .sure import (
     SureGrid,
     SureReport,
     default_grid,
-    sure_point,
     sure_unbiasedness_check,
     tune,
 )
 
 __all__ = [
     "Bandwidths",
-    "DensityEval",
     "EstimatorSpec",
     "FoldAssignment",
     "HeteroSample",
@@ -75,10 +72,9 @@ __all__ = [
     "TwoValueSigma",
     "UniformSigma",
     "default_grid",
-    "density_eval",
-    "density_eval_batch",
     "draw_scenario",
     "estimate",
+    "in_sample_triple",
     "k_groups_fit",
     "kfold_split",
     "point_mass",
@@ -86,10 +82,8 @@ __all__ = [
     "run_mse_study",
     "scenario_from_ratio",
     "selection_bias_formula",
-    "sigma_weights",
     "solve_sigma_M",
     "stabilize_sign",
-    "sure_point",
     "sure_unbiasedness_check",
     "tf_average_shrinkage",
     "truncate_estimates",

@@ -82,20 +82,6 @@ class Bandwidths:
 
 
 @dataclass(frozen=True)
-class DensityEval:
-    """Density estimate and its first two x-derivatives at one query point.
-
-    ``f`` is floored at the context's ``floor_eps``; ``floored`` records
-    whether the floor engaged. ``f1`` and ``f2`` are never floored.
-    """
-
-    f: float
-    f1: float
-    f2: float
-    floored: bool = False
-
-
-@dataclass(frozen=True)
 class FoldAssignment:
     """Assignment of indices ``0..n-1`` to ``K`` folds of near-equal size."""
 

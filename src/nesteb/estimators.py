@@ -22,7 +22,7 @@ from typing import ClassVar
 import numpy as np
 
 from .data import Bandwidths, HeteroSample
-from .errors import BadGroupCount, DegenerateWeights
+from .errors import BadGroupCount
 from .kernel import (
     DEFAULT_FLOOR,
     KernelContext,
@@ -211,33 +211,24 @@ def k_groups_fit(sample: HeteroSample, k: int) -> KGroupsFit:
 # ---------------------------------------------------------------------------
 
 
-def _in_sample_f1_f(ctx: KernelContext, jackknife: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """(f1, f) at every training point with f floored; degenerate rows raise."""
-    f_raw, f1, _, wsum = in_sample_triple(ctx, jackknife=jackknife)
-    bad = np.flatnonzero(wsum == 0.0)
-    if bad.size:
-        raise DegenerateWeights(bad)
-    return f1, np.maximum(f_raw, ctx.floor_eps)
-
-
 def nest_estimates(
     sample: HeteroSample,
     bw: Bandwidths,
     floor_eps: float = DEFAULT_FLOOR,
     jackknife: bool = False,
 ) -> np.ndarray:
-    f1, f = _in_sample_f1_f(KernelContext(sample, bw, floor_eps), jackknife)
+    f, f1, _ = in_sample_triple(KernelContext(sample, bw, floor_eps), jackknife)
     return sample.x + sample.sigma**2 * f1 / f
 
 
 def tf_estimates(sample: HeteroSample, h: float, floor_eps: float = DEFAULT_FLOOR) -> np.ndarray:
-    f1, f = _in_sample_f1_f(pooled_context(sample.x, h, floor_eps))
+    f, f1, _ = in_sample_triple(pooled_context(sample.x, h, floor_eps))
     return sample.x + sample.sigma**2 * f1 / f
 
 
 def scaled_estimates(sample: HeteroSample, h: float, floor_eps: float = DEFAULT_FLOOR) -> np.ndarray:
     z = sample.x / sample.sigma
-    f1, f = _in_sample_f1_f(pooled_context(z, h, floor_eps))
+    f, f1, _ = in_sample_triple(pooled_context(z, h, floor_eps))
     return sample.sigma * (z + f1 / f)
 
 

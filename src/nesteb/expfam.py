@@ -27,7 +27,7 @@ import numpy as np
 
 from .data import Bandwidths, HeteroSample
 from .errors import DomainError, ZeroMass
-from .kernel import KernelContext, density_eval
+from .kernel import KernelContext, in_sample_triple
 
 EULER_GAMMA = 0.57721566490153286061
 
@@ -197,8 +197,6 @@ def gamma_point_mass_lf1(alpha: float, beta0: float, x: float) -> ScoreEstimate:
 def kde_lf1(values, thetas, bw: Bandwidths, value: float, theta: float) -> ScoreEstimate:
     """Weighted-KDE score provider for continuous families: the nuisance
     parameter plays sigma's role in the weights. All thetas must be positive."""
-    sample = HeteroSample(
-        np.asarray(values, dtype=float), np.asarray(thetas, dtype=float)
-    )
-    d = density_eval(KernelContext(sample, bw), value, theta)
-    return ScoreEstimate(d.f1 / d.f)
+    ctx = KernelContext(HeteroSample(np.asarray(values, dtype=float), np.asarray(thetas, dtype=float)), bw)
+    f, f1, _ = in_sample_triple(ctx, queries=([value], [theta]))
+    return ScoreEstimate(float(f1[0] / f[0]))

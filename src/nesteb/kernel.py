@@ -12,14 +12,16 @@ Conventions (phi_h is the Gaussian kernel with bandwidth h):
 
 The kernel normalizing constant cancels inside w_j, so weights are computed
 from bare exponentials; a weight normalizer that underflows to exactly zero
-raises DegenerateWeights rather than extrapolating.
+raises DegenerateWeights rather than extrapolating. Sums that overflow (x
+differences near the float64 limit) come out inf or NaN without a warning;
+:func:`in_sample_triple` refuses them and the SURE tuners mark them degenerate.
 
 Numerical contract: one routine, :func:`density_grid`, evaluates every
-pairwise sum in the package. Its four callers are the final in-sample fit
-(:func:`in_sample_triple`), batch queries (:func:`density_eval_batch`), the
-cross-fitted SURE surfaces and the Monte Carlo SURE check (both in
-:mod:`nesteb.sure`). With u_j = (x - x_j)/h_xj, E_j = exp(-u_j^2 / 2), the
-unnormalized (masked) sigma weights t_j and T = sum_j t_j, one grid cell is
+pairwise sum in the package. Its two callers are the cross-fitted SURE
+surfaces (``sure._cv_surface``) and :func:`in_sample_triple`, the one entry
+for a single bandwidth pair (final fits, query points, the Monte Carlo SURE
+check). With u_j = (x - x_j)/h_xj, E_j = exp(-u_j^2 / 2), the unnormalized
+(masked) sigma weights t_j and T = sum_j t_j, one grid cell is
 
     f  = S0 / (sqrt(2 pi) h_x T),      S0 = sum_j t_j E_j / sigma_j
     f1 = -S1 / (sqrt(2 pi) h_x^3 T),   S1 = sum_j t_j E_j (x - x_j) / sigma_j^3
@@ -42,12 +44,11 @@ ctypes), and the previous count is restored afterwards. So every gemm takes
 OpenBLAS's single-thread path, whatever ``OPENBLAS_NUM_THREADS`` says. A
 fixed chunk width alone is not a rule: OpenBLAS threads a gemm once m n k
 passes a cutoff, and on a SkylakeX core unpinned gemms rounded differently
-under one and two threads at every width tried: 256 columns on 60 x 60 and
-100 x 100 grids (n = 2000 and 1000), 512 on 30 x 30 and 40 x 40 grids, 4096
-on a 20 x 20 grid. Pinning costs three library calls per row block; it
-measured no slower than the unpinned gemm. Under a NumPy that carries no
-such library (another BLAS) the gemms run unpinned, and the output then
-depends on that BLAS's threading.
+under one and two threads at every width tried, 256 to 4096 columns.
+Pinning costs three library calls per row block; it measured no slower than
+the unpinned gemm. Under a NumPy that carries no such library (another
+BLAS) the gemms run unpinned, and the output then depends on that BLAS's
+threading.
 
 The rows per block are chosen so that all matrices of a block together, the
 weights, the kernel rows and three (b, n) scratch matrices, that is
@@ -67,8 +68,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Bandwidths, DensityEval, HeteroSample
-from .errors import DegenerateWeights
+from .data import Bandwidths, HeteroSample
+from .errors import DegenerateWeights, NonFiniteValue
 
 SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 
@@ -112,11 +113,6 @@ def pooled_context(train_x, h: float, floor_eps: float = DEFAULT_FLOOR) -> Kerne
     """
     xa = np.asarray(train_x, dtype=float).reshape(-1)
     return KernelContext(HeteroSample(xa, np.ones_like(xa)), Bandwidths(h, 1.0), floor_eps)
-
-
-def _weight_numerators(dsig2: np.ndarray, h_sigma: float) -> np.ndarray:
-    """Unnormalized sigma weights exp(-(sigma_q - sigma_t)^2 / (2 h_sigma^2))."""
-    return np.exp(dsig2 * (-0.5 / (h_sigma * h_sigma)))
 
 
 @functools.cache
@@ -163,6 +159,7 @@ def _contract(w: np.ndarray, k: np.ndarray) -> np.ndarray:
     return s
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def density_grid(
     xq: np.ndarray,
     sq: np.ndarray,
@@ -179,8 +176,8 @@ def density_grid(
     When qkey/tkey are given, training columns whose key equals the query
     row's key are excluded (CV fold masking and jackknifing). Returns
     (f_raw, f1, f2, wsum) with shapes (nx, ns, m) for the first three and
-    (ns, m) for wsum; rows with wsum == 0 are left as NaN and must be
-    handled by the caller.
+    (ns, m) for wsum; rows with wsum == 0 are left as NaN, and sums that
+    overflow as inf or NaN, without a warning: the caller handles both.
     """
     m, n = xq.shape[0], xt.shape[0]
     hx = np.asarray(hx_values, dtype=float)
@@ -224,73 +221,41 @@ def density_grid(
             k2 *= e                                  # E (u^2 - 1) / s^3
             e *= inv_s                               # E / s
         s = _contract(w, k).reshape(hi - lo, ns, nx, 3).transpose(3, 2, 1, 0)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            norm = SQRT_2PI * ws
-            f[:, :, lo:hi] = s[0] / (hcol * norm)
-            norm3 = hcol**3 * norm
-            f1[:, :, lo:hi] = -s[1] / norm3
-            f2[:, :, lo:hi] = s[2] / norm3
+        norm = SQRT_2PI * ws
+        f[:, :, lo:hi] = s[0] / (hcol * norm)
+        norm3 = hcol**3 * norm
+        f1[:, :, lo:hi] = -s[1] / norm3
+        f2[:, :, lo:hi] = s[2] / norm3
     return f, f1, f2, wsum
 
 
-def _single_cell(ctx: KernelContext, xq: np.ndarray, sq: np.ndarray, key: np.ndarray | None = None):
-    """:func:`density_grid` on the context's one bandwidth pair, as 1-D arrays."""
+def in_sample_triple(ctx: KernelContext, jackknife: bool = False, queries=None):
+    """Floored f and raw f1, f2 on the context's bandwidth pair, as arrays.
+
+    At every training point, each left out of its own fit when ``jackknife``
+    (the leave-self-out estimator), or at ``queries=(x, sigma)`` (equal
+    lengths, positive sigmas, no jackknife). Raises DegenerateWeights listing
+    every query whose weight normalizer underflowed, then NonFiniteValue
+    naming the first query where f, f1 or f2 is not finite.
+    """
     t = ctx.train
+    xq, sq = t.x, t.sigma
+    key = np.arange(t.n) if jackknife else None
+    if queries is not None:
+        xq, sq = (np.asarray(v, dtype=float).reshape(-1) for v in queries)
+        if jackknife:
+            raise ValueError("jackknife applies to the training points, not to queries")
+        if xq.shape != sq.shape:
+            raise ValueError("query x and sigma must have equal length")
+        if not np.all(sq > 0):
+            raise ValueError("all query sigmas must be positive")
     f, f1, f2, wsum = density_grid(xq, sq, t.x, t.sigma, [ctx.bw.h_x], [ctx.bw.h_sigma], key, key)
-    return f[0, 0], f1[0, 0], f2[0, 0], wsum[0]
-
-
-def sigma_weights(ctx: KernelContext, sigma: float) -> np.ndarray:
-    """Normalized contribution weights of every training point at a query sigma.
-
-    Nonnegative and summing to one. Raises DegenerateWeights when the
-    normalizer underflows to zero (h_sigma far too small for this query).
-    """
-    if not (sigma > 0):
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    d = sigma - ctx.train.sigma
-    wn = _weight_numerators(d * d, ctx.bw.h_sigma)
-    s = wn.sum()
-    if s == 0.0:
-        raise DegenerateWeights()
-    return wn / s
-
-
-def density_eval_batch(ctx: KernelContext, xs, sigmas) -> list[DensityEval]:
-    """Elementwise :func:`density_eval` over query vectors.
-
-    Bitwise-identical to the scalar loop; degenerate queries are collected
-    and reported together by index.
-    """
-    xq = np.asarray(xs, dtype=float).reshape(-1)
-    sq = np.asarray(sigmas, dtype=float).reshape(-1)
-    if xq.shape != sq.shape:
-        raise ValueError("xs and sigmas must have equal length")
-    if xq.size == 0:
-        return []
-    if not np.all(sq > 0):
-        raise ValueError("all query sigmas must be positive")
-    f, f1, f2, wsum = _single_cell(ctx, xq, sq)
-    bad = np.flatnonzero(wsum == 0.0)
+    bad = np.flatnonzero(wsum[0] == 0.0)
     if bad.size:
         raise DegenerateWeights(bad)
-    out = []
-    for i in range(xq.size):
-        floored = f[i] < ctx.floor_eps
-        out.append(DensityEval(max(float(f[i]), ctx.floor_eps), float(f1[i]), float(f2[i]), bool(floored)))
-    return out
-
-
-def density_eval(ctx: KernelContext, x: float, sigma: float) -> DensityEval:
-    """Weighted KDE value and first two x-derivatives at one query point."""
-    return density_eval_batch(ctx, [x], [sigma])[0]
-
-
-def in_sample_triple(ctx: KernelContext, jackknife: bool = False):
-    """Raw (f, f1, f2, wsum) at every training point.
-
-    With ``jackknife=True`` each point is excluded from its own fit (the
-    leave-self-out estimator); otherwise the full estimator is used.
-    """
-    t = ctx.train
-    return _single_cell(ctx, t.x, t.sigma, np.arange(t.n) if jackknife else None)
+    triple = f[0, 0], f1[0, 0], f2[0, 0]
+    finite = np.isfinite(triple)
+    if not finite.all():
+        i = int(np.flatnonzero(~finite.all(axis=0))[0])
+        raise NonFiniteValue(("f", "f1", "f2")[int(np.argmin(finite[:, i]))], i)
+    return np.maximum(triple[0], ctx.floor_eps), triple[1], triple[2]

@@ -17,8 +17,9 @@ so pooled tuning takes the bracket power as a parameter.
 
 One fold assignment is drawn per tune call and shared across all grid cells
 (variance reduction); cells where more than 1% of points hit the density
-floor, or where any weight normalizer underflows, are excluded from the
-argmin as degenerate.
+floor, where any weight normalizer underflows, or whose selection score is
+not finite (kernel sums that overflow) are excluded from the argmin as
+degenerate.
 
 S(h) is unbiased for the compound risk at every h but its variance explodes
 as the bandwidths shrink (the per-point terms are heavy-tailed score
@@ -35,9 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Bandwidths, DensityEval, FoldAssignment, HeteroSample, kfold_split
-from .errors import AllCellsDegenerate, BadGroupCount, DegenerateWeights, EmptyMonteCarlo
-from .kernel import DEFAULT_FLOOR, KernelContext, density_eval, density_grid
+from .data import Bandwidths, FoldAssignment, HeteroSample, kfold_split
+from .errors import AllCellsDegenerate, BadGroupCount, EmptyMonteCarlo
+from .kernel import DEFAULT_FLOOR, KernelContext, density_grid, in_sample_triple
 from .estimators import k_groups_fit
 from .priors import PriorSpec
 
@@ -120,17 +121,6 @@ def _sure_values(f, f1, f2, sigma, power: int):
     return sigma**2 + sigma**power * ((2.0 * f * f2 - f1 * f1) / (f * f))
 
 
-def sure_from_density(d: DensityEval, sigma: float) -> float:
-    """Per-point SURE value from an already-evaluated density triple."""
-    return float(_sure_values(d.f, d.f1, d.f2, sigma, 4))
-
-
-def sure_point(ctx: KernelContext, x: float, sigma: float) -> float:
-    """Per-point SURE at (x, sigma); the context must exclude the scored point
-    (the cross-fitting contract is the caller's responsibility)."""
-    return sure_from_density(density_eval(ctx, x, sigma), sigma)
-
-
 def _cv_surface(
     xd: np.ndarray,
     sd: np.ndarray,
@@ -194,7 +184,7 @@ def tune(
         grid.h_x_values, grid.h_sigma_values, folds.fold_of, floor_eps, 4,
     )
     surface, scores = _selection_scores(pp, sample.n, selection)
-    degenerate = zero[None, :] | (floored > _FLOOR_FRACTION * sample.n)
+    degenerate = zero[None, :] | (floored > _FLOOR_FRACTION * sample.n) | ~np.isfinite(scores)
     i, j = _argmin_cell(scores, degenerate)
     return SureReport(
         tuple(grid.h_x_values),
@@ -242,7 +232,7 @@ def tune_pooled(
         xd, np.ones_like(xd), sigma_risk, hv, [1.0], folds.fold_of, floor_eps, bracket_power
     )
     surface, scores = _selection_scores(pp[:, 0, :], xd.shape[0], selection)
-    degenerate = zero[0] | (floored[:, 0] > _FLOOR_FRACTION * xd.shape[0])
+    degenerate = zero[0] | (floored[:, 0] > _FLOOR_FRACTION * xd.shape[0]) | ~np.isfinite(scores)
     best, _ = _argmin_cell(scores[:, None], degenerate[:, None])
     return PooledSureReport(hv, surface, scores, degenerate, hv[best])
 
@@ -324,11 +314,7 @@ def sure_unbiasedness_check(
     sig_s = sigma_law.draw(rng_mc, n_mc)
     x_s = mu_s + sig_s * rng_mc.standard_normal(n_mc)
 
-    f_raw, f1, f2, wsum = density_grid(x_s, sig_s, x_t, sig_t, [bw.h_x], [bw.h_sigma])
-    bad = np.flatnonzero(wsum[0] == 0.0)
-    if bad.size:
-        raise DegenerateWeights(bad)
-    f, f1, f2 = np.maximum(f_raw[0, 0], floor_eps), f1[0, 0], f2[0, 0]
+    f, f1, f2 = in_sample_triple(KernelContext(HeteroSample(x_t, sig_t), bw, floor_eps), queries=(x_s, sig_s))
     s_vals = _sure_values(f, f1, f2, sig_s, 4)
     delta = x_s + sig_s**2 * f1 / f
     sq_err = (delta - mu_s) ** 2

@@ -39,7 +39,7 @@ from nesteb.estimators import (
 )
 from nesteb.expfam import FamilyPoint, Gamma, Binomial, gamma_point_mass_lf1, lh_prime, posterior_mean
 from nesteb.io import read_csv, write_csv_atomic
-from nesteb.kernel import KernelContext, density_eval
+from nesteb.kernel import KernelContext, in_sample_triple
 from nesteb.priors import NormalPrior, TwoPointPrior, point_mass
 from nesteb.simulation import (
     UniformSigma,
@@ -191,18 +191,22 @@ def test_criterion_7_property_suite(tmp_path):
     # kernel normalization within 1e-6
     s = validate_sample(rng.normal(size=8), rng.uniform(0.5, 1.5, 8))
     ctx = KernelContext(s, Bandwidths(0.8, 0.4))
+
+    def triple_at(x):
+        return tuple(float(v[0]) for v in in_sample_triple(ctx, queries=([x], [1.0])))
+
     span = 10 * 0.8 * s.sigma.max()
-    total, _ = quad(lambda x: density_eval(ctx, x, 1.0).f, s.x.min() - span, s.x.max() + span, limit=400)
+    total, _ = quad(lambda x: triple_at(x)[0], s.x.min() - span, s.x.max() + span, limit=400)
     checks["normalization"] = abs(total - 1.0) < 1e-6
 
     # derivative consistency within 1e-4 relative
     delta = 1e-5 * 0.8 * s.sigma.min()
-    up, dn, mid = (density_eval(ctx, 0.4 + d, 1.0) for d in (delta, -delta, 0.0))
-    fd1 = (up.f - dn.f) / (2 * delta)
-    fd2 = (up.f1 - dn.f1) / (2 * delta)
+    up, dn, mid = (triple_at(0.4 + d) for d in (delta, -delta, 0.0))
+    fd1 = (up[0] - dn[0]) / (2 * delta)
+    fd2 = (up[1] - dn[1]) / (2 * delta)
     checks["derivatives"] = (
-        abs(fd1 - mid.f1) / max(abs(mid.f1), 1e-3) < 1e-4
-        and abs(fd2 - mid.f2) / max(abs(mid.f2), 1e-3) < 1e-4
+        abs(fd1 - mid[1]) / max(abs(mid[1]), 1e-3) < 1e-4
+        and abs(fd2 - mid[2]) / max(abs(mid[2]), 1e-3) < 1e-4
     )
 
     # homoscedastic NEST == TF within 1e-10

@@ -153,20 +153,36 @@ def test_value_errors_exit_1_with_one_json_line(tmp_path, capsys, argv):
     assert json.loads(lines[0])["error"] == "ValueError"
 
 
-def test_non_finite_grid_scale_exits_1_before_tuning(tmp_path, capsys):
-    # sd(x) overflows to inf; the pooled grid is refused before any kernel sum
+def estimate_near_float_limit(tmp_path, capsys, method_args):
+    """Run `estimate` on a CSV with one x = 1e308; assert exit 1, one JSON
+    line, no RuntimeWarning and no output file; return the JSON payload."""
     inp, out = tmp_path / "in.csv", tmp_path / "out.csv"
     write_sample_csv(inp, [1.0, 1e308, 2.0], [1.0, 0.5, 1.0], ids=["a", "b", "c"])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        rc = main(["estimate", "--input", str(inp), "--output", str(out), "--method", "tf"])
+        rc = main(["estimate", "--input", str(inp), "--output", str(out), *method_args])
     assert rc == 1
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
-    payload = json.loads(lines[0])
-    assert payload["error"] == "ValueError" and "sd = inf" in payload["detail"]
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert not out.exists()
+    return json.loads(lines[0])
+
+
+def test_non_finite_grid_scale_exits_1_before_tuning(tmp_path, capsys):
+    # sd(x) overflows to inf; the pooled grid is refused before any kernel sum
+    payload = estimate_near_float_limit(tmp_path, capsys, ["--method", "tf"])
+    assert payload["error"] == "ValueError" and "sd = inf" in payload["detail"]
+
+
+@pytest.mark.parametrize("method_args,error", [
+    (["--method", "nest"], "AllCellsDegenerate"),
+    (["--method", "nest", "--hx", "0.5", "--hsigma", "0.5"], "NonFiniteValue"),
+], ids=["nest-tuned", "nest-fixed"])
+def test_non_finite_kernel_sums_exit_1(tmp_path, capsys, method_args, error):
+    # differences with x = 1e308 overflow inside the kernel sums: tuning marks
+    # every cell degenerate, and a fixed-bandwidth fit refuses the NaN triple
+    assert estimate_near_float_limit(tmp_path, capsys, method_args)["error"] == error
 
 
 @pytest.mark.parametrize("given,missing", [("--hx", "--hsigma"), ("--hsigma", "--hx")])

@@ -24,7 +24,7 @@ from nesteb.estimators import (
     tf_estimates,
     truncate_estimates,
 )
-from nesteb.kernel import density_eval, pooled_context
+from nesteb.kernel import in_sample_triple, pooled_context
 from nesteb.priors import NormalPrior, SparseMixPrior, TwoPointPrior
 
 
@@ -36,8 +36,8 @@ def random_sample(n=60, seed=0, lo=0.5, hi=2.0):
 def tweedie(ctx, x, sigma, kde_sigma=None):
     """Tweedie's formula at one query: x + sigma^2 * f1/f, the density
     evaluated at (x, kde_sigma) (kde_sigma defaults to sigma)."""
-    d = density_eval(ctx, x, sigma if kde_sigma is None else kde_sigma)
-    return x + sigma * sigma * d.f1 / d.f
+    f, f1, _ = in_sample_triple(ctx, queries=([x], [sigma if kde_sigma is None else kde_sigma]))
+    return x + sigma * sigma * float(f1[0]) / float(f[0])
 
 
 def tf_at(train_x, h, x, sigma):

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,15 +11,12 @@ from scipy.integrate import quad
 
 import nesteb.kernel
 from nesteb.data import Bandwidths, kfold_split, validate_sample
-from nesteb.errors import DegenerateWeights
+from nesteb.errors import DegenerateWeights, NonFiniteValue
 from nesteb.kernel import (
     KernelContext,
-    density_eval,
     density_grid,
-    density_eval_batch,
     in_sample_triple,
     pooled_context,
-    sigma_weights,
 )
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -28,66 +26,91 @@ def phi(z, h):
     return math.exp(-z * z / (2 * h * h)) / (SQRT_2PI * h)
 
 
+def triple_at(ctx, x, sigma):
+    """(f, f1, f2) at one query point, as floats."""
+    return tuple(float(v[0]) for v in in_sample_triple(ctx, queries=([x], [sigma])))
+
+
+def hand_triple(xq, xt, hxt, w):
+    """(f, f1, f2) at xq summed by hand from given weights and per-point
+    x-bandwidths."""
+    f = f1 = f2 = 0.0
+    for xj, h, wj in zip(xt, hxt, w):
+        k = wj * phi(xq - xj, h)
+        f, f1, f2 = f + k, f1 + k * (xj - xq) / h**2, f2 + k / h**2 * (((xq - xj) / h) ** 2 - 1)
+    return f, f1, f2
+
+
 class TestSigmaWeights:
+    """The sigma weights, seen through f, f1, f2 at one query."""
+
     def test_homoscedastic_weights_are_uniform(self):
         s = validate_sample([0.0, 1.0, 2.0, 3.0], [0.8] * 4)
-        w = sigma_weights(KernelContext(s, Bandwidths(1.0, 0.3)), 0.8)
-        np.testing.assert_allclose(w, 0.25, rtol=0, atol=1e-15)
+        got = triple_at(KernelContext(s, Bandwidths(1.0, 0.3)), 0.5, 0.8)
+        np.testing.assert_allclose(got, hand_triple(0.5, s.x, [0.8] * 4, [0.25] * 4), rtol=1e-14)
 
     def test_single_point(self):
+        # one training point carries weight 1 however far its sigma is
         s = validate_sample([5.0], [2.0])
-        w = sigma_weights(KernelContext(s, Bandwidths(1.0, 0.1)), 0.5)
-        np.testing.assert_array_equal(w, [1.0])
+        got = triple_at(KernelContext(s, Bandwidths(1.0, 0.1)), 5.3, 0.5)
+        np.testing.assert_allclose(got, hand_triple(5.3, [5.0], [2.0], [1.0]), rtol=1e-14)
 
     def test_two_point_values(self):
         # hand evaluation: phi_{0.3}(0) : phi_{0.3}(1) = 1 : exp(-1/(2*0.09))
         s = validate_sample([0.0, 0.0], [1.0, 2.0])
-        w = sigma_weights(KernelContext(s, Bandwidths(1.0, 0.3)), 1.0)
+        got = triple_at(KernelContext(s, Bandwidths(1.0, 0.3)), 0.7, 1.0)
         ratio = math.exp(-1.0 / (2 * 0.09))
-        expect = np.array([1.0, ratio]) / (1.0 + ratio)
-        np.testing.assert_allclose(w, expect, rtol=1e-14)
-        np.testing.assert_allclose(w, [0.99614897, 0.00385103], atol=5e-9)
+        expect = hand_triple(0.7, s.x, [1.0, 2.0], np.array([1.0, ratio]) / (1.0 + ratio))
+        np.testing.assert_allclose(got, expect, rtol=1e-14)
+        rounded = hand_triple(0.7, s.x, [1.0, 2.0], [0.99614897, 0.00385103])
+        np.testing.assert_allclose(got, rounded, atol=5e-9)
 
     def test_weights_sum_to_one(self):
+        # the reference normalizes the bare weights by their sum
         rng = np.random.default_rng(0)
         s = validate_sample(rng.normal(size=40), rng.uniform(0.5, 2.0, 40))
         ctx = KernelContext(s, Bandwidths(0.5, 0.2))
+        xq = np.linspace(-2.0, 2.0, 5)
         for sigma in (0.5, 1.0, 1.7):
-            w = sigma_weights(ctx, sigma)
-            assert np.all(w >= 0)
-            assert abs(w.sum() - 1.0) < 1e-12
+            sq = np.full(5, sigma)
+            got = in_sample_triple(ctx, queries=(xq, sq))
+            ref, scale, _ = reference_grid(xq, sq, s.x, s.sigma, (0.5,), (0.2,))
+            assert np.all(got[0] >= 0)
+            for g, r, sc in zip(got, ref[:, 0, 0], scale[:, 0, 0]):
+                assert np.all(np.abs(g - r) <= 1e-12 * sc)
 
     def test_degenerate_weights_raise(self):
         s = validate_sample([0.0], [1.0])
         ctx = KernelContext(s, Bandwidths(1.0, 0.01))
         with pytest.raises(DegenerateWeights):
-            sigma_weights(ctx, 50.0)
+            in_sample_triple(ctx, queries=([0.0], [50.0]))
 
     def test_nonpositive_query_sigma_rejected(self):
         s = validate_sample([0.0], [1.0])
         with pytest.raises(ValueError):
-            sigma_weights(KernelContext(s, Bandwidths(1.0, 1.0)), 0.0)
+            in_sample_triple(KernelContext(s, Bandwidths(1.0, 1.0)), queries=([0.0], [0.0]))
 
 
-class TestDensityEval:
+class TestTripleAtQuery:
     def test_single_kernel_at_center(self):
         s = validate_sample([0.0], [1.0])
-        d = density_eval(KernelContext(s, Bandwidths(1.0, 1.0)), 0.0, 1.0)
-        np.testing.assert_allclose(d.f, 1.0 / SQRT_2PI, rtol=1e-15)
-        assert d.f1 == 0.0
-        np.testing.assert_allclose(d.f2, -1.0 / SQRT_2PI, rtol=1e-15)
-        assert not d.floored
+        ctx = KernelContext(s, Bandwidths(1.0, 1.0))
+        f, f1, f2 = triple_at(ctx, 0.0, 1.0)
+        np.testing.assert_allclose(f, 1.0 / SQRT_2PI, rtol=1e-15)
+        assert f1 == 0.0
+        np.testing.assert_allclose(f2, -1.0 / SQRT_2PI, rtol=1e-15)
+        assert f > ctx.floor_eps
 
     def test_duplicate_points_match_single(self):
         bw = Bandwidths(0.7, 0.4)
-        one = density_eval(KernelContext(validate_sample([0.0], [1.0]), bw), 0.3, 1.2)
-        two = density_eval(KernelContext(validate_sample([0.0, 0.0], [1.0, 1.0]), bw), 0.3, 1.2)
-        assert (one.f, one.f1, one.f2) == (two.f, two.f1, two.f2)
+        one = triple_at(KernelContext(validate_sample([0.0], [1.0]), bw), 0.3, 1.2)
+        two = triple_at(KernelContext(validate_sample([0.0, 0.0], [1.0, 1.0]), bw), 0.3, 1.2)
+        assert one == two
 
     def test_two_term_hand_summation(self):
         # direct summation oracle over the two kernel terms
         s = validate_sample([-1.0, 1.0], [1.0, 2.0])
-        d = density_eval(KernelContext(s, Bandwidths(0.5, 0.3)), 0.0, 1.0)
+        got = triple_at(KernelContext(s, Bandwidths(0.5, 0.3)), 0.0, 1.0)
         t = [1.0, math.exp(-1.0 / (2 * 0.09))]
         w = [t[0] / sum(t), t[1] / sum(t)]
         hx = [0.5, 1.0]
@@ -95,9 +118,9 @@ class TestDensityEval:
         f = sum(w[j] * phi(-xs[j], hx[j]) for j in range(2))
         f1 = sum(w[j] * phi(-xs[j], hx[j]) * xs[j] / hx[j] ** 2 for j in range(2))
         f2 = sum(w[j] * phi(-xs[j], hx[j]) / hx[j] ** 2 * ((xs[j] / hx[j]) ** 2 - 1) for j in range(2))
-        np.testing.assert_allclose([d.f, d.f1, d.f2], [f, f1, f2], rtol=1e-13)
+        np.testing.assert_allclose(got, [f, f1, f2], rtol=1e-13)
         np.testing.assert_allclose(
-            [d.f, d.f1, d.f2],
+            got,
             [0.10849792819774676, -0.4293325273444315, 1.290793093301228],
             rtol=1e-12,
         )
@@ -105,40 +128,57 @@ class TestDensityEval:
     def test_floor_engages_in_far_tail(self):
         s = validate_sample([0.0], [1.0])
         ctx = KernelContext(s, Bandwidths(0.1, 1.0), floor_eps=1e-12)
-        d = density_eval(ctx, 500.0, 1.0)
-        assert d.floored
-        assert d.f == 1e-12
+        raw = density_grid(np.array([500.0]), np.array([1.0]), s.x, s.sigma, [0.1], [1.0])[0]
+        assert raw[0, 0, 0] < 1e-12
+        assert triple_at(ctx, 500.0, 1.0)[0] == 1e-12
 
 
-class TestDensityEvalBatch:
+class TestQueryBatch:
     def test_empty(self):
         s = validate_sample([0.0], [1.0])
-        assert density_eval_batch(KernelContext(s, Bandwidths(1.0, 1.0)), [], []) == []
+        got = in_sample_triple(KernelContext(s, Bandwidths(1.0, 1.0)), queries=([], []))
+        assert len(got) == 3 and all(a.shape == (0,) for a in got)
 
-    def test_singleton_matches_scalar(self):
+    def test_training_points_as_queries_match_default(self):
         s = validate_sample([0.5, -0.5], [1.0, 1.3])
         ctx = KernelContext(s, Bandwidths(0.6, 0.2))
-        one = density_eval(ctx, 0.1, 1.1)
-        batch = density_eval_batch(ctx, [0.1], [1.1])[0]
-        assert one == batch
+        for a, b in zip(in_sample_triple(ctx, queries=(s.x, s.sigma)), in_sample_triple(ctx)):
+            np.testing.assert_array_equal(a, b)
 
-    def test_batch_bitwise_equals_scalar_loop(self):
+    def test_batch_bitwise_equals_per_query_loop(self):
         rng = np.random.default_rng(42)
         s = validate_sample(rng.normal(size=37), rng.uniform(0.4, 2.0, 37))
         ctx = KernelContext(s, Bandwidths(0.5, 0.3))
         xq = rng.normal(size=100)
         sq = rng.uniform(0.5, 1.9, 100)
-        batch = density_eval_batch(ctx, xq, sq)
+        batch = np.array(in_sample_triple(ctx, queries=(xq, sq)))
         for i in range(100):
-            one = density_eval(ctx, xq[i], sq[i])
-            assert one == batch[i], f"mismatch at query {i}"
+            assert triple_at(ctx, xq[i], sq[i]) == tuple(batch[:, i]), f"mismatch at query {i}"
 
     def test_degenerate_indices_reported(self):
         s = validate_sample([0.0, 1.0], [1.0, 1.0])
         ctx = KernelContext(s, Bandwidths(1.0, 0.01))
         with pytest.raises(DegenerateWeights) as err:
-            density_eval_batch(ctx, [0.0, 0.0], [1.0, 99.0])
+            in_sample_triple(ctx, queries=([0.0, 0.0], [1.0, 99.0]))
         assert err.value.indices == (1,)
+
+    @pytest.mark.parametrize("queries,jackknife", [
+        (([0.0, 1.0], [1.0]), False),   # unequal lengths
+        (([0.0], [1.0]), True),          # jackknife applies to training points only
+    ])
+    def test_malformed_queries_rejected(self, queries, jackknife):
+        ctx = KernelContext(validate_sample([0.0, 1.0], [1.0, 1.0]), Bandwidths(1.0, 1.0))
+        with pytest.raises(ValueError):
+            in_sample_triple(ctx, jackknife=jackknife, queries=queries)
+
+    def test_non_finite_sums_raise_at_first_index(self):
+        # x differences near the float64 limit overflow: E dx / s^3 is 0 * inf
+        s = validate_sample([1.0, 1e308, 2.0], [1.0, 0.5, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue) as err:
+                in_sample_triple(KernelContext(s, Bandwidths(0.5, 0.5)))
+        assert (err.value.column, err.value.index) == ("f1", 0)
 
 
 class TestBlockPartition:
@@ -158,13 +198,14 @@ class TestBlockPartition:
         for a, b in zip(one_block, blocked):
             np.testing.assert_array_equal(a, b)
 
-    def test_density_eval_batch(self, monkeypatch):
+    def test_queries(self, monkeypatch):
         rng, ctx = self.sample_and_ctx()
         xq = rng.normal(size=25)
         sq = rng.uniform(0.5, 1.9, 25)
-        one_block = density_eval_batch(ctx, xq, sq)
+        one_block = in_sample_triple(ctx, queries=(xq, sq))
         monkeypatch.setattr(nesteb.kernel, "_BLOCK_ELEMS", 100)
-        assert density_eval_batch(ctx, xq, sq) == one_block
+        for a, b in zip(one_block, in_sample_triple(ctx, queries=(xq, sq))):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestKernelProperties:
@@ -175,7 +216,7 @@ class TestKernelProperties:
         for sigma in (0.6, 1.0, 1.4):
             span = 10 * 0.8 * s.sigma.max()
             lo, hi = s.x.min() - span, s.x.max() + span
-            val, _ = quad(lambda x: density_eval(ctx, x, sigma).f, lo, hi, limit=400)
+            val, _ = quad(lambda x: triple_at(ctx, x, sigma)[0], lo, hi, limit=400)
             assert abs(val - 1.0) < 1e-6
 
     def test_derivatives_match_finite_differences(self):
@@ -184,13 +225,11 @@ class TestKernelProperties:
         ctx = KernelContext(s, Bandwidths(0.6, 0.5))
         delta = 1e-5 * 0.6 * s.sigma.min()
         for xq, sq in [(0.0, 1.0), (0.7, 0.8), (-1.2, 1.6)]:
-            up = density_eval(ctx, xq + delta, sq)
-            dn = density_eval(ctx, xq - delta, sq)
-            mid = density_eval(ctx, xq, sq)
-            fd1 = (up.f - dn.f) / (2 * delta)
-            fd2 = (up.f1 - dn.f1) / (2 * delta)
-            assert abs(fd1 - mid.f1) / max(abs(mid.f1), 1e-3) < 1e-4
-            assert abs(fd2 - mid.f2) / max(abs(mid.f2), 1e-3) < 1e-4
+            up, dn, mid = (triple_at(ctx, xq + d, sq) for d in (delta, -delta, 0.0))
+            fd1 = (up[0] - dn[0]) / (2 * delta)
+            fd2 = (up[1] - dn[1]) / (2 * delta)
+            assert abs(fd1 - mid[1]) / max(abs(mid[1]), 1e-3) < 1e-4
+            assert abs(fd2 - mid[2]) / max(abs(mid[2]), 1e-3) < 1e-4
 
     def test_translation_equivariance(self):
         rng = np.random.default_rng(5)
@@ -198,9 +237,9 @@ class TestKernelProperties:
         sg = rng.uniform(0.5, 1.5, 30)
         bw = Bandwidths(0.5, 0.3)
         c = 17.25
-        a = density_eval(KernelContext(validate_sample(xs, sg), bw), 0.4, 1.0)
-        b = density_eval(KernelContext(validate_sample(xs + c, sg), bw), 0.4 + c, 1.0)
-        np.testing.assert_allclose([a.f, a.f1, a.f2], [b.f, b.f1, b.f2], rtol=1e-9, atol=1e-12)
+        a = triple_at(KernelContext(validate_sample(xs, sg), bw), 0.4, 1.0)
+        b = triple_at(KernelContext(validate_sample(xs + c, sg), bw), 0.4 + c, 1.0)
+        np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(6)
@@ -208,9 +247,9 @@ class TestKernelProperties:
         sg = rng.uniform(0.5, 1.5, 50)
         bw = Bandwidths(0.5, 0.3)
         perm = rng.permutation(50)
-        a = density_eval(KernelContext(validate_sample(xs, sg), bw), 0.2, 1.0)
-        b = density_eval(KernelContext(validate_sample(xs[perm], sg[perm]), bw), 0.2, 1.0)
-        np.testing.assert_allclose([a.f, a.f1, a.f2], [b.f, b.f1, b.f2], rtol=1e-12)
+        a = triple_at(KernelContext(validate_sample(xs, sg), bw), 0.2, 1.0)
+        b = triple_at(KernelContext(validate_sample(xs[perm], sg[perm]), bw), 0.2, 1.0)
+        np.testing.assert_allclose(a, b, rtol=1e-12)
 
     def test_homoscedastic_reduction_to_pooled_kde(self):
         rng = np.random.default_rng(7)
@@ -220,16 +259,15 @@ class TestKernelProperties:
         ctx = KernelContext(s, Bandwidths(0.5, 0.2))
         h = 0.5 * common
         for xq in (-0.3, 0.1, 1.4):
-            d = density_eval(ctx, xq, common)
+            f = triple_at(ctx, xq, common)[0]
             manual = sum(phi(xq - xj, h) for xj in xs) / 40
-            assert abs(d.f - manual) < 1e-12
+            assert abs(f - manual) < 1e-12
 
     def test_pooled_context_is_plain_kde(self):
         xs = [0.0, 1.0, 4.0]
         ctx = pooled_context(xs, 0.7)
-        d = density_eval(ctx, 0.5, 1.0)
         manual = sum(phi(0.5 - xj, 0.7) for xj in xs) / 3
-        np.testing.assert_allclose(d.f, manual, rtol=1e-14)
+        np.testing.assert_allclose(triple_at(ctx, 0.5, 1.0)[0], manual, rtol=1e-14)
 
 
 def reference_grid(xq, sq, xt, st, hx_values, hs_values, key=None):

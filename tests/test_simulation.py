@@ -158,11 +158,11 @@ class TestTfAverageShrinkage:
         grp1 = rng.random(n) < p
         sigma = np.where(grp1, 1.0, 3.0)
         x = mu0 + tau * rng.standard_normal(n) + sigma * rng.standard_normal(n)
-        from nesteb.kernel import density_eval, pooled_context
+        from nesteb.kernel import in_sample_triple, pooled_context
 
         for xq in (-1.0, 0.5, 2.0):
-            d = density_eval(pooled_context(x, 0.25), xq, 1.0)
-            got = d.f1 / d.f  # TF shrinkage at sigma = 1
+            f, f1, _ = in_sample_triple(pooled_context(x, 0.25), queries=([xq], [1.0]))
+            got = float(f1[0] / f[0])  # TF shrinkage at sigma = 1
             expect = tf_average_shrinkage(xq, mu0, tau, 1.0, 3.0, p)
             assert got == pytest.approx(expect, abs=0.05 + 0.05 * abs(expect))
 

@@ -4,18 +4,17 @@ import numpy as np
 import pytest
 
 import nesteb.kernel
-from nesteb.data import Bandwidths, DensityEval, kfold_split, validate_sample
+from nesteb.data import Bandwidths, kfold_split, validate_sample
 from nesteb.errors import AllCellsDegenerate, EmptyMonteCarlo
 from nesteb.estimators import nest_estimates
-from nesteb.kernel import KernelContext
+from nesteb.kernel import KernelContext, in_sample_triple
 from nesteb.priors import NormalPrior
 from nesteb.simulation import TwoValueSigma, UniformSigma, draw_scenario, scenario_from_ratio
 from nesteb.sure import (
     SureGrid,
     _argmin_cell,
+    _sure_values,
     default_grid,
-    sure_from_density,
-    sure_point,
     sure_unbiasedness_check,
     tune,
     tune_kgroups,
@@ -41,12 +40,13 @@ def compound_sure(sample, bw, k, seed):
 
 def per_fold_reference(sample, bw, folds):
     """Per-point SURE by the reference loop: one context per fold complement,
-    each held-out point scored by sure_point."""
+    its held-out points scored as queries."""
     out = np.empty(sample.n)
     for g in range(folds.k):
         ctx = KernelContext(sample.subset(folds.complement_of(g)), bw)
-        for i in folds.indices_of(g):
-            out[i] = sure_point(ctx, sample.x[i], sample.sigma[i])
+        idx = folds.indices_of(g)
+        f, f1, f2 = in_sample_triple(ctx, queries=(sample.x[idx], sample.sigma[idx]))
+        out[idx] = _sure_values(f, f1, f2, sample.sigma[idx], 4)
     return out
 
 
@@ -54,24 +54,21 @@ class TestSurePoint:
     def test_standard_normal_plugin_at_mode(self):
         # analytic Gaussian shape: f=phi(0), f1=0, f2=-phi(0) -> bracket -2
         phi0 = 1.0 / SQRT_2PI
-        d = DensityEval(phi0, 0.0, -phi0)
-        assert sure_from_density(d, 1.0) == pytest.approx(-1.0, abs=1e-14)
+        assert _sure_values(phi0, 0.0, -phi0, 1.0, 4) == pytest.approx(-1.0, abs=1e-14)
 
     def test_standard_normal_plugin_at_sqrt2(self):
         x = math.sqrt(2.0)
         phix = math.exp(-x * x / 2) / SQRT_2PI
-        d = DensityEval(phix, -x * phix, (x * x - 1) * phix)
-        assert sure_from_density(d, 1.0) == pytest.approx(1.0, abs=1e-12)
+        assert _sure_values(phix, -x * phix, (x * x - 1) * phix, 1.0, 4) == pytest.approx(1.0, abs=1e-12)
 
     def test_flat_density_gives_noise_variance(self):
-        d = DensityEval(0.25, 0.0, 0.0)
-        assert sure_from_density(d, 1.7) == pytest.approx(1.7**2)
+        assert _sure_values(0.25, 0.0, 0.0, 1.7, 4) == pytest.approx(1.7**2)
 
-    def test_sure_point_uses_context_density(self):
+    def test_per_point_value_uses_training_density(self):
         train = validate_sample([1.0], [2.0])
         ctx = KernelContext(train, Bandwidths(0.5, 0.4))
         # single-kernel closed form at (0, 1): h = 1, f1/f = 1, f2/f = 0
-        got = sure_point(ctx, 0.0, 1.0)
+        got = float(_sure_values(*in_sample_triple(ctx, queries=([0.0], [1.0])), 1.0, 4)[0])
         f = math.exp(-0.5) / SQRT_2PI
         f1 = f
         f2 = 0.0
@@ -209,6 +206,18 @@ class TestTune:
         grid = SureGrid((0.001,), (0.5,), k=2, seed=1)
         with pytest.raises(AllCellsDegenerate):
             tune(s, grid)
+
+    def test_non_finite_cells_marked_degenerate(self):
+        # every squared difference with x = 1e200 overflows, so every cell's
+        # score is NaN; no cell may be selected, by tune or by tune_pooled
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=300)
+        x[17] = 1e200
+        s = validate_sample(x, rng.uniform(0.5, 2.0, 300))
+        with pytest.raises(AllCellsDegenerate):
+            tune(s, default_grid(s))
+        with pytest.raises(AllCellsDegenerate):
+            tune_pooled(x, s.sigma, (0.5, 1.0), kfold_split(300, 10, 0))
 
     def test_blocking_does_not_change_results(self, monkeypatch):
         # two h_sigma values: the per-h_sigma weight cache spans many blocks
