@@ -168,16 +168,13 @@ def cmd_estimate(args) -> int:
 
 def cmd_tune(args) -> int:
     _, sample = _load_sample(args.input)
-    if args.grid_hx or args.grid_hsigma:
-        base = default_grid(sample, k=args.folds, seed=args.seed)
-        grid = SureGrid(
-            _parse_floats(args.grid_hx) if args.grid_hx else base.h_x_values,
-            _parse_floats(args.grid_hsigma) if args.grid_hsigma else base.h_sigma_values,
-            k=args.folds,
-            seed=args.seed,
-        )
-    else:
-        grid = default_grid(sample, k=args.folds, seed=args.seed)
+    base = default_grid(sample, k=args.folds, seed=args.seed)
+    grid = SureGrid(
+        _parse_floats(args.grid_hx) if args.grid_hx else base.h_x_values,
+        _parse_floats(args.grid_hsigma) if args.grid_hsigma else base.h_sigma_values,
+        k=args.folds,
+        seed=args.seed,
+    )
     report = tune(sample, grid)
     write_csv_atomic(
         args.output,
@@ -266,26 +263,23 @@ def cmd_bias(args) -> int:
     return 0
 
 
+# `expfam --family` -> (the option holding the family's parameter, its constructor).
+_FAMILIES = {
+    "binomial": ("n_trials", Binomial),
+    "negbinomial": ("r", NegBinomial),
+    "gamma": ("alpha", Gamma),
+    "beta": ("beta", Beta),
+}
+
+
 def cmd_expfam(args) -> int:
-    if args.family == "binomial":
-        if args.n_trials is None:
-            raise NestError("--n-trials is required for binomial")
-        family = Binomial(args.n_trials)
-        value = args.x
-    elif args.family == "negbinomial":
-        if args.r is None:
-            raise NestError("--r is required for negbinomial")
-        family = NegBinomial(args.r)
-        value = args.x
-    elif args.family == "gamma":
-        if args.alpha is None:
-            raise NestError("--alpha is required for gamma")
-        family = Gamma(args.alpha)
-        value = args.x
-    else:
-        if args.beta is None:
-            raise NestError("--beta is required for beta")
-        family = Beta(args.beta)
+    option, make = _FAMILIES[args.family]
+    param = getattr(args, option)
+    if param is None:
+        raise NestError(f"--{option.replace('_', '-')} is required for {args.family}")
+    family = make(param)
+    value = args.x
+    if args.family == "beta":
         if not (0.0 < args.x < 1.0):
             raise NestError("beta observations must lie in (0, 1); pass the raw x")
         value = math.log(args.x)
@@ -398,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bias)
 
     p = sub.add_parser("expfam", parents=[common], help="spot-evaluate an exponential-family posterior mean")
-    p.add_argument("--family", choices=["binomial", "negbinomial", "gamma", "beta"], required=True)
+    p.add_argument("--family", choices=list(_FAMILIES), required=True)
     p.add_argument("--n-trials", type=int, dest="n_trials")
     p.add_argument("--r", type=int)
     p.add_argument("--alpha", type=float)

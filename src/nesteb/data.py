@@ -92,15 +92,6 @@ class FoldAssignment:
     def n(self) -> int:
         return self.fold_of.shape[0]
 
-    def fold_sizes(self) -> np.ndarray:
-        return np.bincount(self.fold_of, minlength=self.k)
-
-    def indices_of(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.fold_of == fold)
-
-    def complement_of(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.fold_of != fold)
-
 
 def kfold_split(n: int, k: int, seed: int) -> FoldAssignment:
     """Deterministic K-fold split: uniform random permutation (PCG64 keyed on

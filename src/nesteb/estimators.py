@@ -23,12 +23,7 @@ import numpy as np
 
 from .data import Bandwidths, HeteroSample
 from .errors import BadGroupCount
-from .kernel import (
-    DEFAULT_FLOOR,
-    KernelContext,
-    in_sample_triple,
-    pooled_context,
-)
+from .kernel import KernelContext, in_sample_triple, pooled_context
 from .priors import PriorSpec
 
 
@@ -149,9 +144,12 @@ class EstimatorSpec:
         return self.method.name
 
 
-def default_truncation_bound(n: int, scale: float = 2.0) -> float:
-    """Magnitude bound scale * log(n) (log clamped below at log 2)."""
-    return scale * float(np.log(max(n, 2)))
+_TRUNCATION_SCALE = 2.0
+
+
+def default_truncation_bound(n: int) -> float:
+    """Magnitude bound 2 log(n) (log clamped below at log 2)."""
+    return _TRUNCATION_SCALE * float(np.log(max(n, 2)))
 
 
 def post_processed(method: Method, bound: float | None, stabilize: bool) -> EstimatorSpec:
@@ -211,33 +209,23 @@ def k_groups_fit(sample: HeteroSample, k: int) -> KGroupsFit:
 # ---------------------------------------------------------------------------
 
 
-def nest_estimates(
-    sample: HeteroSample,
-    bw: Bandwidths,
-    floor_eps: float = DEFAULT_FLOOR,
-    jackknife: bool = False,
-) -> np.ndarray:
-    f, f1, _ = in_sample_triple(KernelContext(sample, bw, floor_eps), jackknife)
+def nest_estimates(sample: HeteroSample, bw: Bandwidths, jackknife: bool = False) -> np.ndarray:
+    f, f1, _ = in_sample_triple(KernelContext(sample, bw), jackknife)
     return sample.x + sample.sigma**2 * f1 / f
 
 
-def tf_estimates(sample: HeteroSample, h: float, floor_eps: float = DEFAULT_FLOOR) -> np.ndarray:
-    f, f1, _ = in_sample_triple(pooled_context(sample.x, h, floor_eps))
+def tf_estimates(sample: HeteroSample, h: float) -> np.ndarray:
+    f, f1, _ = in_sample_triple(pooled_context(sample.x, h))
     return sample.x + sample.sigma**2 * f1 / f
 
 
-def scaled_estimates(sample: HeteroSample, h: float, floor_eps: float = DEFAULT_FLOOR) -> np.ndarray:
+def scaled_estimates(sample: HeteroSample, h: float) -> np.ndarray:
     z = sample.x / sample.sigma
-    f, f1, _ = in_sample_triple(pooled_context(z, h, floor_eps))
+    f, f1, _ = in_sample_triple(pooled_context(z, h))
     return sample.sigma * (z + f1 / f)
 
 
-def kgroups_estimates(
-    sample: HeteroSample,
-    k: int,
-    h_per_group,
-    floor_eps: float = DEFAULT_FLOOR,
-) -> np.ndarray:
+def kgroups_estimates(sample: HeteroSample, k: int, h_per_group) -> np.ndarray:
     fit = k_groups_fit(sample, k)
     hs = tuple(float(h) for h in h_per_group)
     if len(hs) != fit.k:
@@ -245,7 +233,7 @@ def kgroups_estimates(
     out = np.empty(sample.n)
     for g, idx in enumerate(fit.groups):
         sub = sample.subset(idx)
-        out[idx] = tf_estimates(sub, hs[g], floor_eps)
+        out[idx] = tf_estimates(sub, hs[g])
     return out
 
 

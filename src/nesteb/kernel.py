@@ -18,7 +18,7 @@ differences near the float64 limit) come out inf or NaN without a warning;
 
 Numerical contract: one routine, :func:`density_grid`, evaluates every
 pairwise sum in the package. Its two callers are the cross-fitted SURE
-surfaces (``sure._cv_surface``) and :func:`in_sample_triple`, the one entry
+surfaces (``sure._search``) and :func:`in_sample_triple`, the one entry
 for a single bandwidth pair (final fits, query points, the Monte Carlo SURE
 check). With u_j = (x - x_j)/h_xj, E_j = exp(-u_j^2 / 2), the unnormalized
 (masked) sigma weights t_j and T = sum_j t_j, one grid cell is
@@ -86,25 +86,23 @@ _SUM_COLS = 256
 # thread count in the wrong order.
 _PIN_LOCK = threading.Lock()
 
-DEFAULT_FLOOR = 1e-12
+# Lower bound on every density f that enters a score ratio f1/f or a SURE term.
+FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
 class KernelContext:
-    """Immutable bundle of training points, bandwidths, and the density floor."""
+    """Immutable bundle of training points and bandwidths."""
 
     train: HeteroSample
     bw: Bandwidths
-    floor_eps: float = DEFAULT_FLOOR
 
     def __post_init__(self):
         if self.train.n < 1:
             raise ValueError("training sample must be nonempty")
-        if not (self.floor_eps > 0):
-            raise ValueError("floor_eps must be positive")
 
 
-def pooled_context(train_x, h: float, floor_eps: float = DEFAULT_FLOOR) -> KernelContext:
+def pooled_context(train_x, h: float) -> KernelContext:
     """Context for the ordinary pooled one-dimensional KDE with bandwidth h.
 
     Realized by setting every training sigma to 1 (uniform weights,
@@ -112,7 +110,7 @@ def pooled_context(train_x, h: float, floor_eps: float = DEFAULT_FLOOR) -> Kerne
     (1/n) sum_j phi_h(x - x_j).
     """
     xa = np.asarray(train_x, dtype=float).reshape(-1)
-    return KernelContext(HeteroSample(xa, np.ones_like(xa)), Bandwidths(h, 1.0), floor_eps)
+    return KernelContext(HeteroSample(xa, np.ones_like(xa)), Bandwidths(h, 1.0))
 
 
 @functools.cache
@@ -258,4 +256,4 @@ def in_sample_triple(ctx: KernelContext, jackknife: bool = False, queries=None):
     if not finite.all():
         i = int(np.flatnonzero(~finite.all(axis=0))[0])
         raise NonFiniteValue(("f", "f1", "f2")[int(np.argmin(finite[:, i]))], i)
-    return np.maximum(triple[0], ctx.floor_eps), triple[1], triple[2]
+    return np.maximum(triple[0], FLOOR), triple[1], triple[2]

@@ -2,7 +2,7 @@
 errors, and the tail-selection bias experiment.
 
 Scenario cells are anchored by the signal fraction ratio = var(mu)/var(X);
-given a prior with variance V and sigma ~ U[lo, sigma_M], the upper endpoint
+given a prior with variance V and sigma ~ U[0.1, sigma_M], the upper endpoint
 sigma_M is solved from V = ratio * (V + E[sigma^2]).
 
 Replications are independent and deterministic per (seed, rep): each one
@@ -91,9 +91,12 @@ class TwoValueSigma:
 
 SigmaLaw = Union[UniformSigma, TwoValueSigma]
 
+# Lower endpoint lo of the calibrated noise law sigma ~ U[lo, sigma_M].
+SIGMA_LO = 0.1
 
-def solve_sigma_M(prior: PriorSpec, ratio_target: float, lo: float = 0.1) -> float:
-    """Upper endpoint of U[lo, sigma_M] so that var(mu)/var(X) hits the target.
+
+def solve_sigma_M(prior: PriorSpec, ratio_target: float) -> float:
+    """Upper endpoint of U[lo, sigma_M], lo = SIGMA_LO, so var(mu)/var(X) hits the target.
 
     var(X) = var(mu) + E[sigma^2] with E[sigma^2] = (lo^2 + lo*s + s^2)/3,
     so s solves s^2 + lo*s + lo^2 - 3*T = 0 with T = var(mu)(1-ratio)/ratio;
@@ -102,6 +105,7 @@ def solve_sigma_M(prior: PriorSpec, ratio_target: float, lo: float = 0.1) -> flo
     if not (0.0 < ratio_target < 1.0):
         raise ValueError(f"ratio_target must lie in (0, 1), got {ratio_target}")
     target = prior.variance() * (1.0 - ratio_target) / ratio_target
+    lo = SIGMA_LO
     disc = 12.0 * target - 3.0 * lo * lo
     if disc <= 0.0:
         raise NoFeasibleRoot(ratio_target, lo)
@@ -133,11 +137,10 @@ def scenario_from_ratio(
     n: int,
     reps: int,
     seed: int,
-    lo: float = 0.1,
     label: str = "",
 ) -> SimScenario:
-    hi = solve_sigma_M(prior, ratio_target, lo)
-    return SimScenario(prior, UniformSigma(lo, hi), n, reps, seed, label)
+    hi = solve_sigma_M(prior, ratio_target)
+    return SimScenario(prior, UniformSigma(SIGMA_LO, hi), n, reps, seed, label)
 
 
 def draw_scenario(scenario: SimScenario, rep: int) -> HeteroSample:
@@ -177,9 +180,10 @@ class MseTable:
             yield name, row
 
 
-def _pooled_h(xd, sample: HeteroSample, folds_k: int, seed: int, bracket_power: int = 4) -> float:
+def _pooled_h(xd, sample: HeteroSample, folds_k: int, seed: int, bracket_power: int = 4,
+              selection: str = "penalized") -> float:
     folds = kfold_split(sample.n, min(folds_k, sample.n), seed)
-    return tune_pooled(xd, sample.sigma, pooled_grid_for(xd), folds, bracket_power=bracket_power).best_h
+    return tune_pooled(xd, sample.sigma, pooled_grid_for(xd), folds, bracket_power, selection).best_h
 
 
 # Method type -> (the field SURE tuning fills in, its tuner(method, sample,
@@ -344,8 +348,7 @@ def _bias_rep(args) -> tuple[int, dict[str, np.ndarray]]:
     # the point's own kernel otherwise dominates the sparse local density and
     # mutes the correction. The compound-MSE studies keep the safeguarded
     # selection and the full fit.
-    folds = kfold_split(n, folds_k, tune_seed)
-    tf_h = tune_pooled(x, sigma, pooled_grid_for(x), folds, selection="argmin").best_h
+    tf_h = _pooled_h(x, sample, folds_k, tune_seed, selection="argmin")
     nest_grid = default_grid(sample, k=folds_k, seed=tune_seed)
     nest_bw = tune(sample, nest_grid, selection="argmin").argmin
 
@@ -406,14 +409,17 @@ class TwoComponentFit:
         return self.ashman_d > 2.0 and min(self.w1, self.w2) > 0.1
 
 
-def fit_two_component(values, n_iter: int = 200) -> TwoComponentFit:
+_EM_ITERS = 200
+
+
+def fit_two_component(values) -> TwoComponentFit:
     v = np.asarray(values, dtype=float).reshape(-1)
     if v.size < 4:
         raise ValueError("need at least 4 values")
     m1, m2 = np.quantile(v, [0.1, 0.9])
     s1 = s2 = max(float(np.std(v)) / 2.0, 1e-8)
     w1 = 0.5
-    for _ in range(n_iter):
+    for _ in range(_EM_ITERS):
         l1 = np.log(w1) - 0.5 * ((v - m1) / s1) ** 2 - math.log(s1)
         l2 = np.log1p(-w1) - 0.5 * ((v - m2) / s2) ** 2 - math.log(s2)
         r = 1.0 / (1.0 + np.exp(np.clip(l2 - l1, -700, 700)))

@@ -16,10 +16,12 @@ score enters with a single factor of sigma; Stein's identity then gives
 so pooled tuning takes the bracket power as a parameter.
 
 One fold assignment is drawn per tune call and shared across all grid cells
-(variance reduction); cells where more than 1% of points hit the density
-floor, where any weight normalizer underflows, or whose selection score is
-not finite (kernel sums that overflow) are excluded from the argmin as
-degenerate.
+(variance reduction). A cell is degenerate, and excluded from the argmin,
+when any of its weight normalizers underflows, when more than 1% of its
+points hit the density floor ``kernel.FLOOR``, or when its selection score
+is not finite (kernel sums that overflow). NEST and the pooled rules share
+one search, :func:`_search`; a pooled rule is the weighted KDE with every
+sigma set to 1 and a single h_sigma.
 
 S(h) is unbiased for the compound risk at every h but its variance explodes
 as the bandwidths shrink (the per-point terms are heavy-tailed score
@@ -38,7 +40,7 @@ import numpy as np
 
 from .data import Bandwidths, FoldAssignment, HeteroSample, kfold_split
 from .errors import AllCellsDegenerate, BadGroupCount, EmptyMonteCarlo
-from .kernel import DEFAULT_FLOOR, KernelContext, density_grid, in_sample_triple
+from .kernel import FLOOR, KernelContext, density_grid, in_sample_triple
 from .estimators import k_groups_fit
 from .priors import PriorSpec
 
@@ -121,29 +123,6 @@ def _sure_values(f, f1, f2, sigma, power: int):
     return sigma**2 + sigma**power * ((2.0 * f * f2 - f1 * f1) / (f * f))
 
 
-def _cv_surface(
-    xd: np.ndarray,
-    sd: np.ndarray,
-    sigma_risk: np.ndarray,
-    hx_values,
-    hs_values,
-    fold_of: np.ndarray,
-    floor_eps: float,
-    bracket_power: int,
-):
-    """Per-point SURE for every grid cell, density fitted on fold complements.
-
-    xd/sd are the density-fit coordinates (sd is all ones for pooled KDEs);
-    sigma_risk enters the risk terms. Returns (per_point, floored, zero_rows)
-    with shapes (nx, ns, n), (nx, ns), (ns,). Queries whose weight normalizer
-    underflows get NaN and flag their h_sigma column via zero_rows.
-    """
-    f_raw, f1, f2, wsum = density_grid(xd, sd, xd, sd, hx_values, hs_values, fold_of, fold_of)
-    floored = np.count_nonzero(f_raw < floor_eps, axis=-1)
-    per_point = _sure_values(np.maximum(f_raw, floor_eps), f1, f2, sigma_risk, bracket_power)
-    return per_point, floored, (wsum == 0.0).any(axis=1)
-
-
 def _argmin_cell(surface: np.ndarray, degenerate: np.ndarray) -> tuple[int, int]:
     """Minimal non-degenerate cell; ties broken by smallest h_sigma, then
     smallest h_x (the first minimum of the transposed array)."""
@@ -157,35 +136,41 @@ def _argmin_cell(surface: np.ndarray, degenerate: np.ndarray) -> tuple[int, int]
 _SELECTION_RULES = ("penalized", "argmin")
 
 
-def _selection_scores(pp: np.ndarray, n: int, rule: str) -> tuple[np.ndarray, np.ndarray]:
-    if rule not in _SELECTION_RULES:
-        raise ValueError(f"selection must be one of {_SELECTION_RULES}, got {rule!r}")
+def _search(xd, sd, sigma_risk, hx_values, hs_values, fold_of, bracket_power: int, selection: str):
+    """Cross-fitted SURE over every (h_x, h_sigma) cell, the density fitted
+    on fold complements; the one grid search behind every tuner.
+
+    xd/sd are the density-fit coordinates (sd is all ones for pooled KDEs);
+    sigma_risk enters the risk terms. Returns (per_point, surface, selection
+    scores, degenerate, chosen cell (i, j)), the first of shape (nx, ns, n)
+    and the next three (nx, ns).
+    """
+    if selection not in _SELECTION_RULES:
+        raise ValueError(f"selection must be one of {_SELECTION_RULES}, got {selection!r}")
+    n = xd.shape[0]
+    f_raw, f1, f2, wsum = density_grid(xd, sd, xd, sd, hx_values, hs_values, fold_of, fold_of)
+    pp = _sure_values(np.maximum(f_raw, FLOOR), f1, f2, sigma_risk, bracket_power)
     surface = pp.sum(axis=-1)
-    if rule == "argmin" or n < 2:
-        return surface, surface.copy()
-    se = pp.std(axis=-1, ddof=1) * np.sqrt(n)
-    return surface, surface + se
+    if selection == "argmin" or n < 2:
+        scores = surface.copy()
+    else:
+        scores = surface + pp.std(axis=-1, ddof=1) * np.sqrt(n)
+    floored = np.count_nonzero(f_raw < FLOOR, axis=-1)
+    degenerate = (wsum == 0.0).any(axis=1) | (floored > _FLOOR_FRACTION * n) | ~np.isfinite(scores)
+    return pp, surface, scores, degenerate, _argmin_cell(scores, degenerate)
 
 
-def tune(
-    sample: HeteroSample,
-    grid: SureGrid,
-    floor_eps: float = DEFAULT_FLOOR,
-    selection: str = "penalized",
-) -> SureReport:
+def tune(sample: HeteroSample, grid: SureGrid, selection: str = "penalized") -> SureReport:
     """Grid-search the compound SURE criterion; deterministic in
     (sample, grid).
 
     ``selection="penalized"`` (default) minimizes S(h) + SE{S(h)};
     ``selection="argmin"`` minimizes the raw S(h)."""
     folds = kfold_split(sample.n, min(grid.k, sample.n), grid.seed)
-    pp, floored, zero = _cv_surface(
+    pp, surface, scores, degenerate, (i, j) = _search(
         sample.x, sample.sigma, sample.sigma,
-        grid.h_x_values, grid.h_sigma_values, folds.fold_of, floor_eps, 4,
+        grid.h_x_values, grid.h_sigma_values, folds.fold_of, 4, selection,
     )
-    surface, scores = _selection_scores(pp, sample.n, selection)
-    degenerate = zero[None, :] | (floored > _FLOOR_FRACTION * sample.n) | ~np.isfinite(scores)
-    i, j = _argmin_cell(scores, degenerate)
     return SureReport(
         tuple(grid.h_x_values),
         tuple(grid.h_sigma_values),
@@ -217,7 +202,6 @@ def tune_pooled(
     h_values,
     folds: FoldAssignment,
     bracket_power: int = 4,
-    floor_eps: float = DEFAULT_FLOOR,
     selection: str = "penalized",
 ) -> PooledSureReport:
     """One-dimensional SURE grid search for pooled-KDE rules (TF, Scaled,
@@ -228,13 +212,10 @@ def tune_pooled(
     hv = tuple(float(h) for h in h_values)
     if len(hv) == 0 or not all(0 < h < np.inf for h in hv):
         raise ValueError("h_values must be nonempty, positive and finite")
-    pp, floored, zero = _cv_surface(
-        xd, np.ones_like(xd), sigma_risk, hv, [1.0], folds.fold_of, floor_eps, bracket_power
+    _, surface, scores, degenerate, (best, _) = _search(
+        xd, np.ones_like(xd), sigma_risk, hv, [1.0], folds.fold_of, bracket_power, selection
     )
-    surface, scores = _selection_scores(pp[:, 0, :], xd.shape[0], selection)
-    degenerate = zero[0] | (floored[:, 0] > _FLOOR_FRACTION * xd.shape[0]) | ~np.isfinite(scores)
-    best, _ = _argmin_cell(scores[:, None], degenerate[:, None])
-    return PooledSureReport(hv, surface, scores, degenerate, hv[best])
+    return PooledSureReport(hv, surface[:, 0], scores[:, 0], degenerate[:, 0], hv[best])
 
 
 def pooled_grid_for(values) -> tuple[float, ...]:
@@ -250,13 +231,7 @@ def pooled_grid_for(values) -> tuple[float, ...]:
     return tuple(v * scale for v in unit_grid())
 
 
-def tune_kgroups(
-    sample: HeteroSample,
-    k_groups: int,
-    folds_k: int,
-    seed: int,
-    floor_eps: float = DEFAULT_FLOOR,
-) -> tuple[float, ...]:
+def tune_kgroups(sample: HeteroSample, k_groups: int, folds_k: int, seed: int) -> tuple[float, ...]:
     """Independent per-group TF bandwidths, each tuned by pooled SURE inside
     its own sigma-quantile group."""
     fit = k_groups_fit(sample, k_groups)
@@ -265,10 +240,7 @@ def tune_kgroups(
         if idx.size < 2:
             raise BadGroupCount(k_groups, sample.n, f"group {g} too small to cross-fit")
         folds = kfold_split(idx.size, min(folds_k, idx.size), seed)
-        rep = tune_pooled(
-            sample.x[idx], sample.sigma[idx], pooled_grid_for(sample.x[idx]), folds,
-            bracket_power=4, floor_eps=floor_eps,
-        )
+        rep = tune_pooled(sample.x[idx], sample.sigma[idx], pooled_grid_for(sample.x[idx]), folds)
         out.append(rep.best_h)
     return tuple(out)
 
@@ -292,7 +264,6 @@ def sure_unbiasedness_check(
     n_train: int,
     n_mc: int,
     seed: int,
-    floor_eps: float = DEFAULT_FLOOR,
 ) -> UnbiasednessCheck:
     """Monte Carlo comparison of mean SURE against realized risk.
 
@@ -314,7 +285,7 @@ def sure_unbiasedness_check(
     sig_s = sigma_law.draw(rng_mc, n_mc)
     x_s = mu_s + sig_s * rng_mc.standard_normal(n_mc)
 
-    f, f1, f2 = in_sample_triple(KernelContext(HeteroSample(x_t, sig_t), bw, floor_eps), queries=(x_s, sig_s))
+    f, f1, f2 = in_sample_triple(KernelContext(HeteroSample(x_t, sig_t), bw), queries=(x_s, sig_s))
     s_vals = _sure_values(f, f1, f2, sig_s, 4)
     delta = x_s + sig_s**2 * f1 / f
     sq_err = (delta - mu_s) ** 2

@@ -324,6 +324,16 @@ class TestExpfamCommand:
         assert float(row["value"]) == pytest.approx(math.log(0.5))
         assert float(row["posterior_mean"]) == pytest.approx(2.25)
 
+    @pytest.mark.parametrize("family,flag", [
+        ("binomial", "--n-trials"), ("negbinomial", "--r"), ("gamma", "--alpha"), ("beta", "--beta"),
+    ])
+    def test_missing_family_parameter(self, capsys, family, flag):
+        rc = main(["expfam", "--family", family, "--x", "0.5", "--lf1", "0"])
+        assert rc == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["detail"] == f"{flag} is required for {family}"
+
 
 class TestPrepGapCommand:
     def test_plug_in_values(self, tmp_path):

@@ -61,11 +61,11 @@ class TestValidateSample:
 class TestKfoldSplit:
     def test_exact_division(self):
         f = kfold_split(10, 5, seed=3)
-        assert sorted(f.fold_sizes()) == [2, 2, 2, 2, 2]
+        assert sorted(np.bincount(f.fold_of, minlength=f.k)) == [2, 2, 2, 2, 2]
 
     def test_near_equal_split(self):
         f = kfold_split(10, 3, seed=11)
-        assert sorted(f.fold_sizes(), reverse=True) == [4, 3, 3]
+        assert sorted(np.bincount(f.fold_of, minlength=f.k), reverse=True) == [4, 3, 3]
 
     def test_deterministic_for_fixed_seed(self):
         a = kfold_split(10, 5, seed=7)
@@ -88,17 +88,17 @@ class TestKfoldSplit:
             n = int(rng.integers(2, 200))
             k = int(rng.integers(2, n + 1))
             f = kfold_split(n, k, seed=int(rng.integers(0, 2**63)))
-            sizes = f.fold_sizes()
+            sizes = np.bincount(f.fold_of, minlength=f.k)
             assert sizes.sum() == n
             assert sizes.max() - sizes.min() <= 1
-            seen = np.concatenate([f.indices_of(g) for g in range(k)])
+            seen = np.concatenate([np.flatnonzero(f.fold_of == g) for g in range(k)])
             assert sorted(seen) == list(range(n))
 
     def test_complement_is_exact(self):
         f = kfold_split(9, 3, seed=5)
         for g in range(3):
-            inside = set(f.indices_of(g))
-            outside = set(f.complement_of(g))
+            inside = set(np.flatnonzero(f.fold_of == g))
+            outside = set(np.flatnonzero(f.fold_of != g))
             assert inside | outside == set(range(9))
             assert inside & outside == set()
 

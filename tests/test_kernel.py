@@ -99,7 +99,7 @@ class TestTripleAtQuery:
         np.testing.assert_allclose(f, 1.0 / SQRT_2PI, rtol=1e-15)
         assert f1 == 0.0
         np.testing.assert_allclose(f2, -1.0 / SQRT_2PI, rtol=1e-15)
-        assert f > ctx.floor_eps
+        assert f > nesteb.kernel.FLOOR
 
     def test_duplicate_points_match_single(self):
         bw = Bandwidths(0.7, 0.4)
@@ -127,7 +127,7 @@ class TestTripleAtQuery:
 
     def test_floor_engages_in_far_tail(self):
         s = validate_sample([0.0], [1.0])
-        ctx = KernelContext(s, Bandwidths(0.1, 1.0), floor_eps=1e-12)
+        ctx = KernelContext(s, Bandwidths(0.1, 1.0))
         raw = density_grid(np.array([500.0]), np.array([1.0]), s.x, s.sigma, [0.1], [1.0])[0]
         assert raw[0, 0, 0] < 1e-12
         assert triple_at(ctx, 500.0, 1.0)[0] == 1e-12

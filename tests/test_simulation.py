@@ -214,6 +214,11 @@ class TestBiasExperiment:
         res2 = run_bias_experiment("single-center", reps=2, select_k=5, seed=41, n=400, folds_k=5)
         np.testing.assert_array_equal(res["nest"].diffs, res2["nest"].diffs)
 
+    def test_fold_count_clamped_to_sample_size(self):
+        # more folds than points: the TF and NEST tunes both cross-fit on n folds
+        res = run_bias_experiment("single-center", reps=1, select_k=3, seed=0, n=8, folds_k=10)
+        assert all(r.diffs.shape == (1, 3) for r in res.values())
+
     def test_threads_do_not_change_output(self):
         a = run_bias_experiment("single-center", reps=2, select_k=4, seed=42, n=300, folds_k=5)
         b = run_bias_experiment("single-center", reps=2, select_k=4, seed=42, n=300, folds_k=5, threads=2)

@@ -43,8 +43,8 @@ def per_fold_reference(sample, bw, folds):
     its held-out points scored as queries."""
     out = np.empty(sample.n)
     for g in range(folds.k):
-        ctx = KernelContext(sample.subset(folds.complement_of(g)), bw)
-        idx = folds.indices_of(g)
+        ctx = KernelContext(sample.subset(np.flatnonzero(folds.fold_of != g)), bw)
+        idx = np.flatnonzero(folds.fold_of == g)
         f, f1, f2 = in_sample_triple(ctx, queries=(sample.x[idx], sample.sigma[idx]))
         out[idx] = _sure_values(f, f1, f2, sample.sigma[idx], 4)
     return out
@@ -108,7 +108,7 @@ class TestCompoundCv:
 
         a = per_fold_reference(s, bw, folds)
         b = per_fold_reference(s2, bw, folds)
-        same_fold = folds.indices_of(g)
+        same_fold = np.flatnonzero(folds.fold_of == g)
         untouched = same_fold[same_fold != i]
         np.testing.assert_array_equal(a[untouched], b[untouched])
         # and the compound path agrees with the reference on both samples
