@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, kernel
 from .data import Bandwidths, validate_sample
 from .errors import NestError, NonsensicalCounts
 from .estimators import (
@@ -35,6 +35,7 @@ from .expfam import Beta, Binomial, FamilyPoint, Gamma, NegBinomial, ScoreEstima
 from .io import CsvFormatError, read_csv, write_csv_atomic
 from .priors import NormalPrior, SparseMixPrior, TwoPointPrior
 from .simulation import (
+    kernel_threads,
     resolve_spec,
     run_bias_experiment,
     run_mse_study,
@@ -162,7 +163,7 @@ def cmd_estimate(args) -> int:
         for i in range(sample.n)
     )
     write_csv_atomic(args.output, header, rows)
-    _manifest("estimate", args, resolved=resolved_log, truncate=bound)
+    _manifest("estimate", args, resolved=resolved_log, truncate=bound, kernel_threads=kernel._THREADS)
     return 0
 
 
@@ -189,6 +190,7 @@ def cmd_tune(args) -> int:
         args,
         grid={"h_x": list(grid.h_x_values), "h_sigma": list(grid.h_sigma_values), "folds": grid.k},
         argmin={"h_x": am.h_x, "h_sigma": am.h_sigma},
+        kernel_threads=kernel._THREADS,
     )
     return 0
 
@@ -237,6 +239,7 @@ def cmd_simulate(args) -> int:
         sigma_law={"lo": scenario.sigma_law.lo, "hi": scenario.sigma_law.hi},
         n=n,
         reps=reps,
+        kernel_threads=kernel_threads(args.threads, reps),
     )
     return 0
 
@@ -259,7 +262,15 @@ def cmd_bias(args) -> int:
                     yield (name, rep, float(d))
 
     write_csv_atomic(args.output, ["estimator", "rep", "diff"], rows())
-    _manifest("bias", args, setting=args.setting, reps=args.reps, select_k=args.select_k, n=args.n)
+    _manifest(
+        "bias",
+        args,
+        setting=args.setting,
+        reps=args.reps,
+        select_k=args.select_k,
+        n=args.n,
+        kernel_threads=kernel_threads(args.threads, args.reps),
+    )
     return 0
 
 

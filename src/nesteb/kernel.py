@@ -38,22 +38,33 @@ does not depend on the block partition of the queries. The chunk width is a
 constant, so output does not depend on the grid or on ``_BLOCK_ELEMS``
 either.
 
-Thread-count rule: the gemms run with the OpenBLAS bundled with NumPy pinned
-to one thread (its ``scipy_openblas_set_num_threads64_``, called through
-ctypes), and the previous count is restored afterwards. So every gemm takes
+Thread rule: the row blocks are spread over W kernel threads, W = the
+smaller of ``_THREADS`` (the CPUs in the process's affinity mask) and the
+number of blocks the call needs at the full budget; a call of one block runs
+inline and starts no thread. NumPy's exp, elementwise ufuncs, sums and
+matmul release the GIL, so the threads run in parallel. Rows are
+independent, so output does not depend on W either: it is bitwise the same
+under any thread count. ``_BLOCK_ELEMS`` is the budget of all workers
+together; the caller allocates every worker's block matrices as one array
+before the fan-out.
+
+BLAS rule: the gemms run with the OpenBLAS bundled with NumPy pinned to one
+thread (its ``scipy_openblas_set_num_threads64_``, called through ctypes),
+and the previous count is restored afterwards. So every gemm takes
 OpenBLAS's single-thread path, whatever ``OPENBLAS_NUM_THREADS`` says. A
 fixed chunk width alone is not a rule: OpenBLAS threads a gemm once m n k
 passes a cutoff, and on a SkylakeX core unpinned gemms rounded differently
-under one and two threads at every width tried, 256 to 4096 columns.
-Pinning costs three library calls per row block; it measured no slower than
-the unpinned gemm. Under a NumPy that carries no such library (another
-BLAS) the gemms run unpinned, and the output then depends on that BLAS's
-threading.
+under one and two threads at every width tried, 256 to 4096 columns. The
+pin is a process-wide setting, taken once per call around the whole
+fan-out; ``_PIN_LOCK`` therefore serializes concurrent ``density_grid``
+calls from user threads. Under a NumPy that carries no such library
+(another BLAS) the gemms run unpinned, and the output then depends on that
+BLAS's threading.
 
-The rows per block are chosen so that all matrices of a block together, the
-weights, the kernel rows and three (b, n) scratch matrices, that is
-(ns + 3 nx + 3) n elements per query, hold at most ``_BLOCK_ELEMS`` = 2^21
-elements (16 MB of float64).
+The rows per block are chosen so that all matrices of all blocks in flight
+together, the weights, the kernel rows and three (b, n) scratch matrices,
+that is (ns + 3 nx + 3) n elements per query, hold at most ``_BLOCK_ELEMS``
+= 3 * 2^19 elements (12 MB of float64).
 """
 
 from __future__ import annotations
@@ -61,8 +72,10 @@ from __future__ import annotations
 import ctypes
 import functools
 import glob
+import math
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -73,9 +86,14 @@ from .errors import DegenerateWeights, NonFiniteValue
 
 SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 
-# Row-block cap on all pairwise matrices of a block together, in elements
-# (16 MB of float64).
-_BLOCK_ELEMS = 1 << 21
+# Cap on all pairwise matrices of the row blocks in flight, across all
+# kernel threads together, in elements (12 MB of float64).
+_BLOCK_ELEMS = 3 << 19
+
+# Threads a density_grid call may use (fewer when it has fewer row blocks):
+# the CPUs this process may run on. Pool workers lower it to their share
+# (simulation._run_indexed).
+_THREADS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 # Columns per gemm in the training-index sum (the gemm's k dimension). A
 # constant: the rounding of each sum then depends on n alone, not on the row
@@ -83,7 +101,7 @@ _BLOCK_ELEMS = 1 << 21
 _SUM_COLS = 256
 
 # Serializes pinning, so that concurrent callers cannot restore each other's
-# thread count in the wrong order.
+# thread count in the wrong order. Held for a whole density_grid call.
 _PIN_LOCK = threading.Lock()
 
 # Lower bound on every density f that enters a score ratio f1/f or a SURE term.
@@ -147,17 +165,15 @@ def _one_blas_thread():
 
 def _contract(w: np.ndarray, k: np.ndarray) -> np.ndarray:
     """s[r, j, c] = sum over training index t of w[j, r, t] * k[c, r, t]: one
-    single-thread gemm per query row r and chunk of _SUM_COLS columns, the
-    chunk sums added in index order."""
+    gemm per query row r and chunk of _SUM_COLS columns, the chunk sums added
+    in index order. The caller pins BLAS to one thread."""
     wr, kr = w.transpose(1, 0, 2), k.transpose(1, 2, 0)
-    with _one_blas_thread():
-        s = np.matmul(wr[..., :_SUM_COLS], kr[:, :_SUM_COLS])
-        for lo in range(_SUM_COLS, w.shape[-1], _SUM_COLS):
-            s += np.matmul(wr[..., lo : lo + _SUM_COLS], kr[:, lo : lo + _SUM_COLS])
+    s = np.matmul(wr[..., :_SUM_COLS], kr[:, :_SUM_COLS])
+    for lo in range(_SUM_COLS, w.shape[-1], _SUM_COLS):
+        s += np.matmul(wr[..., lo : lo + _SUM_COLS], kr[:, lo : lo + _SUM_COLS])
     return s
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def density_grid(
     xq: np.ndarray,
     sq: np.ndarray,
@@ -169,7 +185,8 @@ def density_grid(
     tkey: np.ndarray | None = None,
 ):
     """Raw (f, f1, f2) at each query for every (h_x, h_sigma) grid cell, and
-    the weight normalizers, evaluated in row blocks.
+    the weight normalizers, evaluated in row blocks spread over up to
+    ``_THREADS`` threads.
 
     When qkey/tkey are given, training columns whose key equals the query
     row's key are excluded (CV fold masking and jackknifing). Returns
@@ -186,44 +203,72 @@ def density_grid(
     inv_s = 1.0 / st
     inv_s2 = inv_s * inv_s
     inv_s3 = inv_s2 * inv_s
-    step = max(1, min(m, _BLOCK_ELEMS // ((ns + 3 * nx + 3) * max(n, 1))))
-    w_buf = np.empty((ns, step, n))       # masked weight numerators, one plane per h_sigma
-    k_buf = np.empty((3 * nx, step, n))   # kernel rows, one plane per (h_x, component)
-    a_buf, p1_buf, p2_buf = np.empty((3, step, n))
     hcol = hx[:, None, None]
-    for lo in range(0, m, step):
-        hi = min(m, lo + step)
-        w, k = w_buf[:, : hi - lo], k_buf[:, : hi - lo]
-        a, p1, p2 = a_buf[: hi - lo], p1_buf[: hi - lo], p2_buf[: hi - lo]
-        np.subtract(sq[lo:hi, None], st, out=a)
-        a *= a
-        np.multiply(a, wscale, out=w)
-        np.exp(w, out=w)
-        if qkey is not None:
-            w *= qkey[lo:hi, None] != tkey
-        ws = w.sum(axis=-1)
-        wsum[:, lo:hi] = ws
-        np.subtract(xq[lo:hi, None], xt, out=a)      # dx
-        np.multiply(a, inv_s3, out=p1)               # dx / s^3
-        np.multiply(p1, a, out=p2)
-        p2 *= inv_s2                                 # dx^2 / s^5
-        a *= a
-        a *= -0.5 * inv_s2                           # -dx^2 / (2 s^2)
-        for i, h in enumerate(hx):
-            e, k1, k2 = k[3 * i], k[3 * i + 1], k[3 * i + 2]
-            np.multiply(a, 1.0 / (h * h), out=e)
-            np.exp(e, out=e)                         # E = exp(-u^2 / 2)
-            np.multiply(e, p1, out=k1)               # E dx / s^3
-            np.multiply(p2, 1.0 / (h * h), out=k2)
-            k2 -= inv_s3
-            k2 *= e                                  # E (u^2 - 1) / s^3
-            e *= inv_s                               # E / s
-        s = _contract(w, k).reshape(hi - lo, ns, nx, 3).transpose(3, 2, 1, 0)
-        norm = SQRT_2PI * ws
-        f[:, :, lo:hi] = s[0] / (hcol * norm)
-        norm3 = hcol**3 * norm
-        f1[:, :, lo:hi] = -s[1] / norm3
-        f2[:, :, lo:hi] = s[2] / norm3
+    row = (ns + 3 * nx + 3) * max(n, 1)   # block-matrix elements per query row
+    workers = max(1, min(_THREADS, -(-m // max(1, _BLOCK_ELEMS // row))))
+    step = max(1, min(-(-m // workers), _BLOCK_ELEMS // (workers * row)))
+    # per worker: masked weight numerators (one plane per h_sigma), kernel
+    # rows (one per (h_x, component)) and three scratch planes. The
+    # allocation is always the whole budget (untouched pages cost no memory),
+    # so malloc sees one size and reuses it: sizes that varied by call kept
+    # freed buffers resident under glibc's moving mmap threshold, 12 MB more
+    # peak RSS on an MSE replication.
+    shape = (workers, ns + 3 * nx + 3, step, n)
+    bufs = np.empty(max(math.prod(shape), _BLOCK_ELEMS))[: math.prod(shape)].reshape(shape)
+
+    # workers take the next block as they come free; the calling thread is one
+    blocks, lock = iter(range(0, m, step)), threading.Lock()
+
+    def take():
+        with lock:
+            return next(blocks, None)
+
+    # NumPy's error state is per thread, so each worker sets its own
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
+    def fill(buf):
+        while (lo := take()) is not None:
+            hi = min(m, lo + step)
+            w, k = buf[:ns, : hi - lo], buf[ns : ns + 3 * nx, : hi - lo]
+            a, p1, p2 = buf[ns + 3 * nx :, : hi - lo]
+            np.subtract(sq[lo:hi, None], st, out=a)
+            a *= a
+            np.multiply(a, wscale, out=w)
+            np.exp(w, out=w)
+            if qkey is not None:
+                w *= qkey[lo:hi, None] != tkey
+            ws = w.sum(axis=-1)
+            wsum[:, lo:hi] = ws
+            np.subtract(xq[lo:hi, None], xt, out=a)      # dx
+            np.multiply(a, inv_s3, out=p1)               # dx / s^3
+            np.multiply(p1, a, out=p2)
+            p2 *= inv_s2                                 # dx^2 / s^5
+            a *= a
+            a *= -0.5 * inv_s2                           # -dx^2 / (2 s^2)
+            for i, h in enumerate(hx):
+                e, k1, k2 = k[3 * i], k[3 * i + 1], k[3 * i + 2]
+                np.multiply(a, 1.0 / (h * h), out=e)
+                np.exp(e, out=e)                         # E = exp(-u^2 / 2)
+                np.multiply(e, p1, out=k1)               # E dx / s^3
+                np.multiply(p2, 1.0 / (h * h), out=k2)
+                k2 -= inv_s3
+                k2 *= e                                  # E (u^2 - 1) / s^3
+                e *= inv_s                               # E / s
+            s = _contract(w, k).reshape(hi - lo, ns, nx, 3).transpose(3, 2, 1, 0)
+            norm = SQRT_2PI * ws
+            f[:, :, lo:hi] = s[0] / (hcol * norm)
+            norm3 = hcol**3 * norm
+            f1[:, :, lo:hi] = -s[1] / norm3
+            f2[:, :, lo:hi] = s[2] / norm3
+
+    with _one_blas_thread():
+        if workers == 1:
+            fill(bufs[0])
+        else:
+            with ThreadPoolExecutor(workers - 1) as pool:
+                done = [pool.submit(fill, buf) for buf in bufs[1:]]
+                fill(bufs[0])
+                for d in done:
+                    d.result()
     return f, f1, f2, wsum
 
 

@@ -15,9 +15,16 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import expit, ndtr
 
 from .kernel import SQRT_2PI
+
+
+def _special():
+    """scipy.special, imported on first use: loading it costs about 0.3 s,
+    which commands that never evaluate ndtr or expit do not pay."""
+    import scipy.special
+
+    return scipy.special
 
 
 def _phi(d, s):
@@ -50,7 +57,7 @@ class NormalPrior:
 
     def marginal_survival(self, t, sigma):
         v = np.sqrt(np.asarray(sigma, dtype=float) ** 2 + self.tau**2)
-        return ndtr((self.m - np.asarray(t, dtype=float)) / v)
+        return _special().ndtr((self.m - np.asarray(t, dtype=float)) / v)
 
     def marginal_score(self, x, sigma):
         v2 = np.asarray(sigma, dtype=float) ** 2 + self.tau**2
@@ -98,7 +105,7 @@ class SparseMixPrior:
         with np.errstate(divide="ignore"):
             l0 = np.log(self.p0) - 0.5 * (x / s) ** 2 - np.log(s)
             l1 = np.log(1.0 - self.p0) - 0.5 * ((x - self.m) / v) ** 2 - np.log(v)
-        return expit(l0 - l1)
+        return _special().expit(l0 - l1)
 
     def marginal_pdf(self, x, sigma):
         x = np.asarray(x, dtype=float)
@@ -110,7 +117,8 @@ class SparseMixPrior:
         t = np.asarray(t, dtype=float)
         s = np.asarray(sigma, dtype=float)
         v = np.sqrt(s**2 + self.tau**2)
-        return self.p0 * ndtr(-t / s) + (1.0 - self.p0) * ndtr((self.m - t) / v)
+        sp = _special()
+        return self.p0 * sp.ndtr(-t / s) + (1.0 - self.p0) * sp.ndtr((self.m - t) / v)
 
     def marginal_score(self, x, sigma):
         x = np.asarray(x, dtype=float)
@@ -155,7 +163,7 @@ class TwoPointPrior:
         with np.errstate(divide="ignore"):
             la = np.log(self.p0) - 0.5 * ((x - self.a) / s) ** 2
             lb = np.log(1.0 - self.p0) - 0.5 * ((x - self.b) / s) ** 2
-        return expit(la - lb)
+        return _special().expit(la - lb)
 
     def marginal_pdf(self, x, sigma):
         x = np.asarray(x, dtype=float)
@@ -165,7 +173,8 @@ class TwoPointPrior:
     def marginal_survival(self, t, sigma):
         t = np.asarray(t, dtype=float)
         s = np.asarray(sigma, dtype=float)
-        return self.p0 * ndtr((self.a - t) / s) + (1.0 - self.p0) * ndtr((self.b - t) / s)
+        sp = _special()
+        return self.p0 * sp.ndtr((self.a - t) / s) + (1.0 - self.p0) * sp.ndtr((self.b - t) / s)
 
     def marginal_score(self, x, sigma):
         x = np.asarray(x, dtype=float)

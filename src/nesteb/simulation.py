@@ -19,6 +19,7 @@ from typing import Union
 
 import numpy as np
 
+from . import kernel
 from .data import HeteroSample, derive_seed, kfold_split
 from .errors import EmptyMonteCarlo, NoFeasibleRoot, ZeroTailMass
 from .estimators import (
@@ -222,13 +223,26 @@ def _mse_rep(args) -> tuple[int, dict[str, float]]:
     return rep, out
 
 
+def kernel_threads(threads: int, jobs: int) -> int:
+    """Kernel threads per density_grid call in each process that runs `jobs`
+    jobs through _run_indexed on `threads` worker processes: the CPUs shared
+    out among the processes, so that they do not oversubscribe them."""
+    processes = min(threads, jobs)
+    return kernel._THREADS if processes <= 1 else max(1, kernel._THREADS // processes)
+
+
+def _set_kernel_threads(count: int) -> None:
+    kernel._THREADS = count
+
+
 def _run_indexed(worker, argslist, threads: int):
     """Run `worker` over argslist, possibly in a process pool; results are
     re-ordered by the leading index so output never depends on scheduling."""
     if threads <= 1 or len(argslist) <= 1:
         results = [worker(a) for a in argslist]
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        count = kernel_threads(threads, len(argslist))
+        with ProcessPoolExecutor(threads, initializer=_set_kernel_threads, initargs=(count,)) as pool:
             results = list(pool.map(worker, argslist))
     return [payload for _, payload in sorted(results, key=lambda t: t[0])]
 

@@ -2,11 +2,15 @@ import csv
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import nesteb.kernel
 from nesteb.cli import _parse_estimators, main
 from nesteb.data import Bandwidths
 from nesteb.errors import NonsensicalCounts
@@ -374,3 +378,36 @@ class TestPrepGapCommand:
         assert rc == 1
         err = capsys.readouterr().err.strip().splitlines()[-1]
         assert json.loads(err)["error"] == "NonsensicalCounts"
+
+
+def test_manifest_reports_kernel_threads(tmp_path, caplog, monkeypatch):
+    # kernel threads per density_grid call: the process's own count, or its
+    # share of it in each worker process of a pooled run
+    monkeypatch.setattr(nesteb.kernel, "_THREADS", 4)
+    rng = np.random.default_rng(6)
+    inp = tmp_path / "in.csv"
+    write_sample_csv(inp, rng.normal(size=40), rng.uniform(0.5, 1.5, 40))
+    caplog.set_level(logging.INFO, logger="nesteb")
+    runs = [
+        (["estimate", "--input", str(inp), "--folds", "4"], 4),
+        (["tune", "--input", str(inp), "--folds", "4"], 4),
+        (["simulate", "--scenario", "normal", "--n", "60", "--reps", "2", "--estimators", "naive",
+          "--threads", "2"], 2),
+        (["simulate", "--scenario", "normal", "--n", "60", "--reps", "1", "--estimators", "naive",
+          "--threads", "2"], 4),
+        (["bias", "--setting", "single-center", "--reps", "1", "--select-k", "2", "--n", "60",
+          "--folds", "3"], 4),
+    ]
+    for i, (argv, threads) in enumerate(runs):
+        assert main(argv + ["--output", str(tmp_path / f"out{i}.csv")]) == 0
+        manifest = json.loads(caplog.records[-1].getMessage())["manifest"]
+        assert (manifest["command"], manifest["kernel_threads"]) == (argv[0], threads)
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    src = os.path.dirname(os.path.dirname(nesteb.kernel.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, nesteb.cli\nprint('scipy.special' in sys.modules)\n"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120, check=True)
+    assert run.stdout.strip() == "False"

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -423,5 +424,100 @@ class TestDensityGrid:
         # the block matrices hold at most _BLOCK_ELEMS float64 elements; the
         # per-block temporaries (key mask, matmul result, per-cell quotients)
         # get a quarter of that again
+        budget = 8 * nesteb.kernel._BLOCK_ELEMS * 1.25
+        assert peak <= budget + sum(a.nbytes for a in out)
+
+
+class TestKernelThreads:
+    """Row blocks spread over kernel threads: same bits, pinned BLAS, same budget."""
+
+    @pytest.mark.parametrize("block_rows", [1, 13])
+    @pytest.mark.parametrize("case", TestDensityGrid.CASES)
+    def test_thread_count_does_not_change_output(self, monkeypatch, case, block_rows):
+        # 13-row blocks split 30 queries unevenly under 1, 2 and 3 threads; the
+        # first two queries alone give fewer blocks, and rows, than 3 threads
+        xq, sq, xt, st, hxs, hss, key = grid_case(case)
+        monkeypatch.setattr(nesteb.kernel, "_THREADS", 1)
+        full = density_grid(xq, sq, xt, st, hxs, hss, key, key)
+        head = density_grid(xq[:2], sq[:2], xt, st, hxs, hss, None if key is None else key[:2], key)
+        row = (len(hss) + 3 * len(hxs) + 3) * len(xt)
+        monkeypatch.setattr(nesteb.kernel, "_BLOCK_ELEMS", block_rows * row)
+        for threads in (1, 2, 3):
+            monkeypatch.setattr(nesteb.kernel, "_THREADS", threads)
+            got = density_grid(xq, sq, xt, st, hxs, hss, key, key)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in full]
+            got = density_grid(xq[:2], sq[:2], xt, st, hxs, hss, None if key is None else key[:2], key)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in head]
+        assert np.isnan(full[0]).any() == (case == "weight-underflow")
+
+    def test_worker_threads_run_gemms_on_one_blas_thread(self, monkeypatch):
+        get, set_ = nesteb.kernel._openblas_threads()
+        before = get()
+        contract = nesteb.kernel._contract
+        seen = {}
+        meet = threading.Barrier(2, timeout=60)
+
+        def spy(w, k):
+            # each thread's first block waits for the other's, so both run one
+            if threading.get_ident() not in seen:
+                seen[threading.get_ident()] = []
+                meet.wait()
+            seen[threading.get_ident()].append(get())
+            return contract(w, k)
+
+        xq, sq, xt, st, hxs, hss, key = grid_case("heteroscedastic-3x3")
+        monkeypatch.setattr(nesteb.kernel, "_contract", spy)
+        monkeypatch.setattr(nesteb.kernel, "_THREADS", 2)
+        monkeypatch.setattr(nesteb.kernel, "_BLOCK_ELEMS", (3 + 9 + 3) * len(xt))  # one row per block
+        set_(2)
+        try:
+            density_grid(xq, sq, xt, st, hxs, hss, key, key)
+            assert get() == 2
+        finally:
+            set_(before)
+        assert len(seen) == 2 and threading.get_ident() in seen
+        assert sum(map(len, seen.values())) == len(xq)
+        assert all(c == 1 for counts in seen.values() for c in counts)
+
+    def test_every_block_runs_once_under_contention(self, monkeypatch):
+        # more threads than cores and a short switch interval: a block taken
+        # twice or skipped would show in the count or in the bits
+        xq, sq, xt, st, hxs, hss, key = grid_case("heteroscedastic-3x3")
+        ref = density_grid(xq, sq, xt, st, hxs, hss, key, key)
+        contract = nesteb.kernel._contract
+        rows = []
+
+        def count(w, k):
+            rows.append(w.shape[1])
+            return contract(w, k)
+
+        monkeypatch.setattr(nesteb.kernel, "_contract", count)
+        monkeypatch.setattr(nesteb.kernel, "_THREADS", 2 * len(os.sched_getaffinity(0)) + 1)
+        monkeypatch.setattr(nesteb.kernel, "_BLOCK_ELEMS", (3 + 9 + 3) * len(xt))  # one row per block
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                rows.clear()
+                got = density_grid(xq, sq, xt, st, hxs, hss, key, key)
+                assert rows == [1] * len(xq)
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_peak_memory_follows_block_budget_on_two_threads(self, monkeypatch):
+        monkeypatch.setattr(nesteb.kernel, "_THREADS", 2)
+        rng = np.random.default_rng(8)
+        n = 2000
+        x, s = rng.normal(size=n), rng.uniform(0.4, 2.0, n)
+        key = kfold_split(n, 10, 0).fold_of
+        grid = tuple(0.1 * k for k in range(1, 11))
+        tracemalloc.start()
+        try:
+            out = density_grid(x, s, x, s, grid, grid, key, key)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the same bound as on one thread: the budget covers both workers
         budget = 8 * nesteb.kernel._BLOCK_ELEMS * 1.25
         assert peak <= budget + sum(a.nbytes for a in out)

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import nesteb.kernel
 from nesteb.data import Bandwidths
 from nesteb.errors import EmptyMonteCarlo, NoFeasibleRoot, ZeroTailMass
 from nesteb.estimators import EstimatorSpec, Naive, Nest, Oracle, TF
 from nesteb.priors import NormalPrior, SparseMixPrior, TwoPointPrior, point_mass
 from nesteb.simulation import (
+    _run_indexed,
     SimScenario,
     TwoValueSigma,
     UniformSigma,
@@ -233,6 +235,21 @@ class TestBiasExperiment:
             run_bias_experiment("three-center", reps=1, select_k=2, seed=1, n=50)
         with pytest.raises(EmptyMonteCarlo):
             run_bias_experiment("single-center", reps=0, select_k=2, seed=1, n=50)
+
+
+def kernel_threads_here(i):
+    return i, nesteb.kernel._THREADS
+
+
+class TestRunIndexed:
+    def test_pool_workers_share_the_kernel_threads(self, monkeypatch):
+        # 4 CPUs over 2 worker processes: 2 kernel threads in each
+        monkeypatch.setattr(nesteb.kernel, "_THREADS", 4)
+        assert _run_indexed(kernel_threads_here, [0, 1, 2], threads=2) == [2, 2, 2]
+        assert _run_indexed(kernel_threads_here, [0, 1, 2], threads=3) == [1, 1, 1]
+        assert _run_indexed(kernel_threads_here, [0, 1], threads=8) == [2, 2]
+        assert _run_indexed(kernel_threads_here, [0, 1], threads=1) == [4, 4]
+        assert nesteb.kernel._THREADS == 4
 
 
 class TestTwoComponentFit:
