@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, kernel
+from . import __version__
 from .data import Bandwidths, validate_sample
 from .errors import NestError, NonsensicalCounts
 from .estimators import (
@@ -163,7 +163,13 @@ def cmd_estimate(args) -> int:
         for i in range(sample.n)
     )
     write_csv_atomic(args.output, header, rows)
-    _manifest("estimate", args, resolved=resolved_log, truncate=bound, kernel_threads=kernel._THREADS)
+    _manifest(
+        "estimate",
+        args,
+        resolved=resolved_log,
+        truncate=bound,
+        kernel_threads=kernel_threads(args.threads, 1),
+    )
     return 0
 
 
@@ -190,7 +196,7 @@ def cmd_tune(args) -> int:
         args,
         grid={"h_x": list(grid.h_x_values), "h_sigma": list(grid.h_sigma_values), "folds": grid.k},
         argmin={"h_x": am.h_x, "h_sigma": am.h_sigma},
-        kernel_threads=kernel._THREADS,
+        kernel_threads=kernel_threads(args.threads, 1),
     )
     return 0
 

@@ -39,14 +39,15 @@ constant, so output does not depend on the grid or on ``_BLOCK_ELEMS``
 either.
 
 Thread rule: the row blocks are spread over W kernel threads, W = the
-smaller of ``_THREADS`` (the CPUs in the process's affinity mask) and the
-number of blocks the call needs at the full budget; a call of one block runs
-inline and starts no thread. NumPy's exp, elementwise ufuncs, sums and
-matmul release the GIL, so the threads run in parallel. Rows are
-independent, so output does not depend on W either: it is bitwise the same
-under any thread count. ``_BLOCK_ELEMS`` is the budget of all workers
-together; the caller allocates every worker's block matrices as one array
-before the fan-out.
+smallest of ``_THREADS`` (the CPUs in the process's affinity mask), the
+number of query rows the budget holds and the number of blocks the call
+needs at the full budget; a call of one block runs inline and starts no
+thread. Worker i takes blocks i, i + W, i + 2W, ... NumPy's exp,
+elementwise ufuncs, sums and matmul release the GIL, so the threads run in
+parallel. Rows are independent, so output does not depend on W either: it
+is bitwise the same under any thread count. ``_BLOCK_ELEMS`` is the budget
+of all workers together; the caller allocates every worker's block matrices
+as one array before the fan-out.
 
 BLAS rule: the gemms run with the OpenBLAS bundled with NumPy pinned to one
 thread (its ``scipy_openblas_set_num_threads64_``, called through ctypes),
@@ -90,9 +91,9 @@ SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 # kernel threads together, in elements (12 MB of float64).
 _BLOCK_ELEMS = 3 << 19
 
-# Threads a density_grid call may use (fewer when it has fewer row blocks):
-# the CPUs this process may run on. Pool workers lower it to their share
-# (simulation._run_indexed).
+# Threads a density_grid call may use (fewer when it needs fewer row blocks
+# or the budget holds fewer rows): the CPUs this process may run on. Pool
+# workers lower it to their share (simulation._run_indexed).
 _THREADS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 # Columns per gemm in the training-index sum (the gemm's k dimension). A
@@ -205,8 +206,11 @@ def density_grid(
     inv_s3 = inv_s2 * inv_s
     hcol = hx[:, None, None]
     row = (ns + 3 * nx + 3) * max(n, 1)   # block-matrix elements per query row
-    workers = max(1, min(_THREADS, -(-m // max(1, _BLOCK_ELEMS // row))))
-    step = max(1, min(-(-m // workers), _BLOCK_ELEMS // (workers * row)))
+    fit = max(1, _BLOCK_ELEMS // row)     # rows the budget holds (at least one)
+    # at most one worker per row the budget holds, so all blocks in flight
+    # fit it; with two or more workers m > fit, so each gets a block or more
+    workers = max(1, min(_THREADS, fit, -(-m // fit)))
+    step = max(1, min(m, fit // workers))
     # per worker: masked weight numerators (one plane per h_sigma), kernel
     # rows (one per (h_x, component)) and three scratch planes. The
     # allocation is always the whole budget (untouched pages cost no memory),
@@ -216,17 +220,12 @@ def density_grid(
     shape = (workers, ns + 3 * nx + 3, step, n)
     bufs = np.empty(max(math.prod(shape), _BLOCK_ELEMS))[: math.prod(shape)].reshape(shape)
 
-    # workers take the next block as they come free; the calling thread is one
-    blocks, lock = iter(range(0, m, step)), threading.Lock()
-
-    def take():
-        with lock:
-            return next(blocks, None)
-
+    # worker i takes blocks i, i + W, i + 2W, ...; the calling thread is worker 0
     # NumPy's error state is per thread, so each worker sets its own
     @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-    def fill(buf):
-        while (lo := take()) is not None:
+    def fill(worker):
+        buf = bufs[worker]
+        for lo in range(worker * step, m, workers * step):
             hi = min(m, lo + step)
             w, k = buf[:ns, : hi - lo], buf[ns : ns + 3 * nx, : hi - lo]
             a, p1, p2 = buf[ns + 3 * nx :, : hi - lo]
@@ -262,11 +261,11 @@ def density_grid(
 
     with _one_blas_thread():
         if workers == 1:
-            fill(bufs[0])
+            fill(0)
         else:
             with ThreadPoolExecutor(workers - 1) as pool:
-                done = [pool.submit(fill, buf) for buf in bufs[1:]]
-                fill(bufs[0])
+                done = [pool.submit(fill, i) for i in range(1, workers)]
+                fill(0)
                 for d in done:
                     d.result()
     return f, f1, f2, wsum

@@ -224,9 +224,10 @@ def _mse_rep(args) -> tuple[int, dict[str, float]]:
 
 
 def kernel_threads(threads: int, jobs: int) -> int:
-    """Kernel threads per density_grid call in each process that runs `jobs`
-    jobs through _run_indexed on `threads` worker processes: the CPUs shared
-    out among the processes, so that they do not oversubscribe them."""
+    """Cap on the kernel threads of one density_grid call in each process
+    that runs `jobs` jobs through _run_indexed on `threads` worker processes:
+    the CPUs shared out among the processes, so that they do not
+    oversubscribe them. A call uses fewer when it needs fewer row blocks."""
     processes = min(threads, jobs)
     return kernel._THREADS if processes <= 1 else max(1, kernel._THREADS // processes)
 

@@ -381,8 +381,9 @@ class TestPrepGapCommand:
 
 
 def test_manifest_reports_kernel_threads(tmp_path, caplog, monkeypatch):
-    # kernel threads per density_grid call: the process's own count, or its
-    # share of it in each worker process of a pooled run
+    # the cap on the kernel threads of one density_grid call: the process's
+    # own count, or its share of it in each worker process of a pooled run.
+    # A call with fewer blocks uses fewer (these n=40 estimates run inline).
     monkeypatch.setattr(nesteb.kernel, "_THREADS", 4)
     rng = np.random.default_rng(6)
     inp = tmp_path / "in.csv"
