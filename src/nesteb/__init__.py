@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .data import (
     Bandwidths,
-    FoldAssignment,
     HeteroSample,
     kfold_split,
     validate_sample,
@@ -54,7 +53,6 @@ from .sure import (
 __all__ = [
     "Bandwidths",
     "EstimatorSpec",
-    "FoldAssignment",
     "HeteroSample",
     "KGroups",
     "KernelContext",

@@ -1,8 +1,11 @@
 """Command-line interface.
 
-Every command honors --seed and --threads, emits a one-line JSON manifest to
-the diagnostic stream (resolved bandwidths, grid, seed, version), exits 0 on
-success, and prints a single machine-readable JSON error line on failure.
+Every command emits a one-line JSON manifest to the diagnostic stream
+(resolved bandwidths, grid, seed, version), exits 0 on success, and prints a
+single machine-readable JSON error line on failure. Commands that draw folds
+or data (estimate, tune, simulate, bias) take --seed; simulate and bias, the
+ones with a process pool, take --threads. Kernel threads follow the CPU
+affinity mask (`taskset` bounds them); no output depends on either count.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .estimators import (
     Oracle,
     Scaled,
     TF,
+    check_truncation_bound,
     check_unique_names,
     default_truncation_bound,
     estimate,
@@ -138,15 +142,15 @@ def cmd_estimate(args) -> int:
     for flag, users in _FLAG_USERS.items():
         if getattr(args, flag) is not None and not set(users) & set(methods):
             raise ValueError(f"--{flag} is used only by {', '.join(users)}; none of them was requested")
+    bound = None if args.truncate in (None, "auto") else check_truncation_bound(float(args.truncate))
     prior = _parse_prior(args.prior) if args.prior else None
     opts = argparse.Namespace(prior=prior, hx=args.hx, hsigma=args.hsigma, k=args.k_groups)
     chosen = [_METHODS[name](opts) for name in methods]
     ids, sample = _load_sample(args.input)
     if sample.n == 1:
         log.warning("single-row input: density fits degenerate to the query point itself")
-    bound = None
-    if args.truncate is not None:
-        bound = default_truncation_bound(sample.n) if args.truncate == "auto" else float(args.truncate)
+    if args.truncate == "auto":
+        bound = default_truncation_bound(sample.n)
 
     columns: dict[str, np.ndarray] = {}
     resolved_log: dict[str, object] = {}
@@ -168,7 +172,7 @@ def cmd_estimate(args) -> int:
         args,
         resolved=resolved_log,
         truncate=bound,
-        kernel_threads=kernel_threads(args.threads, 1),
+        kernel_threads=kernel_threads(1, 1),  # one process, no pool
     )
     return 0
 
@@ -196,7 +200,7 @@ def cmd_tune(args) -> int:
         args,
         grid={"h_x": list(grid.h_x_values), "h_sigma": list(grid.h_sigma_values), "folds": grid.k},
         argmin={"h_x": am.h_x, "h_sigma": am.h_sigma},
-        kernel_threads=kernel_threads(args.threads, 1),
+        kernel_threads=kernel_threads(1, 1),  # one process, no pool
     )
     return 0
 
@@ -356,12 +360,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Empirical Bayes shrinkage for heteroscedastic data: NEST, "
         "competitor rules, SURE bandwidth tuning, and simulation studies.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="64-bit base seed")
-    common.add_argument("--threads", type=int, default=1, help="worker processes (output is thread-count independent)")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="64-bit base seed")
+    pooled = argparse.ArgumentParser(add_help=False)
+    pooled.add_argument("--threads", type=int, default=1, help="worker processes (output is thread-count independent)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("estimate", parents=[common], help="estimate means from a CSV of (id, x, sigma)")
+    p = sub.add_parser("estimate", parents=[seeded], help="estimate means from a CSV of (id, x, sigma)")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--method", action="append", choices=list(_METHODS),
@@ -378,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="zero shrinkage estimates whose sign disagrees with x")
     p.set_defaults(func=cmd_estimate)
 
-    p = sub.add_parser("tune", parents=[common], help="SURE bandwidth surface and argmin")
+    p = sub.add_parser("tune", parents=[seeded], help="SURE bandwidth surface and argmin")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True, help="surface CSV (h_x, h_sigma, S)")
     p.add_argument("--grid-hx", help="comma list of h_x values")
@@ -386,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--folds", type=int, default=10)
     p.set_defaults(func=cmd_tune)
 
-    p = sub.add_parser("simulate", parents=[common], help="MSE study over one scenario cell")
+    p = sub.add_parser("simulate", parents=[seeded, pooled], help="MSE study over one scenario cell")
     p.add_argument("--scenario", choices=sorted(_SCENARIO_PRIORS), required=True)
     p.add_argument("--ratio", type=float, default=0.9, help="target var(mu)/var(X) in (0,1)")
     p.add_argument("--n", type=int)
@@ -399,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--full", action="store_true", help="n=5000, reps=50 unless overridden")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("bias", parents=[common], help="tail-selection bias experiment")
+    p = sub.add_parser("bias", parents=[seeded, pooled], help="tail-selection bias experiment")
     p.add_argument("--setting", choices=["single-center", "two-center"], required=True)
     p.add_argument("--reps", type=int, default=200)
     p.add_argument("--select-k", type=int, default=20, dest="select_k")
@@ -408,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="CSV of (estimator, rep, diff)")
     p.set_defaults(func=cmd_bias)
 
-    p = sub.add_parser("expfam", parents=[common], help="spot-evaluate an exponential-family posterior mean")
+    p = sub.add_parser("expfam", help="spot-evaluate an exponential-family posterior mean")
     p.add_argument("--family", choices=list(_FAMILIES), required=True)
     p.add_argument("--n-trials", type=int, dest="n_trials")
     p.add_argument("--r", type=int)
@@ -419,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output")
     p.set_defaults(func=cmd_expfam)
 
-    p = sub.add_parser("prep-gap", parents=[common], help="two-proportion gap preprocessing")
+    p = sub.add_parser("prep-gap", help="two-proportion gap preprocessing")
     p.add_argument("--input", required=True, help="CSV of (id, pass_A, n_A, pass_D, n_D)")
     p.add_argument("--output", required=True, help="CSV of (id, x, s), x and s in percentage points")
     p.add_argument("--filtered-log", dest="filtered_log", help="sidecar CSV (default: OUTPUT.filtered.csv)")

@@ -81,22 +81,11 @@ class Bandwidths:
             raise ValueError(f"h_sigma must be positive and finite, got {self.h_sigma}")
 
 
-@dataclass(frozen=True)
-class FoldAssignment:
-    """Assignment of indices ``0..n-1`` to ``K`` folds of near-equal size."""
-
-    fold_of: np.ndarray
-    k: int
-
-    @property
-    def n(self) -> int:
-        return self.fold_of.shape[0]
-
-
-def kfold_split(n: int, k: int, seed: int) -> FoldAssignment:
-    """Deterministic K-fold split: uniform random permutation (PCG64 keyed on
-    ``seed``) followed by round-robin assignment. Fold sizes differ by at most
-    one for any ``2 <= K <= n``.
+def kfold_split(n: int, k: int, seed: int) -> np.ndarray:
+    """Deterministic K-fold split of indices ``0..n-1``: uniform random
+    permutation (PCG64 keyed on ``seed``) followed by round-robin assignment.
+    Returns the read-only fold index of each point; fold sizes differ by at
+    most one for any ``2 <= K <= n``.
     """
     if not (2 <= k <= n):
         raise BadFoldCount(k, n)
@@ -105,7 +94,7 @@ def kfold_split(n: int, k: int, seed: int) -> FoldAssignment:
     fold_of = np.empty(n, dtype=np.int64)
     fold_of[perm] = np.arange(n, dtype=np.int64) % k
     fold_of.setflags(write=False)
-    return FoldAssignment(fold_of, int(k))
+    return fold_of
 
 
 def derive_seed(*parts: int) -> int:

@@ -54,7 +54,7 @@ class _Rule:
 
 @dataclass(frozen=True)
 class Naive(_Rule):
-    name: str = "naive"
+    name: ClassVar[str] = "naive"
     shrinks: ClassVar[bool] = False
 
     def apply(self, sample: HeteroSample) -> np.ndarray:
@@ -64,7 +64,7 @@ class Naive(_Rule):
 @dataclass(frozen=True)
 class Oracle(_Rule):
     prior: PriorSpec
-    name: str = "oracle"
+    name: ClassVar[str] = "oracle"
     shrinks: ClassVar[bool] = False
 
     def apply(self, sample: HeteroSample) -> np.ndarray:
@@ -78,7 +78,7 @@ class Nest(_Rule):
 
     bw: Bandwidths | None = None
     jackknife: bool = False
-    name: str = "nest"
+    name: ClassVar[str] = "nest"
 
     def apply(self, sample: HeteroSample) -> np.ndarray:
         return nest_estimates(sample, _resolved(self.bw, "NEST bandwidths"), jackknife=self.jackknife)
@@ -90,7 +90,7 @@ class Nest(_Rule):
 @dataclass(frozen=True)
 class TF(_Rule):
     h: float | None = None
-    name: str = "tf"
+    name: ClassVar[str] = "tf"
 
     def apply(self, sample: HeteroSample) -> np.ndarray:
         return tf_estimates(sample, _resolved(self.h, "TF bandwidth"))
@@ -102,7 +102,7 @@ class TF(_Rule):
 @dataclass(frozen=True)
 class Scaled(_Rule):
     h: float | None = None
-    name: str = "scaled"
+    name: ClassVar[str] = "scaled"
 
     def apply(self, sample: HeteroSample) -> np.ndarray:
         return scaled_estimates(sample, _resolved(self.h, "Scaled bandwidth"))
@@ -171,37 +171,18 @@ def check_unique_names(names: list[str]) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KGroupsFit:
-    """Sigma-quantile grouping: ``groups[g]`` holds ascending original indices
-    of the g-th contiguous sigma block."""
-
-    group_of: np.ndarray
-    groups: tuple[np.ndarray, ...]
-
-    @property
-    def k(self) -> int:
-        return len(self.groups)
-
-
-def k_groups_fit(sample: HeteroSample, k: int) -> KGroupsFit:
-    """Split into k near-equal contiguous sigma-quantile blocks.
+def k_groups_fit(sample: HeteroSample, k: int) -> tuple[np.ndarray, ...]:
+    """Split into k near-equal contiguous sigma-quantile blocks; the g-th
+    array holds the ascending original indices of the g-th block.
 
     Ties in sigma are broken by original index (stable sort). Group index
     arrays are returned in ascending original order so that within-group
     evaluation keeps the sample's own summation order.
     """
-    n = sample.n
-    if not (1 <= k <= n):
-        raise BadGroupCount(k, n)
+    if not (1 <= k <= sample.n):
+        raise BadGroupCount(k, sample.n)
     order = np.argsort(sample.sigma, kind="stable")
-    blocks = np.array_split(order, k)
-    groups = tuple(np.sort(b) for b in blocks)
-    group_of = np.empty(n, dtype=np.int64)
-    for g, idx in enumerate(groups):
-        group_of[idx] = g
-    group_of.setflags(write=False)
-    return KGroupsFit(group_of, groups)
+    return tuple(np.sort(b) for b in np.array_split(order, k))
 
 
 # ---------------------------------------------------------------------------
@@ -226,21 +207,26 @@ def scaled_estimates(sample: HeteroSample, h: float) -> np.ndarray:
 
 
 def kgroups_estimates(sample: HeteroSample, k: int, h_per_group) -> np.ndarray:
-    fit = k_groups_fit(sample, k)
+    groups = k_groups_fit(sample, k)
     hs = tuple(float(h) for h in h_per_group)
-    if len(hs) != fit.k:
-        raise BadGroupCount(k, sample.n, f"got {len(hs)} bandwidths for {fit.k} groups")
+    if len(hs) != k:
+        raise BadGroupCount(k, sample.n, f"got {len(hs)} bandwidths for {k} groups")
     out = np.empty(sample.n)
-    for g, idx in enumerate(fit.groups):
+    for g, idx in enumerate(groups):
         sub = sample.subset(idx)
         out[idx] = tf_estimates(sub, hs[g])
     return out
 
 
+def check_truncation_bound(bound: float) -> float:
+    if not (bound > 0):  # refuses nan too
+        raise ValueError(f"truncation bound must be positive, got {bound}")
+    return bound
+
+
 def truncate_estimates(mu_hat, bound: float) -> np.ndarray:
     """Clip each estimate to [-bound, +bound]."""
-    if not (bound > 0):
-        raise ValueError(f"truncation bound must be positive, got {bound}")
+    check_truncation_bound(bound)
     return np.clip(np.asarray(mu_hat, dtype=float), -bound, bound)
 
 

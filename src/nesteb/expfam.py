@@ -147,14 +147,9 @@ def lh_prime(p: FamilyPoint) -> float:
 def posterior_mean(p: FamilyPoint, score: ScoreEstimate) -> float:
     """Posterior mean of the family's parameter transform given the point and
     an injected marginal score."""
-    f, v = p.family, p.value
-    if isinstance(f, (Binomial, NegBinomial)):
-        return lh_prime(p) + score.lf1
-    if isinstance(f, Gamma):
-        return (f.alpha - 1.0) / v - score.lf1
-    # Beta
-    x = math.exp(v)
-    return (f.beta - 1.0) * x / (1.0 - x) + score.lf1
+    # Gamma reports the rate -eta; adding 0.0 keeps an exact zero unsigned
+    sign = -1.0 if isinstance(p.family, Gamma) else 1.0
+    return sign * (lh_prime(p) + score.lf1) + 0.0
 
 
 def discrete_lf1(pmf, x: int) -> ScoreEstimate:

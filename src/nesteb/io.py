@@ -21,8 +21,6 @@ class CsvFormatError(NestError):
 
 
 def fmt_value(v) -> str:
-    if isinstance(v, bool):
-        return str(v)
     if isinstance(v, float):
         return format(v, ".17g")
     return str(v)

@@ -183,8 +183,8 @@ class MseTable:
 
 def _pooled_h(xd, sample: HeteroSample, folds_k: int, seed: int, bracket_power: int = 4,
               selection: str = "penalized") -> float:
-    folds = kfold_split(sample.n, min(folds_k, sample.n), seed)
-    return tune_pooled(xd, sample.sigma, pooled_grid_for(xd), folds, bracket_power, selection).best_h
+    fold_of = kfold_split(sample.n, min(folds_k, sample.n), seed)
+    return tune_pooled(xd, sample.sigma, pooled_grid_for(xd), fold_of, bracket_power, selection).best_h
 
 
 # Method type -> (the field SURE tuning fills in, its tuner(method, sample,
@@ -270,9 +270,9 @@ def run_mse_study(
 
 
 def study_spec(method, prior: PriorSpec, n: int) -> EstimatorSpec:
-    """The studies' post-processing: NEST is truncated at 2 log n, and every
-    shrinkage rule is sign-stabilized exactly when the prior has a point mass
-    at zero; the oracle and naive rules are never modified."""
+    """The studies' post-processing: NEST is truncated at 2 log n, every
+    shrinkage rule is sign-stabilized exactly for a SparseMixPrior (not for a
+    TwoPointPrior, even at zero); oracle and naive rules stay unmodified."""
     bound = default_truncation_bound(n) if isinstance(method, Nest) else None
     return post_processed(method, bound, isinstance(prior, SparseMixPrior))
 
@@ -391,6 +391,8 @@ def run_bias_experiment(
         raise ValueError(f"setting must be one of {_BIAS_SETTINGS}, got {setting!r}")
     if reps < 1:
         raise EmptyMonteCarlo()
+    if select_k < 1:
+        raise ValueError(f"select_k must be >= 1, got {select_k}")
     argslist = [(setting, n, select_k, folds_k, seed, rep) for rep in range(reps)]
     payloads = _run_indexed(_bias_rep, argslist, threads)
     descriptor = f"{select_k} smallest of n={n}, {reps} reps, setting={setting}"

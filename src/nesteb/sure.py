@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Bandwidths, FoldAssignment, HeteroSample, kfold_split
+from .data import Bandwidths, HeteroSample, kfold_split
 from .errors import AllCellsDegenerate, BadGroupCount, EmptyMonteCarlo
 from .kernel import FLOOR, KernelContext, density_grid, in_sample_triple
 from .estimators import k_groups_fit
@@ -166,10 +166,10 @@ def tune(sample: HeteroSample, grid: SureGrid, selection: str = "penalized") -> 
 
     ``selection="penalized"`` (default) minimizes S(h) + SE{S(h)};
     ``selection="argmin"`` minimizes the raw S(h)."""
-    folds = kfold_split(sample.n, min(grid.k, sample.n), grid.seed)
+    fold_of = kfold_split(sample.n, min(grid.k, sample.n), grid.seed)
     pp, surface, scores, degenerate, (i, j) = _search(
         sample.x, sample.sigma, sample.sigma,
-        grid.h_x_values, grid.h_sigma_values, folds.fold_of, 4, selection,
+        grid.h_x_values, grid.h_sigma_values, fold_of, 4, selection,
     )
     return SureReport(
         tuple(grid.h_x_values),
@@ -200,7 +200,7 @@ def tune_pooled(
     xd,
     sigma_risk,
     h_values,
-    folds: FoldAssignment,
+    fold_of: np.ndarray,
     bracket_power: int = 4,
     selection: str = "penalized",
 ) -> PooledSureReport:
@@ -213,7 +213,7 @@ def tune_pooled(
     if len(hv) == 0 or not all(0 < h < np.inf for h in hv):
         raise ValueError("h_values must be nonempty, positive and finite")
     _, surface, scores, degenerate, (best, _) = _search(
-        xd, np.ones_like(xd), sigma_risk, hv, [1.0], folds.fold_of, bracket_power, selection
+        xd, np.ones_like(xd), sigma_risk, hv, [1.0], fold_of, bracket_power, selection
     )
     return PooledSureReport(hv, surface[:, 0], scores[:, 0], degenerate[:, 0], hv[best])
 
@@ -234,13 +234,12 @@ def pooled_grid_for(values) -> tuple[float, ...]:
 def tune_kgroups(sample: HeteroSample, k_groups: int, folds_k: int, seed: int) -> tuple[float, ...]:
     """Independent per-group TF bandwidths, each tuned by pooled SURE inside
     its own sigma-quantile group."""
-    fit = k_groups_fit(sample, k_groups)
     out = []
-    for g, idx in enumerate(fit.groups):
+    for g, idx in enumerate(k_groups_fit(sample, k_groups)):
         if idx.size < 2:
             raise BadGroupCount(k_groups, sample.n, f"group {g} too small to cross-fit")
-        folds = kfold_split(idx.size, min(folds_k, idx.size), seed)
-        rep = tune_pooled(sample.x[idx], sample.sigma[idx], pooled_grid_for(sample.x[idx]), folds)
+        fold_of = kfold_split(idx.size, min(folds_k, idx.size), seed)
+        rep = tune_pooled(sample.x[idx], sample.sigma[idx], pooled_grid_for(sample.x[idx]), fold_of)
         out.append(rep.best_h)
     return tuple(out)
 

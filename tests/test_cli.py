@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import nesteb.kernel
-from nesteb.cli import _parse_estimators, main
+from nesteb.cli import _parse_estimators, build_parser, main
 from nesteb.data import Bandwidths
 from nesteb.errors import NonsensicalCounts
 from nesteb.estimators import EstimatorSpec, Nest, estimate
@@ -142,10 +142,17 @@ class TestEstimateCommand:
         ["estimate", "--input", "{inp}.absent", "--method", "scaled", "--hsigma", "0.3"],
         ["estimate", "--input", "{inp}.absent", "--method", "naive", "--method", "oracle",
          "--prior", "normal:0,1", "--hx", "0.5", "--hsigma", "0.3"],
+        # a truncation bound that is not > 0, whatever the methods
+        ["estimate", "--input", "{inp}.absent", "--method", "nest", "--truncate", "0"],
+        ["estimate", "--input", "{inp}.absent", "--method", "naive", "--truncate", "0"],
+        ["estimate", "--input", "{inp}.absent", "--method", "tf", "--truncate=-1"],
+        ["estimate", "--input", "{inp}.absent", "--method", "scaled", "--truncate", "nan"],
+        ["bias", "--setting", "single-center", "--select-k", "-1", "--n", "50", "--reps", "1"],
     ],
     ids=["bad-kgroups-token", "descending-grid", "negative-hx", "ratio-above-one",
          "duplicate-method", "lone-hx-with-nest", "hx-with-kgroups", "hsigma-with-tf",
-         "hsigma-with-scaled", "both-flags-unused"],
+         "hsigma-with-scaled", "both-flags-unused", "zero-truncate-nest", "zero-truncate-naive",
+         "negative-truncate", "nan-truncate", "negative-select-k"],
 )
 def test_value_errors_exit_1_with_one_json_line(tmp_path, capsys, argv):
     inp, out = tmp_path / "in.csv", tmp_path / "out.csv"
@@ -155,6 +162,40 @@ def test_value_errors_exit_1_with_one_json_line(tmp_path, capsys, argv):
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "ValueError"
+
+
+def test_truncate_message_names_the_bound(tmp_path, capsys):
+    rc = main(["estimate", "--input", str(tmp_path / "absent.csv"), "--output", str(tmp_path / "o.csv"),
+               "--method", "naive", "--truncate", "0"])
+    assert rc == 1
+    detail = json.loads(capsys.readouterr().err.strip())["detail"]
+    assert detail == "truncation bound must be positive, got 0.0"
+
+
+# The flags each command takes: --seed where randomness is drawn (folds or
+# data), --threads where a process pool runs.
+_TAKES = {
+    "estimate": (["--input", "i.csv", "--output", "o.csv"], {"--seed"}),
+    "tune": (["--input", "i.csv", "--output", "o.csv"], {"--seed"}),
+    "simulate": (["--scenario", "normal", "--output", "o.csv"], {"--seed", "--threads"}),
+    "bias": (["--setting", "single-center", "--output", "o.csv"], {"--seed", "--threads"}),
+    "expfam": (["--family", "gamma", "--x", "1", "--lf1", "0"], set()),
+    "prep-gap": (["--input", "i.csv", "--output", "o.csv"], set()),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_TAKES))
+@pytest.mark.parametrize("flag", ["--seed", "--threads"])
+def test_parser_takes_seed_and_threads_only_where_used(command, flag, capsys):
+    required, takes = _TAKES[command]
+    argv = [command, *required, flag, "2"]
+    if flag in takes:
+        assert getattr(build_parser().parse_args(argv), flag[2:]) == 2
+    else:
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
 
 
 def estimate_near_float_limit(tmp_path, capsys, method_args):

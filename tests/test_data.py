@@ -61,21 +61,21 @@ class TestValidateSample:
 class TestKfoldSplit:
     def test_exact_division(self):
         f = kfold_split(10, 5, seed=3)
-        assert sorted(np.bincount(f.fold_of, minlength=f.k)) == [2, 2, 2, 2, 2]
+        assert sorted(np.bincount(f, minlength=5)) == [2, 2, 2, 2, 2]
 
     def test_near_equal_split(self):
         f = kfold_split(10, 3, seed=11)
-        assert sorted(np.bincount(f.fold_of, minlength=f.k), reverse=True) == [4, 3, 3]
+        assert sorted(np.bincount(f, minlength=3), reverse=True) == [4, 3, 3]
 
     def test_deterministic_for_fixed_seed(self):
         a = kfold_split(10, 5, seed=7)
         b = kfold_split(10, 5, seed=7)
-        np.testing.assert_array_equal(a.fold_of, b.fold_of)
+        np.testing.assert_array_equal(a, b)
 
     def test_seed_changes_assignment(self):
         a = kfold_split(50, 5, seed=1)
         b = kfold_split(50, 5, seed=2)
-        assert not np.array_equal(a.fold_of, b.fold_of)
+        assert not np.array_equal(a, b)
 
     @pytest.mark.parametrize("k", [0, 1, 11])
     def test_bad_fold_count(self, k):
@@ -88,17 +88,24 @@ class TestKfoldSplit:
             n = int(rng.integers(2, 200))
             k = int(rng.integers(2, n + 1))
             f = kfold_split(n, k, seed=int(rng.integers(0, 2**63)))
-            sizes = np.bincount(f.fold_of, minlength=f.k)
+            sizes = np.bincount(f, minlength=k)
             assert sizes.sum() == n
             assert sizes.max() - sizes.min() <= 1
-            seen = np.concatenate([np.flatnonzero(f.fold_of == g) for g in range(k)])
+            seen = np.concatenate([np.flatnonzero(f == g) for g in range(k)])
             assert sorted(seen) == list(range(n))
+
+    def test_returns_read_only_integer_array(self):
+        f = kfold_split(12, 4, seed=2)
+        assert f.shape == (12,) and np.issubdtype(f.dtype, np.integer)
+        assert not f.flags.writeable
+        with pytest.raises(ValueError):
+            f[0] = 1
 
     def test_complement_is_exact(self):
         f = kfold_split(9, 3, seed=5)
         for g in range(3):
-            inside = set(np.flatnonzero(f.fold_of == g))
-            outside = set(np.flatnonzero(f.fold_of != g))
+            inside = set(np.flatnonzero(f == g))
+            outside = set(np.flatnonzero(f != g))
             assert inside | outside == set(range(9))
             assert inside & outside == set()
 

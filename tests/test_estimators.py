@@ -146,14 +146,14 @@ class TestKGroups:
 
     def test_quantile_split_n4(self):
         s = validate_sample([10.0, 20.0, 30.0, 40.0], [1.0, 2.0, 3.0, 4.0])
-        fit = k_groups_fit(s, 2)
-        assert list(fit.groups[0]) == [0, 1]
-        assert list(fit.groups[1]) == [2, 3]
+        groups = k_groups_fit(s, 2)
+        assert list(groups[0]) == [0, 1]
+        assert list(groups[1]) == [2, 3]
 
     def test_sigma_ties_broken_by_index(self):
         s = validate_sample([1.0, 2.0, 3.0, 4.0], [1.0, 1.0, 1.0, 1.0])
-        fit = k_groups_fit(s, 2)
-        assert list(fit.groups[0]) == [0, 1]
+        groups = k_groups_fit(s, 2)
+        assert list(groups[0]) == [0, 1]
 
     def test_two_value_sigma_exact_separation(self):
         rng = np.random.default_rng(12)
@@ -161,12 +161,12 @@ class TestKGroups:
         sigma = np.where(rng.random(n) < 0.5, 1.0, 3.0)
         x = rng.normal(size=n) * sigma
         s = validate_sample(x, sigma)
-        fit = k_groups_fit(s, 2)
+        groups = k_groups_fit(s, 2)
         # exact group separation only when the two sigma values are balanced
         if (sigma == 1.0).sum() == n // 2:
-            assert np.all(sigma[fit.groups[0]] == 1.0)
+            assert np.all(sigma[groups[0]] == 1.0)
         got = kgroups_estimates(s, 2, [0.5, 0.5])
-        for g, idx in enumerate(fit.groups):
+        for g, idx in enumerate(groups):
             sub = s.subset(idx)
             np.testing.assert_allclose(got[idx], tf_estimates(sub, 0.5), rtol=1e-13)
 
@@ -179,8 +179,8 @@ class TestKGroups:
 
     def test_near_equal_group_sizes(self):
         s = random_sample(n=10, seed=13)
-        fit = k_groups_fit(s, 3)
-        sizes = sorted(len(g) for g in fit.groups)
+        groups = k_groups_fit(s, 3)
+        sizes = sorted(len(g) for g in groups)
         assert sizes == [3, 3, 4]
 
 

@@ -163,6 +163,32 @@ class TestPosteriorMean:
         got = posterior_mean(FamilyPoint(Beta(3.0), z), ScoreEstimate(0.25))
         assert got == pytest.approx(2.0 * 1.0 + 0.25, rel=1e-12)
 
+    def test_matches_per_family_formulas_bitwise(self):
+        # the module docstring's closed forms, written out per family
+        rng = np.random.default_rng(17)
+        for _ in range(500):
+            lf1 = float(rng.normal(0.0, 3.0))
+            n, xk = int(rng.integers(1, 40)), int(rng.integers(0, 40))
+            xk = min(xk, n)
+            got = posterior_mean(FamilyPoint(Binomial(n), xk), ScoreEstimate(lf1))
+            assert got == harmonic(xk) + harmonic(n - xk) - 2.0 * EULER_GAMMA + lf1
+            r = int(rng.integers(1, 20))
+            expect = (0.0 if r == 1 else harmonic(xk + r - 1) - harmonic(xk)) + lf1
+            assert posterior_mean(FamilyPoint(NegBinomial(r), xk), ScoreEstimate(lf1)) == expect
+            alpha, x = float(rng.uniform(0.1, 5.0)), float(rng.uniform(0.01, 10.0))
+            got = posterior_mean(FamilyPoint(Gamma(alpha), x), ScoreEstimate(lf1))
+            assert got == (alpha - 1.0) / x - lf1
+            beta, u = float(rng.uniform(0.1, 5.0)), float(rng.uniform(0.01, 0.99))
+            z = math.log(u)
+            got = posterior_mean(FamilyPoint(Beta(beta), z), ScoreEstimate(lf1))
+            assert got == (beta - 1.0) * math.exp(z) / (1.0 - math.exp(z)) + lf1
+
+    def test_gamma_exact_zero_is_unsigned(self):
+        # (alpha - 1)/x - l'_f is +0.0 when the two terms cancel
+        for alpha, x, lf1 in ((1.0, 2.0, 0.0), (3.0, 4.0, 0.5)):
+            got = posterior_mean(FamilyPoint(Gamma(alpha), x), ScoreEstimate(lf1))
+            assert got == 0.0 and math.copysign(1.0, got) == 1.0
+
 
 class TestDiscreteLf1:
     def test_uniform_pmf_is_flat(self):

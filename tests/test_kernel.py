@@ -306,7 +306,7 @@ def grid_case(name):
     rng = np.random.default_rng(21)
     n = 30
     x = rng.normal(size=n)
-    key = kfold_split(n, 4, 0).fold_of
+    key = kfold_split(n, 4, 0)
     if name == "heteroscedastic-3x3":
         s = rng.uniform(0.4, 2.0, n)
         return x, s, x, s, (0.3, 0.6, 1.0), (0.2, 0.5, 0.9), key
@@ -377,7 +377,7 @@ class TestDensityGrid:
             "    x, s = rng.normal(size=n), rng.uniform(0.4, 2.0, n)\n"
             "    if ns == 1 and nx > 1:\n"
             "        s = np.ones(n)\n"
-            "    key = kfold_split(n, 10, 0).fold_of\n"
+            "    key = kfold_split(n, 10, 0)\n"
             "    hx, hs = np.linspace(0.1, 1.0, nx), np.linspace(0.1, 1.0, ns)\n"
             "    for a in density_grid(x[:40], s[:40], x, s, hx, hs, key[:40], key):\n"
             "        h.update(a.tobytes())\n"
@@ -413,7 +413,7 @@ class TestDensityGrid:
         rng = np.random.default_rng(8)
         n = 2000
         x, s = rng.normal(size=n), rng.uniform(0.4, 2.0, n)
-        key = kfold_split(n, 10, 0).fold_of
+        key = kfold_split(n, 10, 0)
         grid = tuple(0.1 * k for k in range(1, 11))
         tracemalloc.start()
         try:
@@ -487,7 +487,7 @@ class TestKernelThreads:
         rng = np.random.default_rng(8)
         n = 2000
         x, s = rng.normal(size=n), rng.uniform(0.4, 2.0, n)
-        key = kfold_split(n, 10, 0).fold_of
+        key = kfold_split(n, 10, 0)
         grid = tuple(0.1 * k for k in range(1, 11))
         tracemalloc.start()
         try:

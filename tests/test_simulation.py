@@ -236,6 +236,12 @@ class TestBiasExperiment:
         with pytest.raises(EmptyMonteCarlo):
             run_bias_experiment("single-center", reps=0, select_k=2, seed=1, n=50)
 
+    @pytest.mark.parametrize("select_k", [0, -1])
+    def test_select_k_below_one_rejected(self, select_k):
+        # argsort(x)[:-1] would keep every point but the largest
+        with pytest.raises(ValueError, match="select_k must be >= 1"):
+            run_bias_experiment("single-center", reps=1, select_k=select_k, seed=1, n=50)
+
 
 def kernel_threads_here(i):
     return i, nesteb.kernel._THREADS

@@ -38,13 +38,13 @@ def compound_sure(sample, bw, k, seed):
     return tune(sample, grid, selection="argmin").surface[0, 0]
 
 
-def per_fold_reference(sample, bw, folds):
+def per_fold_reference(sample, bw, fold_of):
     """Per-point SURE by the reference loop: one context per fold complement,
     its held-out points scored as queries."""
     out = np.empty(sample.n)
-    for g in range(folds.k):
-        ctx = KernelContext(sample.subset(np.flatnonzero(folds.fold_of != g)), bw)
-        idx = np.flatnonzero(folds.fold_of == g)
+    for g in np.unique(fold_of):
+        ctx = KernelContext(sample.subset(np.flatnonzero(fold_of != g)), bw)
+        idx = np.flatnonzero(fold_of == g)
         f, f1, f2 = in_sample_triple(ctx, queries=(sample.x[idx], sample.sigma[idx]))
         out[idx] = _sure_values(f, f1, f2, sample.sigma[idx], 4)
     return out
@@ -84,9 +84,9 @@ class TestCompoundCv:
 
     def test_matches_per_fold_context_reference(self):
         s = random_sample(n=30, seed=1)
-        folds = kfold_split(30, 5, seed=9)
+        fold_of = kfold_split(30, 5, seed=9)
         bw = Bandwidths(0.5, 0.3)
-        total = per_fold_reference(s, bw, folds).sum()
+        total = per_fold_reference(s, bw, fold_of).sum()
         assert compound_sure(s, bw, k=5, seed=9) == pytest.approx(total, rel=1e-11)
 
     def test_deterministic(self):
@@ -98,17 +98,17 @@ class TestCompoundCv:
     def test_cv_hygiene_held_out_points_invisible(self):
         # moving x_i must not change the score of any point in i's own fold
         s = random_sample(n=24, seed=3)
-        folds = kfold_split(24, 4, seed=1)
+        fold_of = kfold_split(24, 4, seed=1)
         bw = Bandwidths(0.5, 0.3)
         i = 7
-        g = folds.fold_of[i]
+        g = fold_of[i]
         x2 = s.x.copy()
         x2[i] += 5.0
         s2 = validate_sample(x2, s.sigma)
 
-        a = per_fold_reference(s, bw, folds)
-        b = per_fold_reference(s2, bw, folds)
-        same_fold = np.flatnonzero(folds.fold_of == g)
+        a = per_fold_reference(s, bw, fold_of)
+        b = per_fold_reference(s2, bw, fold_of)
+        same_fold = np.flatnonzero(fold_of == g)
         untouched = same_fold[same_fold != i]
         np.testing.assert_array_equal(a[untouched], b[untouched])
         # and the compound path agrees with the reference on both samples
@@ -266,10 +266,10 @@ class TestTune:
 class TestTunePooled:
     def test_selects_from_grid_and_is_deterministic(self):
         s = random_sample(n=120, seed=8)
-        folds = kfold_split(120, 10, seed=4)
-        rep = tune_pooled(s.x, s.sigma, pooled_grid_for(s.x), folds)
+        fold_of = kfold_split(120, 10, seed=4)
+        rep = tune_pooled(s.x, s.sigma, pooled_grid_for(s.x), fold_of)
         assert rep.best_h in rep.h_values
-        rep2 = tune_pooled(s.x, s.sigma, pooled_grid_for(s.x), folds)
+        rep2 = tune_pooled(s.x, s.sigma, pooled_grid_for(s.x), fold_of)
         assert rep.best_h == rep2.best_h
         np.testing.assert_array_equal(rep.surface, rep2.surface)
 
@@ -278,8 +278,8 @@ class TestTunePooled:
         rng = np.random.default_rng(9)
         x = rng.normal(size=50)
         s_unit = validate_sample(x, np.ones(50))
-        folds = kfold_split(50, 5, seed=3)
-        pooled = tune_pooled(x, np.ones(50), (0.3, 0.6), folds)
+        fold_of = kfold_split(50, 5, seed=3)
+        pooled = tune_pooled(x, np.ones(50), (0.3, 0.6), fold_of)
         for idx, h in enumerate((0.3, 0.6)):
             ref = compound_sure(s_unit, Bandwidths(h, 1.0), k=5, seed=3)
             assert pooled.surface[idx] == pytest.approx(ref, rel=1e-12)
@@ -314,10 +314,10 @@ class TestGridEdges:
 
     def test_pooled_flag(self):
         s = self.zero_means()
-        folds = kfold_split(s.n, 5, seed=0)
-        rep = tune_pooled(s.x, s.sigma, pooled_grid_for(s.x), folds)
+        fold_of = kfold_split(s.n, 5, seed=0)
+        rep = tune_pooled(s.x, s.sigma, pooled_grid_for(s.x), fold_of)
         assert rep.best_h == rep.h_values[-1] and rep.on_edge is True
-        rep = tune_pooled(s.x, s.sigma, (0.1, 0.2, 0.3), folds)
+        rep = tune_pooled(s.x, s.sigma, (0.1, 0.2, 0.3), fold_of)
         assert rep.best_h == 0.2 and rep.on_edge is False
 
 
@@ -369,10 +369,10 @@ class TestGridValidation:
         x = np.array([1.0, 1e308, 2.0])
         with pytest.raises(ValueError, match="sd = inf"):
             pooled_grid_for(x)
-        folds = kfold_split(3, 3, seed=0)
+        fold_of = kfold_split(3, 3, seed=0)
         for bad in ((0.5, math.inf), (math.nan,)):
             with pytest.raises(ValueError, match="finite"):
-                tune_pooled([0.0, 1.0, 2.0], np.ones(3), bad, folds)
+                tune_pooled([0.0, 1.0, 2.0], np.ones(3), bad, fold_of)
 
     def test_default_grid_scales_with_sigma_spread(self):
         s = random_sample(n=50, seed=12)
