@@ -82,6 +82,13 @@ def _parse_prior(text: str):
     )
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _parse_floats(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(v) for v in text.split(","))
@@ -363,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=int, default=0, help="64-bit base seed")
     pooled = argparse.ArgumentParser(add_help=False)
-    pooled.add_argument("--threads", type=int, default=1, help="worker processes (output is thread-count independent)")
+    pooled.add_argument("--threads", type=positive_int, default=1, help="worker processes (output is thread-count independent)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("estimate", parents=[seeded], help="estimate means from a CSV of (id, x, sigma)")

@@ -1,8 +1,13 @@
 """Closed-form priors for the Gaussian noise model.
 
-Each prior knows its mean/variance, how to draw from itself, and the exact
-marginal quantities of X | sigma after convolving with N(0, sigma^2):
-density, survival function, score f'/f, and the posterior mean E(mu | x, sigma).
+Every prior is a Gaussian mixture sum_k w_k N(m_k, tau_k^2) with one or two
+components, where tau_k = 0 is a point mass at m_k; each class is one
+parameterization of it, listed by `components()`. Convolved with the noise
+N(0, sigma^2), component k is N(m_k, tau_k^2 + sigma^2), so the marginal
+density, survival function and score f'/f of X | sigma, and the posterior
+mean E(mu | x, sigma) (Tweedie's formula), all follow from the components.
+`variance()` is the one quantity written per class: the noise calibration
+reads its exact bits, and no single formula gives all three classes' bits.
 
 Posterior means and scores are assembled through different algebraic routes,
 so their agreement via the identity  E(mu|x,sigma) = x + sigma^2 f'/f  is a
@@ -20,8 +25,8 @@ from .kernel import SQRT_2PI
 
 
 def _special():
-    """scipy.special, imported on first use: loading it costs about 0.3 s,
-    which commands that never evaluate ndtr or expit do not pay."""
+    """scipy.special, imported on first use: loading it costs about 0.3 s, which
+    commands that evaluate no normal tail or mixture weight do not pay."""
     import scipy.special
 
     return scipy.special
@@ -31,8 +36,64 @@ def _phi(d, s):
     return np.exp(-0.5 * (d / s) ** 2) / (SQRT_2PI * s)
 
 
+def mixture_weight(x, w0, m0, s0, w1, m1, s1):
+    """Posterior probability that x was drawn from the first component of
+    w0 N(m0, s0^2) + w1 N(m1, s1^2), from the two log densities; a component
+    of weight 0 has log density -inf and probability 0."""
+    with np.errstate(divide="ignore"):
+        l0 = np.log(w0) - 0.5 * ((x - m0) / s0) ** 2 - np.log(s0)
+        l1 = np.log(w1) - 0.5 * ((x - m1) / s1) ** 2 - np.log(s1)
+    return _special().expit(l0 - l1)
+
+
+class _GaussianMixture:
+    """The mixture's quantities from `components()`, a tuple of one or two
+    (weight, location, tau) triples."""
+
+    # variance() is per class: solve_sigma_M reads bits no shared formula keeps.
+    def mean(self) -> float:
+        return sum(w * m for w, m, _ in self.components())
+
+    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        comps = self.components()
+        first = rng.random(n) < comps[0][0] if len(comps) == 2 else None
+        values = [m + tau * rng.standard_normal(n) if tau > 0 else m for _, m, tau in comps]
+        return values[0] if first is None else np.where(first, *values)
+
+    def _convolved(self, x, sigma):
+        """x and sigma^2 as arrays, and per component (w, m, tau, v2), v2 = sigma^2 + tau^2."""
+        s2 = np.asarray(sigma, dtype=float) ** 2
+        return np.asarray(x, dtype=float), s2, [(w, m, tau, s2 + tau**2) for w, m, tau in self.components()]
+
+    def marginal_pdf(self, x, sigma):
+        x, _, comps = self._convolved(x, sigma)
+        return sum(w * _phi(x - m, np.sqrt(v2)) for w, m, _, v2 in comps)
+
+    def marginal_survival(self, t, sigma):
+        t, _, comps = self._convolved(t, sigma)
+        return sum(w * _special().ndtr((m - t) / np.sqrt(v2)) for w, m, _, v2 in comps)
+
+    def marginal_score(self, x, sigma):
+        x, _, comps = self._convolved(x, sigma)
+        return _posterior_average(x, comps, [-(x - m) / v2 for _, m, _, v2 in comps])
+
+    def posterior_mean(self, x, sigma):
+        x, s2, comps = self._convolved(x, sigma)
+        means = [(tau**2 * x + s2 * m) / v2 if tau > 0 else m for _, m, tau, v2 in comps]
+        return _posterior_average(x, comps, means)
+
+
+def _posterior_average(x, comps, terms):
+    """sum_k P(component k | x, sigma) * terms[k]."""
+    if len(comps) == 1:
+        return terms[0]
+    (w0, m0, _, v0), (w1, m1, _, v1) = comps
+    r = mixture_weight(x, w0, m0, np.sqrt(v0), w1, m1, np.sqrt(v1))
+    return r * terms[0] + (1.0 - r) * terms[1]
+
+
 @dataclass(frozen=True)
-class NormalPrior:
+class NormalPrior(_GaussianMixture):
     """mu ~ N(m, tau^2)."""
 
     m: float
@@ -42,36 +103,15 @@ class NormalPrior:
         if not (self.tau > 0):
             raise ValueError("tau must be positive")
 
-    def mean(self) -> float:
-        return self.m
+    def components(self):
+        return ((1.0, self.m, self.tau),)
 
     def variance(self) -> float:
         return self.tau**2
 
-    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self.m + self.tau * rng.standard_normal(n)
-
-    def marginal_pdf(self, x, sigma):
-        v = np.sqrt(np.asarray(sigma, dtype=float) ** 2 + self.tau**2)
-        return _phi(np.asarray(x, dtype=float) - self.m, v)
-
-    def marginal_survival(self, t, sigma):
-        v = np.sqrt(np.asarray(sigma, dtype=float) ** 2 + self.tau**2)
-        return _special().ndtr((self.m - np.asarray(t, dtype=float)) / v)
-
-    def marginal_score(self, x, sigma):
-        v2 = np.asarray(sigma, dtype=float) ** 2 + self.tau**2
-        return -(np.asarray(x, dtype=float) - self.m) / v2
-
-    def posterior_mean(self, x, sigma):
-        x = np.asarray(x, dtype=float)
-        s2 = np.asarray(sigma, dtype=float) ** 2
-        t2 = self.tau**2
-        return (t2 * x + s2 * self.m) / (t2 + s2)
-
 
 @dataclass(frozen=True)
-class SparseMixPrior:
+class SparseMixPrior(_GaussianMixture):
     """Point mass at 0 with probability p0, else a draw from N(m, tau^2)."""
 
     p0: float
@@ -84,60 +124,17 @@ class SparseMixPrior:
         if not (self.tau > 0):
             raise ValueError("tau must be positive")
 
-    def mean(self) -> float:
-        return (1.0 - self.p0) * self.m
+    def components(self):
+        return ((self.p0, 0.0, 0.0), (1.0 - self.p0, self.m, self.tau))
 
     def variance(self) -> float:
         p1 = 1.0 - self.p0
         second = p1 * (self.tau**2 + self.m**2)
         return second - (p1 * self.m) ** 2
 
-    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        null = rng.random(n) < self.p0
-        signal = self.m + self.tau * rng.standard_normal(n)
-        return np.where(null, 0.0, signal)
-
-    def _null_posterior_weight(self, x, sigma):
-        # log-space posterior weight of the exact-zero component
-        x = np.asarray(x, dtype=float)
-        s = np.asarray(sigma, dtype=float)
-        v = np.sqrt(s**2 + self.tau**2)
-        with np.errstate(divide="ignore"):
-            l0 = np.log(self.p0) - 0.5 * (x / s) ** 2 - np.log(s)
-            l1 = np.log(1.0 - self.p0) - 0.5 * ((x - self.m) / v) ** 2 - np.log(v)
-        return _special().expit(l0 - l1)
-
-    def marginal_pdf(self, x, sigma):
-        x = np.asarray(x, dtype=float)
-        s = np.asarray(sigma, dtype=float)
-        v = np.sqrt(s**2 + self.tau**2)
-        return self.p0 * _phi(x, s) + (1.0 - self.p0) * _phi(x - self.m, v)
-
-    def marginal_survival(self, t, sigma):
-        t = np.asarray(t, dtype=float)
-        s = np.asarray(sigma, dtype=float)
-        v = np.sqrt(s**2 + self.tau**2)
-        sp = _special()
-        return self.p0 * sp.ndtr(-t / s) + (1.0 - self.p0) * sp.ndtr((self.m - t) / v)
-
-    def marginal_score(self, x, sigma):
-        x = np.asarray(x, dtype=float)
-        s2 = np.asarray(sigma, dtype=float) ** 2
-        v2 = s2 + self.tau**2
-        w0 = self._null_posterior_weight(x, sigma)
-        return w0 * (-x / s2) + (1.0 - w0) * (-(x - self.m) / v2)
-
-    def posterior_mean(self, x, sigma):
-        x = np.asarray(x, dtype=float)
-        s2 = np.asarray(sigma, dtype=float) ** 2
-        t2 = self.tau**2
-        w0 = self._null_posterior_weight(x, sigma)
-        component = (t2 * x + s2 * self.m) / (t2 + s2)
-        return (1.0 - w0) * component
-
 
 @dataclass(frozen=True)
-class TwoPointPrior:
+class TwoPointPrior(_GaussianMixture):
     """Point mass at a with probability p0, at b with probability 1 - p0."""
 
     p0: float
@@ -148,43 +145,11 @@ class TwoPointPrior:
         if not (0.0 <= self.p0 <= 1.0):
             raise ValueError("p0 must lie in [0, 1]")
 
-    def mean(self) -> float:
-        return self.p0 * self.a + (1.0 - self.p0) * self.b
+    def components(self):
+        return ((self.p0, self.a, 0.0), (1.0 - self.p0, self.b, 0.0))
 
     def variance(self) -> float:
         return self.p0 * (1.0 - self.p0) * (self.b - self.a) ** 2
-
-    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return np.where(rng.random(n) < self.p0, self.a, self.b)
-
-    def _weight_a(self, x, sigma):
-        x = np.asarray(x, dtype=float)
-        s = np.asarray(sigma, dtype=float)
-        with np.errstate(divide="ignore"):
-            la = np.log(self.p0) - 0.5 * ((x - self.a) / s) ** 2
-            lb = np.log(1.0 - self.p0) - 0.5 * ((x - self.b) / s) ** 2
-        return _special().expit(la - lb)
-
-    def marginal_pdf(self, x, sigma):
-        x = np.asarray(x, dtype=float)
-        s = np.asarray(sigma, dtype=float)
-        return self.p0 * _phi(x - self.a, s) + (1.0 - self.p0) * _phi(x - self.b, s)
-
-    def marginal_survival(self, t, sigma):
-        t = np.asarray(t, dtype=float)
-        s = np.asarray(sigma, dtype=float)
-        sp = _special()
-        return self.p0 * sp.ndtr((self.a - t) / s) + (1.0 - self.p0) * sp.ndtr((self.b - t) / s)
-
-    def marginal_score(self, x, sigma):
-        x = np.asarray(x, dtype=float)
-        s2 = np.asarray(sigma, dtype=float) ** 2
-        wa = self._weight_a(x, sigma)
-        return (wa * (self.a - x) + (1.0 - wa) * (self.b - x)) / s2
-
-    def posterior_mean(self, x, sigma):
-        wa = self._weight_a(x, sigma)
-        return wa * self.a + (1.0 - wa) * self.b
 
 
 PriorSpec = Union[NormalPrior, SparseMixPrior, TwoPointPrior]

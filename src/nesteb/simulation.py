@@ -35,7 +35,7 @@ from .estimators import (
     estimate,
     post_processed,
 )
-from .priors import PriorSpec, SparseMixPrior
+from .priors import PriorSpec, SparseMixPrior, mixture_weight
 from .sure import default_grid, pooled_grid_for, tune, tune_kgroups, tune_pooled
 
 
@@ -318,14 +318,7 @@ def tf_average_shrinkage(
         raise ValueError(f"p must lie in [0, 1], got {p}")
     v1s = tau * tau + sigma1 * sigma1
     v2s = tau * tau + sigma2 * sigma2
-    d = x - mu0
-    la = (math.log(p) if p > 0 else -math.inf) - 0.5 * d * d / v1s - 0.5 * math.log(v1s)
-    lb = (math.log1p(-p) if p < 1 else -math.inf) - 0.5 * d * d / v2s - 0.5 * math.log(v2s)
-    if la >= lb:
-        w = 1.0 / (1.0 + math.exp(lb - la))
-    else:
-        e = math.exp(la - lb)
-        w = e / (1.0 + e)
+    w = float(mixture_weight(x, p, mu0, math.sqrt(v1s), 1.0 - p, mu0, math.sqrt(v2s)))
     return (mu0 - x) * sigma1 * sigma1 * (w / v1s + (1.0 - w) / v2s)
 
 
@@ -333,9 +326,7 @@ def tf_average_shrinkage(
 class BiasExperimentResult:
     """Differences mu_hat - mu for the selected extremes, one row per rep."""
 
-    estimator: str
     diffs: np.ndarray  # shape (reps, select_k)
-    selection: str
 
     def flat(self) -> np.ndarray:
         return self.diffs.reshape(-1)
@@ -393,14 +384,11 @@ def run_bias_experiment(
         raise EmptyMonteCarlo()
     if select_k < 1:
         raise ValueError(f"select_k must be >= 1, got {select_k}")
+    if select_k > n:
+        raise ValueError(f"select_k must be <= n, got {select_k} > {n}")
     argslist = [(setting, n, select_k, folds_k, seed, rep) for rep in range(reps)]
     payloads = _run_indexed(_bias_rep, argslist, threads)
-    descriptor = f"{select_k} smallest of n={n}, {reps} reps, setting={setting}"
-    out = {}
-    for name in ("naive", "tf", "nest"):
-        diffs = np.stack([p[name] for p in payloads])
-        out[name] = BiasExperimentResult(name, diffs, descriptor)
-    return out
+    return {name: BiasExperimentResult(np.stack([p[name] for p in payloads])) for name in ("naive", "tf", "nest")}
 
 
 # ---------------------------------------------------------------------------
@@ -437,9 +425,7 @@ def fit_two_component(values) -> TwoComponentFit:
     s1 = s2 = max(float(np.std(v)) / 2.0, 1e-8)
     w1 = 0.5
     for _ in range(_EM_ITERS):
-        l1 = np.log(w1) - 0.5 * ((v - m1) / s1) ** 2 - math.log(s1)
-        l2 = np.log1p(-w1) - 0.5 * ((v - m2) / s2) ** 2 - math.log(s2)
-        r = 1.0 / (1.0 + np.exp(np.clip(l2 - l1, -700, 700)))
+        r = mixture_weight(v, w1, m1, s1, 1.0 - w1, m2, s2)
         t1 = max(float(r.sum()), 1e-12)
         t2 = max(float((1.0 - r).sum()), 1e-12)
         m1 = float((r * v).sum() / t1)

@@ -11,6 +11,10 @@ PRIORS = [
     SparseMixPrior(0.7, 3.0, 0.3),
     TwoPointPrior(0.5, 0.0, 3.0),
     TwoPointPrior(0.2, -1.0, 2.0),
+    # a component of zero weight: its log weight is -inf
+    pytest.param(SparseMixPrior(0.0, 3.0, 0.3), id="SparseMixPrior-no-null"),
+    pytest.param(SparseMixPrior(1.0, 3.0, 0.3), id="SparseMixPrior-all-null"),
+    pytest.param(point_mass(0.0), id="point_mass"),
 ]
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import nesteb.kernel
+import nesteb.simulation
 from nesteb.data import Bandwidths
 from nesteb.errors import EmptyMonteCarlo, NoFeasibleRoot, ZeroTailMass
 from nesteb.estimators import EstimatorSpec, Naive, Nest, Oracle, TF
@@ -144,6 +145,9 @@ class TestTfAverageShrinkage:
     def test_single_group_recovers_conjugate_correction(self):
         got = tf_average_shrinkage(2.0, 1.0, 0.5, 1.0, 3.0, 1.0)
         assert got == pytest.approx((1.0 - 2.0) * 1.0 / 1.25, rel=1e-12)
+        # p = 0: every point carries sigma2, so v^2 = tau^2 + sigma2^2
+        got = tf_average_shrinkage(2.0, 1.0, 0.5, 1.0, 3.0, 0.0)
+        assert got == pytest.approx((1.0 - 2.0) * 1.0 / (0.25 + 9.0), rel=1e-12)
 
     def test_equal_sigmas_ignore_weights(self):
         a = tf_average_shrinkage(2.5, 1.0, 0.5, 1.0, 1.0, 0.3)
@@ -241,6 +245,12 @@ class TestBiasExperiment:
         # argsort(x)[:-1] would keep every point but the largest
         with pytest.raises(ValueError, match="select_k must be >= 1"):
             run_bias_experiment("single-center", reps=1, select_k=select_k, seed=1, n=50)
+
+    def test_select_k_above_n_rejected(self, monkeypatch):
+        # argsort(x)[:k] would keep all n points; no replication may start
+        monkeypatch.setattr(nesteb.simulation, "_bias_rep", None)
+        with pytest.raises(ValueError, match="select_k must be <= n, got 31 > 30"):
+            run_bias_experiment("single-center", reps=1, select_k=31, seed=1, n=30)
 
 
 def kernel_threads_here(i):
