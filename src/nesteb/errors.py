@@ -30,7 +30,10 @@ class BadFoldCount(NestError):
     def __init__(self, k: int, n: int):
         self.k = k
         self.n = n
-        super().__init__(f"fold count K={k} must satisfy 2 <= K <= n={n}")
+        if n < 2:
+            super().__init__(f"cross-fitting needs n >= 2 points, got n={n} (fold count K={k})")
+        else:
+            super().__init__(f"fold count K={k} must satisfy 2 <= K <= n={n}")
 
 
 class DegenerateWeights(NestError):

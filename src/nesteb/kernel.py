@@ -38,6 +38,25 @@ does not depend on the block partition of the queries. The chunk width is a
 constant, so output does not depend on the grid or on ``_BLOCK_ELEMS``
 either.
 
+Unit-sigma rule: when every training and query sigma is exactly 1, a
+property of the input checked once per call, each block is filled by a
+second path. The pooled rules (TF, Scaled and k-Groups, one-dimensional
+KDEs realized with sigma = 1) always take it, and so does homoscedastic NEST
+at sigma = 1. Every weight plane is then the fold mask (1.0 without keys)
+and the kernel rows come from dx and dx^2 alone:
+
+    E = exp(dx^2 * (-0.5 / h_x^2)),   E dx,   (dx^2 / h_x^2 - 1) E
+
+Its bits equal the general path's on the same input, for three reasons:
+multiplying by 1/sigma = 1.0 and exp(-0.0) = 1.0 are exact; scaling by -0.5
+is exact, so dx^2 (-0.5 / h_x^2) rounds to the same bits as
+(-0.5 dx^2) (1 / h_x^2), except where a factor or the result is subnormal,
+and there E = exp(+-tiny) = 1.0 on both paths; and the weight normalizers
+are sums of zeros and ones, exact integers. One input differs: an h_sigma
+from about 1.5e-162 to 5e-155, where -0.5 / h_sigma^2 overflows and the
+general path's weight exponent at equal sigmas is 0 * (-inf) = NaN; the
+unit path keeps the weights equal to the mask there.
+
 Thread rule: the row blocks are spread over W kernel threads, W = the
 smallest of ``_THREADS`` (the CPUs in the process's affinity mask), the
 number of query rows the budget holds and the number of blocks the call
@@ -201,6 +220,7 @@ def density_grid(
     f, f1, f2 = (np.empty((nx, ns, m)) for _ in range(3))
     wsum = np.empty((ns, m))
     wscale = np.array([-0.5 / (h * h) for h in hs_values])[:, None, None]
+    unit = bool(np.all(st == 1.0) and np.all(sq == 1.0))   # the unit-sigma rule
     inv_s = 1.0 / st
     inv_s2 = inv_s * inv_s
     inv_s3 = inv_s2 * inv_s
@@ -229,29 +249,48 @@ def density_grid(
             hi = min(m, lo + step)
             w, k = buf[:ns, : hi - lo], buf[ns : ns + 3 * nx, : hi - lo]
             a, p1, p2 = buf[ns + 3 * nx :, : hi - lo]
-            np.subtract(sq[lo:hi, None], st, out=a)
-            a *= a
-            np.multiply(a, wscale, out=w)
-            np.exp(w, out=w)
-            if qkey is not None:
-                w *= qkey[lo:hi, None] != tkey
+            if unit:
+                # every weight plane is the fold mask; dx and dx^2 carry the rows
+                if qkey is None:
+                    w.fill(1.0)
+                else:
+                    np.not_equal(qkey[lo:hi, None], tkey, out=w[0])
+                    w[1:] = w[0]
+                np.subtract(xq[lo:hi, None], xt, out=a)  # dx
+                np.multiply(a, a, out=p2)                # dx^2
+                for i, h in enumerate(hx):
+                    e, k1, k2 = k[3 * i], k[3 * i + 1], k[3 * i + 2]
+                    inv_h2 = 1.0 / (h * h)
+                    np.multiply(p2, -0.5 * inv_h2, out=e)
+                    np.exp(e, out=e)                     # E
+                    np.multiply(e, a, out=k1)            # E dx
+                    np.multiply(p2, inv_h2, out=k2)
+                    k2 -= 1.0
+                    k2 *= e                              # E (u^2 - 1)
+            else:
+                np.subtract(sq[lo:hi, None], st, out=a)
+                a *= a
+                np.multiply(a, wscale, out=w)
+                np.exp(w, out=w)
+                if qkey is not None:
+                    w *= qkey[lo:hi, None] != tkey
+                np.subtract(xq[lo:hi, None], xt, out=a)  # dx
+                np.multiply(a, inv_s3, out=p1)           # dx / s^3
+                np.multiply(p1, a, out=p2)
+                p2 *= inv_s2                             # dx^2 / s^5
+                a *= a
+                a *= -0.5 * inv_s2                       # -dx^2 / (2 s^2)
+                for i, h in enumerate(hx):
+                    e, k1, k2 = k[3 * i], k[3 * i + 1], k[3 * i + 2]
+                    np.multiply(a, 1.0 / (h * h), out=e)
+                    np.exp(e, out=e)                     # E = exp(-u^2 / 2)
+                    np.multiply(e, p1, out=k1)           # E dx / s^3
+                    np.multiply(p2, 1.0 / (h * h), out=k2)
+                    k2 -= inv_s3
+                    k2 *= e                              # E (u^2 - 1) / s^3
+                    e *= inv_s                           # E / s
             ws = w.sum(axis=-1)
             wsum[:, lo:hi] = ws
-            np.subtract(xq[lo:hi, None], xt, out=a)      # dx
-            np.multiply(a, inv_s3, out=p1)               # dx / s^3
-            np.multiply(p1, a, out=p2)
-            p2 *= inv_s2                                 # dx^2 / s^5
-            a *= a
-            a *= -0.5 * inv_s2                           # -dx^2 / (2 s^2)
-            for i, h in enumerate(hx):
-                e, k1, k2 = k[3 * i], k[3 * i + 1], k[3 * i + 2]
-                np.multiply(a, 1.0 / (h * h), out=e)
-                np.exp(e, out=e)                         # E = exp(-u^2 / 2)
-                np.multiply(e, p1, out=k1)               # E dx / s^3
-                np.multiply(p2, 1.0 / (h * h), out=k2)
-                k2 -= inv_s3
-                k2 *= e                                  # E (u^2 - 1) / s^3
-                e *= inv_s                               # E / s
             s = _contract(w, k).reshape(hi - lo, ns, nx, 3).transpose(3, 2, 1, 0)
             norm = SQRT_2PI * ws
             f[:, :, lo:hi] = s[0] / (hcol * norm)

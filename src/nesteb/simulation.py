@@ -36,7 +36,7 @@ from .estimators import (
     post_processed,
 )
 from .priors import PriorSpec, SparseMixPrior, mixture_weight
-from .sure import default_grid, pooled_grid_for, tune, tune_kgroups, tune_pooled
+from .sure import default_grid, fold_count, pooled_grid_for, tune, tune_kgroups, tune_pooled
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +183,7 @@ class MseTable:
 
 def _pooled_h(xd, sample: HeteroSample, folds_k: int, seed: int, bracket_power: int = 4,
               selection: str = "penalized") -> float:
-    fold_of = kfold_split(sample.n, min(folds_k, sample.n), seed)
+    fold_of = kfold_split(sample.n, fold_count(sample.n, folds_k), seed)
     return tune_pooled(xd, sample.sigma, pooled_grid_for(xd), fold_of, bracket_power, selection).best_h
 
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Bandwidths, HeteroSample, kfold_split
-from .errors import AllCellsDegenerate, BadGroupCount, EmptyMonteCarlo
+from .errors import AllCellsDegenerate, BadFoldCount, BadGroupCount, EmptyMonteCarlo
 from .kernel import FLOOR, KernelContext, density_grid, in_sample_triple
 from .estimators import k_groups_fit
 from .priors import PriorSpec
@@ -67,6 +67,15 @@ class SureGrid:
                 raise ValueError(f"{name} must be strictly ascending")
         if self.k < 2:
             raise ValueError("fold count must be >= 2")
+
+
+def fold_count(n: int, k: int) -> int:
+    """The fold count for cross-fitting n points with k folds requested: k
+    clamped to n (leave-one-out when k >= n). Raises BadFoldCount naming n
+    and the k given when n < 2, which no fold count can cross-fit."""
+    if n < 2:
+        raise BadFoldCount(k, n)
+    return min(k, n)
 
 
 def unit_grid() -> tuple[float, ...]:
@@ -166,7 +175,7 @@ def tune(sample: HeteroSample, grid: SureGrid, selection: str = "penalized") -> 
 
     ``selection="penalized"`` (default) minimizes S(h) + SE{S(h)};
     ``selection="argmin"`` minimizes the raw S(h)."""
-    fold_of = kfold_split(sample.n, min(grid.k, sample.n), grid.seed)
+    fold_of = kfold_split(sample.n, fold_count(sample.n, grid.k), grid.seed)
     pp, surface, scores, degenerate, (i, j) = _search(
         sample.x, sample.sigma, sample.sigma,
         grid.h_x_values, grid.h_sigma_values, fold_of, 4, selection,
@@ -238,7 +247,7 @@ def tune_kgroups(sample: HeteroSample, k_groups: int, folds_k: int, seed: int) -
     for g, idx in enumerate(k_groups_fit(sample, k_groups)):
         if idx.size < 2:
             raise BadGroupCount(k_groups, sample.n, f"group {g} too small to cross-fit")
-        fold_of = kfold_split(idx.size, min(folds_k, idx.size), seed)
+        fold_of = kfold_split(idx.size, fold_count(idx.size, folds_k), seed)
         rep = tune_pooled(sample.x[idx], sample.sigma[idx], pooled_grid_for(sample.x[idx]), fold_of)
         out.append(rep.best_h)
     return tuple(out)

@@ -165,6 +165,15 @@ def test_value_errors_exit_1_with_one_json_line(tmp_path, capsys, argv):
     assert json.loads(lines[0])["error"] == "ValueError"
 
 
+@pytest.mark.parametrize("method", ["tf", "nest"])
+def test_one_point_cannot_be_tuned_names_n_and_given_folds(tmp_path, capsys, method):
+    rc = main(["simulate", "--scenario", "normal", "--n", "1", "--reps", "2", "--estimators", method,
+               "--folds", "10", "--output", str(tmp_path / "o.csv")])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err.strip()) == {
+        "error": "BadFoldCount", "detail": "cross-fitting needs n >= 2 points, got n=1 (fold count K=10)"}
+
+
 def test_truncate_message_names_the_bound(tmp_path, capsys):
     rc = main(["estimate", "--input", str(tmp_path / "absent.csv"), "--output", str(tmp_path / "o.csv"),
                "--method", "naive", "--truncate", "0"])

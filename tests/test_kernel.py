@@ -313,6 +313,10 @@ def grid_case(name):
     if name == "unit-sigma-pooled":
         s = np.ones(n)
         return x, s, x, s, (0.2, 0.5, 1.1), (1.0,), key
+    if name == "homoscedastic-nest":
+        # the unit-sigma path with several h_sigma: the mask goes on every plane
+        s = np.ones(n)
+        return x, s, x, s, (0.3, 0.6, 1.0), (0.2, 0.5, 0.9), key
     if name == "weight-underflow":
         # one sigma far from every other: its weight normalizer underflows at
         # the two small h_sigma values and not at the large one
@@ -337,7 +341,8 @@ def run_under_blas_threads(code):
 
 
 class TestDensityGrid:
-    CASES = ["heteroscedastic-3x3", "unit-sigma-pooled", "weight-underflow", "long-training-index"]
+    CASES = ["heteroscedastic-3x3", "unit-sigma-pooled", "homoscedastic-nest", "weight-underflow",
+             "long-training-index"]
 
     @pytest.mark.parametrize("case", CASES)
     def test_matches_reference_sums(self, case):
@@ -360,6 +365,20 @@ class TestDensityGrid:
         monkeypatch.setattr(nesteb.kernel, "_BLOCK_ELEMS", 1)
         for a, b in zip(one_block, density_grid(xq, sq, xt, st, hxs, hss, key, key)):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("keyed", [False, True])
+    @pytest.mark.parametrize("n", [7, 300, 1000])
+    def test_unit_sigma_path_is_the_general_path_scaled(self, n, keyed):
+        # sigma = 2 takes the general path and (x / 2, sigma = 1) the unit
+        # path; powers of two scale exactly, so f, f1 and f2 at sigma = 2 are
+        # 1/2, 1/4 and 1/8 of the unit path's bitwise, and wsum is equal
+        x = np.random.default_rng(n).normal(size=n)
+        key = kfold_split(n, 5, 0) if keyed else None
+        two, one = np.full(n, 2.0), np.ones(n)
+        general = density_grid(x, two, x, two, (0.2, 0.7), (0.3, 1.0), key, key)
+        unit = density_grid(x / 2, one, x / 2, one, (0.2, 0.7), (0.3, 1.0), key, key)
+        for g, u, scale in zip(general, unit, (0.5, 0.25, 0.125, 1.0)):
+            assert g.tobytes() == (u * scale).tobytes()
 
     def test_blas_thread_count_does_not_change_output(self):
         # 40 queries against n = 5000 on a 16 x 10 grid, where a per-row
