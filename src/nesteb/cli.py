@@ -36,7 +36,7 @@ from .estimators import (
     post_processed,
 )
 from .expfam import Beta, Binomial, FamilyPoint, Gamma, NegBinomial, ScoreEstimate, lh_prime, posterior_mean
-from .io import CsvFormatError, read_csv, write_csv_atomic
+from .io import CsvFormatError, fmt_value, read_csv, write_csv_atomic
 from .priors import NormalPrior, SparseMixPrior, TwoPointPrior
 from .simulation import (
     kernel_threads,
@@ -82,11 +82,15 @@ def _parse_prior(text: str):
     )
 
 
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def int_at_least(least: int):
+    """An argparse type: an int of at least ``least``; a smaller one exits 2."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        return value
+    parse.__name__ = "int"   # argparse names the type in its message
+    return parse
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -319,7 +323,7 @@ def cmd_expfam(args) -> int:
         write_csv_atomic(args.output, header, [row])
     else:
         print(",".join(header))
-        print(",".join(format(v, ".17g") if isinstance(v, float) else str(v) for v in row))
+        print(",".join(fmt_value(v) for v in row))
     _manifest("expfam", args, family=args.family)
     return 0
 
@@ -370,10 +374,12 @@ def build_parser() -> argparse.ArgumentParser:
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=int, default=0, help="64-bit base seed")
     pooled = argparse.ArgumentParser(add_help=False)
-    pooled.add_argument("--threads", type=positive_int, default=1, help="worker processes (output is thread-count independent)")
+    pooled.add_argument("--threads", type=int_at_least(1), default=1, help="worker processes (output is thread-count independent)")
+    folded = argparse.ArgumentParser(add_help=False)
+    folded.add_argument("--folds", type=int_at_least(2), default=10, help="cross-fitting folds, at least 2")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("estimate", parents=[seeded], help="estimate means from a CSV of (id, x, sigma)")
+    p = sub.add_parser("estimate", parents=[seeded, folded], help="estimate means from a CSV of (id, x, sigma)")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--method", action="append", choices=list(_METHODS),
@@ -382,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fixed bandwidth: NEST h_x multiplier (with --hsigma), or the pooled h for tf/scaled")
     p.add_argument("--hsigma", type=float, help="fixed NEST h_sigma in sigma units (with --hx)")
     p.add_argument("--k-groups", type=int, default=2, dest="k_groups")
-    p.add_argument("--folds", type=int, default=10)
     p.add_argument("--prior", help="oracle prior: normal:m,tau | sparsemix:p0,m,tau | twopoint:p0,a,b")
     p.add_argument("--truncate", nargs="?", const="auto",
                    help="clip shrinkage estimates to +/-BOUND (default bound 2 log n)")
@@ -390,33 +395,30 @@ def build_parser() -> argparse.ArgumentParser:
                    help="zero shrinkage estimates whose sign disagrees with x")
     p.set_defaults(func=cmd_estimate)
 
-    p = sub.add_parser("tune", parents=[seeded], help="SURE bandwidth surface and argmin")
+    p = sub.add_parser("tune", parents=[seeded, folded], help="SURE bandwidth surface and argmin")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True, help="surface CSV (h_x, h_sigma, S)")
     p.add_argument("--grid-hx", help="comma list of h_x values")
     p.add_argument("--grid-hsigma", help="comma list of h_sigma values")
-    p.add_argument("--folds", type=int, default=10)
     p.set_defaults(func=cmd_tune)
 
-    p = sub.add_parser("simulate", parents=[seeded, pooled], help="MSE study over one scenario cell")
+    p = sub.add_parser("simulate", parents=[seeded, pooled, folded], help="MSE study over one scenario cell")
     p.add_argument("--scenario", choices=sorted(_SCENARIO_PRIORS), required=True)
     p.add_argument("--ratio", type=float, default=0.9, help="target var(mu)/var(X) in (0,1)")
     p.add_argument("--n", type=int)
     p.add_argument("--reps", type=int)
     p.add_argument("--estimators", help=f"comma list of {','.join(_METHODS)}; kgroups takes a group count, kgroups:K")
-    p.add_argument("--folds", type=int, default=10)
     p.add_argument("--output", required=True)
     profile = p.add_mutually_exclusive_group()
     profile.add_argument("--smoke", action="store_true", help="n=1000, reps=10 unless overridden (default)")
     profile.add_argument("--full", action="store_true", help="n=5000, reps=50 unless overridden")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("bias", parents=[seeded, pooled], help="tail-selection bias experiment")
+    p = sub.add_parser("bias", parents=[seeded, pooled, folded], help="tail-selection bias experiment")
     p.add_argument("--setting", choices=["single-center", "two-center"], required=True)
     p.add_argument("--reps", type=int, default=200)
     p.add_argument("--select-k", type=int, default=20, dest="select_k")
     p.add_argument("--n", type=int, default=5000)
-    p.add_argument("--folds", type=int, default=10)
     p.add_argument("--output", required=True, help="CSV of (estimator, rep, diff)")
     p.set_defaults(func=cmd_bias)
 

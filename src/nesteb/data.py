@@ -9,76 +9,83 @@ import numpy as np
 from .errors import BadFoldCount, LengthMismatch, NonFiniteValue, NonPositiveSigma
 
 
-def _frozen(a) -> np.ndarray:
-    out = np.array(a, dtype=float, copy=True)
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True)
 class HeteroSample:
     """Paired observations ``(x_i, sigma_i)`` plus optional true means.
 
-    All arrays share length ``n >= 1``; every ``sigma_i`` is finite and > 0.
-    Instances are immutable (arrays are read-only copies) and safe to share
-    across threads.
+    Validates on construction: every column becomes a read-only 1-D float
+    copy of the input, all share length ``n >= 1``, every value is finite
+    and every ``sigma_i`` is > 0. No row is dropped silently: the first
+    offending row raises LengthMismatch, NonFiniteValue or NonPositiveSigma.
+    Instances are immutable and safe to share across threads.
     """
 
     x: np.ndarray
     sigma: np.ndarray
     mu_true: np.ndarray | None = None
 
+    def __post_init__(self):
+        names = ("x", "sigma") if self.mu_true is None else ("x", "sigma", "mu_true")
+        for name in names:
+            col = np.array(getattr(self, name), dtype=float).reshape(-1)   # a private copy
+            col.setflags(write=False)
+            object.__setattr__(self, name, col)
+        lengths = {name: getattr(self, name).shape[0] for name in names}
+        if len(set(lengths.values())) != 1 or self.n < 1:
+            raise LengthMismatch(lengths)
+        for name in names:
+            bad = np.flatnonzero(~np.isfinite(getattr(self, name)))
+            if bad.size:
+                raise NonFiniteValue(name, int(bad[0]))
+        nonpos = np.flatnonzero(self.sigma <= 0.0)
+        if nonpos.size:
+            raise NonPositiveSigma(int(nonpos[0]))
+
     @property
     def n(self) -> int:
         return self.x.shape[0]
 
     def subset(self, idx) -> "HeteroSample":
-        mu = None if self.mu_true is None else _frozen(self.mu_true[idx])
-        return HeteroSample(_frozen(self.x[idx]), _frozen(self.sigma[idx]), mu)
+        mu = None if self.mu_true is None else self.mu_true[idx]
+        return HeteroSample(self.x[idx], self.sigma[idx], mu)
 
 
 def validate_sample(x, sigma, mu_true=None) -> HeteroSample:
-    """Validate raw columns and build a :class:`HeteroSample`.
+    """Build a :class:`HeteroSample` from raw columns; its constructor
+    validates them, raising LengthMismatch, NonFiniteValue or NonPositiveSigma."""
+    return HeteroSample(x, sigma, mu_true)
 
-    No silent row dropping: the first offending row raises.
 
-    Raises
-    ------
-    LengthMismatch, NonFiniteValue, NonPositiveSigma
-    """
-    xa = np.asarray(x, dtype=float).reshape(-1)
-    sa = np.asarray(sigma, dtype=float).reshape(-1)
-    ma = None if mu_true is None else np.asarray(mu_true, dtype=float).reshape(-1)
-    lengths = {"x": xa.shape[0], "sigma": sa.shape[0]}
-    if ma is not None:
-        lengths["mu_true"] = ma.shape[0]
-    if len(set(lengths.values())) != 1 or xa.shape[0] < 1:
-        raise LengthMismatch(lengths)
-    for name, col in (("x", xa), ("sigma", sa)) + ((("mu_true", ma),) if ma is not None else ()):
-        bad = np.flatnonzero(~np.isfinite(col))
-        if bad.size:
-            raise NonFiniteValue(name, int(bad[0]))
-    nonpos = np.flatnonzero(sa <= 0.0)
-    if nonpos.size:
-        raise NonPositiveSigma(int(nonpos[0]))
-    return HeteroSample(_frozen(xa), _frozen(sa), None if ma is None else _frozen(ma))
+# Smallest accepted bandwidth: at it h^2 = 2^-1022, the smallest normal float,
+# so h^2, 1/h^2 and -0.5/h^2 are finite and nonzero for every accepted h.
+H_MIN = 2.0**-511
+
+
+def check_bandwidths(name: str, values) -> tuple[float, ...]:
+    """The bandwidth rule: a nonempty list of finite values, each >= H_MIN.
+    Returns the values as floats; raises ValueError naming ``name``."""
+    hv = tuple(float(h) for h in values)
+    if not hv:
+        raise ValueError(f"{name} must be nonempty")
+    for h in hv:
+        if not H_MIN <= h < np.inf:   # refuses nan too
+            raise ValueError(f"{name} must be finite and >= 2**-511, got {h}")
+    return hv
 
 
 @dataclass(frozen=True)
 class Bandwidths:
     """Kernel bandwidth pair: ``h_x`` is a dimensionless multiplier on each
-    training sigma; ``h_sigma`` is in sigma units."""
+    training sigma; ``h_sigma`` is in sigma units. Both follow
+    :func:`check_bandwidths`."""
 
     h_x: float
     h_sigma: float
 
     def __post_init__(self):
-        object.__setattr__(self, "h_x", float(self.h_x))
-        object.__setattr__(self, "h_sigma", float(self.h_sigma))
-        if not (self.h_x > 0 and np.isfinite(self.h_x)):
-            raise ValueError(f"h_x must be positive and finite, got {self.h_x}")
-        if not (self.h_sigma > 0 and np.isfinite(self.h_sigma)):
-            raise ValueError(f"h_sigma must be positive and finite, got {self.h_sigma}")
+        for name in ("h_x", "h_sigma"):
+            (h,) = check_bandwidths(name, [getattr(self, name)])
+            object.__setattr__(self, name, h)
 
 
 def kfold_split(n: int, k: int, seed: int) -> np.ndarray:

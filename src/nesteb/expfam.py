@@ -191,7 +191,8 @@ def gamma_point_mass_lf1(alpha: float, beta0: float, x: float) -> ScoreEstimate:
 
 def kde_lf1(values, thetas, bw: Bandwidths, value: float, theta: float) -> ScoreEstimate:
     """Weighted-KDE score provider for continuous families: the nuisance
-    parameter plays sigma's role in the weights. All thetas must be positive."""
-    ctx = KernelContext(HeteroSample(np.asarray(values, dtype=float), np.asarray(thetas, dtype=float)), bw)
+    parameter plays sigma's role in the weights. Values and thetas form a
+    :class:`HeteroSample`, so they must pair up and every theta be positive."""
+    ctx = KernelContext(HeteroSample(values, thetas), bw)
     f, f1, _ = in_sample_triple(ctx, queries=([value], [theta]))
     return ScoreEstimate(float(f1[0] / f[0]))

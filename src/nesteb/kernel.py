@@ -10,6 +10,9 @@ Conventions (phi_h is the Gaussian kernel with bandwidth h):
     f1(x|sigma)  = sum_j w_j phi_{h_xj}(x - x_j) (x_j - x) / h_xj^2
     f2(x|sigma)  = sum_j w_j phi_{h_xj}(x - x_j) / h_xj^2 * {((x - x_j)/h_xj)^2 - 1}
 
+Bandwidth rule (``data.check_bandwidths``): every h is finite and at least
+``data.H_MIN`` = 2^-511, so h^2, 1/h^2 and -0.5/h^2 are finite and nonzero.
+
 The kernel normalizing constant cancels inside w_j, so weights are computed
 from bare exponentials; a weight normalizer that underflows to exactly zero
 raises DegenerateWeights rather than extrapolating. Sums that overflow (x
@@ -47,15 +50,12 @@ and the kernel rows come from dx and dx^2 alone:
 
     E = exp(dx^2 * (-0.5 / h_x^2)),   E dx,   (dx^2 / h_x^2 - 1) E
 
-Its bits equal the general path's on the same input, for three reasons:
+Its bits equal the general path's on every accepted input, for three reasons:
 multiplying by 1/sigma = 1.0 and exp(-0.0) = 1.0 are exact; scaling by -0.5
 is exact, so dx^2 (-0.5 / h_x^2) rounds to the same bits as
 (-0.5 dx^2) (1 / h_x^2), except where a factor or the result is subnormal,
 and there E = exp(+-tiny) = 1.0 on both paths; and the weight normalizers
-are sums of zeros and ones, exact integers. One input differs: an h_sigma
-from about 1.5e-162 to 5e-155, where -0.5 / h_sigma^2 overflows and the
-general path's weight exponent at equal sigmas is 0 * (-inf) = NaN; the
-unit path keeps the weights equal to the mask there.
+are sums of zeros and ones, exact integers.
 
 Thread rule: the row blocks are spread over W kernel threads, W = the
 smallest of ``_THREADS`` (the CPUs in the process's affinity mask), the
@@ -135,10 +135,6 @@ class KernelContext:
     train: HeteroSample
     bw: Bandwidths
 
-    def __post_init__(self):
-        if self.train.n < 1:
-            raise ValueError("training sample must be nonempty")
-
 
 def pooled_context(train_x, h: float) -> KernelContext:
     """Context for the ordinary pooled one-dimensional KDE with bandwidth h.
@@ -147,8 +143,7 @@ def pooled_context(train_x, h: float) -> KernelContext:
     h_xj = h for all j), so the weighted estimator reduces exactly to
     (1/n) sum_j phi_h(x - x_j).
     """
-    xa = np.asarray(train_x, dtype=float).reshape(-1)
-    return KernelContext(HeteroSample(xa, np.ones_like(xa)), Bandwidths(h, 1.0))
+    return KernelContext(HeteroSample(train_x, np.ones(np.size(train_x))), Bandwidths(h, 1.0))
 
 
 @functools.cache

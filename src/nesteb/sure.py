@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Bandwidths, HeteroSample, kfold_split
+from .data import Bandwidths, HeteroSample, check_bandwidths, kfold_split
 from .errors import AllCellsDegenerate, BadFoldCount, BadGroupCount, EmptyMonteCarlo
 from .kernel import FLOOR, KernelContext, density_grid, in_sample_triple
 from .estimators import k_groups_fit
@@ -57,13 +57,9 @@ class SureGrid:
     seed: int = 0
 
     def __post_init__(self):
-        for name, vals in (("h_x_values", self.h_x_values), ("h_sigma_values", self.h_sigma_values)):
-            arr = np.asarray(vals, dtype=float)
-            if arr.size == 0:
-                raise ValueError(f"{name} must be nonempty")
-            if not np.all((arr > 0) & np.isfinite(arr)):
-                raise ValueError(f"{name} must be positive and finite")
-            if arr.size > 1 and not np.all(np.diff(arr) > 0):
+        for name in ("h_x_values", "h_sigma_values"):
+            hv = check_bandwidths(name, getattr(self, name))
+            if any(a >= b for a, b in zip(hv, hv[1:])):
                 raise ValueError(f"{name} must be strictly ascending")
         if self.k < 2:
             raise ValueError("fold count must be >= 2")
@@ -218,9 +214,7 @@ def tune_pooled(
     and 2 for the scaled rule scored in z = x/sigma coordinates."""
     xd = np.asarray(xd, dtype=float).reshape(-1)
     sigma_risk = np.asarray(sigma_risk, dtype=float).reshape(-1)
-    hv = tuple(float(h) for h in h_values)
-    if len(hv) == 0 or not all(0 < h < np.inf for h in hv):
-        raise ValueError("h_values must be nonempty, positive and finite")
+    hv = check_bandwidths("h_values", h_values)
     _, surface, scores, degenerate, (best, _) = _search(
         xd, np.ones_like(xd), sigma_risk, hv, [1.0], fold_of, bracket_power, selection
     )

@@ -149,11 +149,13 @@ class TestEstimateCommand:
         ["estimate", "--input", "{inp}.absent", "--method", "scaled", "--truncate", "nan"],
         ["bias", "--setting", "single-center", "--select-k", "-1", "--n", "50", "--reps", "1"],
         ["bias", "--setting", "single-center", "--select-k", "100", "--n", "30", "--reps", "1", "--folds", "3"],
+        # h_sigma below 2**-511, whose square underflows (was a ZeroDivisionError traceback)
+        ["estimate", "--input", "{inp}", "--method", "nest", "--hx", "0.5", "--hsigma", "1e-163"],
     ],
     ids=["bad-kgroups-token", "descending-grid", "negative-hx", "ratio-above-one",
          "duplicate-method", "lone-hx-with-nest", "hx-with-kgroups", "hsigma-with-tf",
          "hsigma-with-scaled", "both-flags-unused", "zero-truncate-nest", "zero-truncate-naive",
-         "negative-truncate", "nan-truncate", "negative-select-k", "select-k-above-n"],
+         "negative-truncate", "nan-truncate", "negative-select-k", "select-k-above-n", "tiny-hsigma"],
 )
 def test_value_errors_exit_1_with_one_json_line(tmp_path, capsys, argv):
     inp, out = tmp_path / "in.csv", tmp_path / "out.csv"
@@ -216,6 +218,16 @@ def test_threads_below_one_exit_2(command, value, capsys):
         build_parser().parse_args([command, *required, "--threads", value])
     assert exc.value.code == 2
     assert f"argument --threads: must be >= 1, got {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["estimate", "tune", "simulate", "bias"])
+@pytest.mark.parametrize("value", ["1", "0", "-5"])
+def test_folds_below_two_exit_2(command, value, capsys):
+    required, _ = _TAKES[command]
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([command, *required, "--folds", value])
+    assert exc.value.code == 2
+    assert f"argument --folds: must be >= 2, got {value}" in capsys.readouterr().err
 
 
 def estimate_near_float_limit(tmp_path, capsys, method_args):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nesteb.data import derive_seed, kfold_split, validate_sample
+from nesteb.data import Bandwidths, HeteroSample, derive_seed, kfold_split, validate_sample
 from nesteb.errors import BadFoldCount, LengthMismatch, NonFiniteValue, NonPositiveSigma
 
 
@@ -56,6 +56,47 @@ class TestValidateSample:
             s.x[0] = 99.0
         src[0] = 99.0
         assert s.x[0] == 1.0
+
+
+class TestHeteroSampleValidates:
+    # the constructor holds the rules, so no way of building a sample skips them
+    @pytest.mark.parametrize("args,error", [
+        (([1.0, 2.0], [1.0]), LengthMismatch),
+        (([1.0, 2.0], [1.0, 1.0], [0.0]), LengthMismatch),
+        (([], []), LengthMismatch),
+        (([1.0, np.nan], [1.0, 1.0]), NonFiniteValue),
+        (([1.0, 2.0], [1.0, 1.0], [0.0, np.inf]), NonFiniteValue),
+        (([1.0, 2.0, 3.0], [1.0, -0.5, 0.0]), NonPositiveSigma),
+        (([1.0, 2.0], [1.0, 0.0]), NonPositiveSigma),
+    ], ids=["short-sigma", "short-mu", "empty", "nan-x", "inf-mu", "negative-sigma", "zero-sigma"])
+    def test_direct_construction_refuses_like_validate_sample(self, args, error):
+        with pytest.raises(error) as direct:
+            HeteroSample(*args)
+        with pytest.raises(error) as validated:
+            validate_sample(*args)
+        assert str(direct.value) == str(validated.value)
+
+    def test_columns_are_read_only_copies(self):
+        x, sigma, mu = np.array([1.0, 2.0]), np.array([0.5, 0.7]), np.array([0.9, 1.8])
+        s = HeteroSample(x, sigma, mu)
+        sub = s.subset(np.array([1]))
+        for col, src in ((s.x, x), (s.sigma, sigma), (s.mu_true, mu)):
+            with pytest.raises(ValueError):
+                col[0] = 99.0
+            src[0] = 99.0
+            assert col[0] != 99.0
+        assert not any(c.flags.writeable for c in (sub.x, sub.sigma, sub.mu_true))
+
+
+H_MIN = 2.0**-511                          # h^2 is the smallest normal float
+BELOW_H_MIN = float(np.nextafter(H_MIN, 0.0))
+
+
+def test_bandwidths_accept_h_min_and_refuse_below():
+    assert Bandwidths(H_MIN, H_MIN).h_sigma == H_MIN
+    for pair in ((BELOW_H_MIN, 1.0), (1.0, BELOW_H_MIN)):
+        with pytest.raises(ValueError, match="finite"):
+            Bandwidths(*pair)
 
 
 class TestKfoldSplit:

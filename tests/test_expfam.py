@@ -8,7 +8,7 @@ from scipy.special import digamma
 from scipy.stats import betabinom
 
 from nesteb.data import Bandwidths
-from nesteb.errors import DomainError, ZeroMass
+from nesteb.errors import DomainError, LengthMismatch, NonPositiveSigma, ZeroMass
 from nesteb.expfam import (
     Beta,
     Binomial,
@@ -221,6 +221,16 @@ class TestKdeProvider:
         # one training pair: score is (x0 - x) / (h_x * theta0)^2
         got = kde_lf1([2.0], [1.5], Bandwidths(0.7, 0.5), 0.5, 0.8)
         assert got.lf1 == pytest.approx((2.0 - 0.5) / (0.7 * 1.5) ** 2, rel=1e-12)
+
+    @pytest.mark.parametrize("thetas,error", [
+        ([1.0, -1.0, 2.0], NonPositiveSigma),
+        ([1.0, 0.0, 2.0], NonPositiveSigma),
+        ([1.0, 1.0], LengthMismatch),
+    ], ids=["negative-theta", "zero-theta", "short-thetas"])
+    def test_training_pairs_validated(self, thetas, error):
+        # values and thetas form a HeteroSample, whose rules hold here too
+        with pytest.raises(error):
+            kde_lf1([1.0, 2.0, 3.0], thetas, Bandwidths(0.5, 0.5), 2.0, 1.0)
 
     def test_score_estimate_requires_finite(self):
         with pytest.raises(ValueError):

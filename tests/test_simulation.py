@@ -72,6 +72,12 @@ class TestDrawScenario:
         c = draw_scenario(sc, 2)
         assert not np.array_equal(a.x, c.x)
 
+    def test_sample_is_read_only(self):
+        s = draw_scenario(scenario_from_ratio(NormalPrior(3, 1), 0.75, n=20, reps=1, seed=5), 0)
+        for col in (s.x, s.sigma, s.mu_true):
+            with pytest.raises(ValueError):
+                col[0] = 0.0
+
     def test_normal_prior_mean_lln(self):
         n = 100_000
         sc = SimScenario(NormalPrior(3, 1), UniformSigma(0.1, 1.0), n, 1, seed=1)

@@ -363,6 +363,19 @@ class TestGridValidation:
         with pytest.raises(ValueError, match="finite"):
             SureGrid((0.1,), (math.nan,))
 
+    def test_bandwidths_below_h_min_rejected(self):
+        # below 2**-511, h^2 is subnormal and -0.5 / h^2 can overflow
+        h_min = 2.0**-511
+        below = float(np.nextafter(h_min, 0.0))
+        SureGrid((h_min, 0.1), (h_min,))
+        fold_of = kfold_split(3, 3, seed=0)
+        assert tune_pooled([0.0, 1.0, 2.0], np.ones(3), (h_min, 1.0), fold_of).best_h == 1.0
+        for grid in (((below, 0.1), (0.1,)), ((0.1,), (below,))):
+            with pytest.raises(ValueError, match="finite"):
+                SureGrid(*grid)
+        with pytest.raises(ValueError, match="finite"):
+            tune_pooled([0.0, 1.0, 2.0], np.ones(3), (below, 1.0), fold_of)
+
     def test_non_finite_pooled_grids_rejected(self):
         # sd overflows to inf near the float64 limit; an inf grid would run a
         # whole tune on NaN surfaces before anything noticed
