@@ -40,13 +40,13 @@ from .simulation import (
     scenario_from_ratio,
     selection_bias_formula,
     solve_sigma_M,
+    sure_unbiasedness_check,
     tf_average_shrinkage,
 )
 from .sure import (
     SureGrid,
     SureReport,
     default_grid,
-    sure_unbiasedness_check,
     tune,
 )
 

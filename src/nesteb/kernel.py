@@ -112,7 +112,7 @@ _BLOCK_ELEMS = 3 << 19
 
 # Threads a density_grid call may use (fewer when it needs fewer row blocks
 # or the budget holds fewer rows): the CPUs this process may run on. Pool
-# workers lower it to their share (simulation._run_indexed).
+# workers lower it to their share (simulation._map_reps).
 _THREADS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 # Columns per gemm in the training-index sum (the gemm's k dimension). A

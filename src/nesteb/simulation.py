@@ -1,13 +1,15 @@
-"""Simulation designs, variance-ratio calibration, MSE studies with standard
-errors, and the tail-selection bias experiment.
+"""Simulation designs, variance-ratio calibration, and every Monte Carlo
+study: the check that mean SURE matches the realized risk, MSE studies with
+standard errors, and the tail-selection bias experiment.
 
 Scenario cells are anchored by the signal fraction ratio = var(mu)/var(X);
 given a prior with variance V and sigma ~ U[0.1, sigma_M], the upper endpoint
 sigma_M is solved from V = ratio * (V + E[sigma^2]).
 
 Replications are independent and deterministic per (seed, rep): each one
-derives its own PCG64 stream, so results are bit-identical whether reps run
-serially or in a process pool.
+derives its own PCG64 stream, and :func:`_map_reps` returns them in rep
+order, so results are bit-identical whether reps run serially or in a
+process pool.
 """
 
 from __future__ import annotations
@@ -15,12 +17,13 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Union
 
 import numpy as np
 
 from . import kernel
-from .data import HeteroSample, derive_seed, kfold_split
+from .data import Bandwidths, HeteroSample, derive_seed, kfold_split
 from .errors import EmptyMonteCarlo, NoFeasibleRoot, ZeroTailMass
 from .estimators import (
     EstimatorSpec,
@@ -36,7 +39,7 @@ from .estimators import (
     post_processed,
 )
 from .priors import PriorSpec, SparseMixPrior, mixture_weight
-from .sure import default_grid, fold_count, pooled_grid_for, tune, tune_kgroups, tune_pooled
+from .sure import _sure_values, default_grid, fold_count, pooled_grid_for, tune, tune_kgroups, tune_pooled
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +157,53 @@ def draw_scenario(scenario: SimScenario, rep: int) -> HeteroSample:
 
 
 # ---------------------------------------------------------------------------
+# SURE unbiasedness
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class UnbiasednessCheck:
+    mean_s: float
+    mc_risk: float
+    se: float
+    n_mc: int
+
+    @property
+    def gap(self) -> float:
+        return abs(self.mean_s - self.mc_risk)
+
+
+def sure_unbiasedness_check(
+    prior: PriorSpec,
+    sigma_law,
+    bw: Bandwidths,
+    n_train: int,
+    n_mc: int,
+    seed: int,
+) -> UnbiasednessCheck:
+    """Monte Carlo comparison of mean SURE against realized risk.
+
+    The training set is rep 0 of the scenario (prior, sigma_law, n_train,
+    seed) and the n_mc fresh (X, mu, sigma) triples are its rep 1; each
+    triple gets S and the squared error of the plug-in rule built on the
+    training set. The reported se is the standard error of the mean
+    pointwise difference, so |mean_s - mc_risk| <= 3 se is the natural
+    acceptance assertion.
+    """
+    if n_mc < 1:
+        raise EmptyMonteCarlo()
+    scenario = SimScenario(prior, sigma_law, n_train, 2, seed)
+    train = draw_scenario(scenario, 0)
+    mc = draw_scenario(replace(scenario, n=n_mc), 1)
+    f, f1, f2 = kernel.in_sample_triple(kernel.KernelContext(train, bw), queries=(mc.x, mc.sigma))
+    s_vals = _sure_values(f, f1, f2, mc.sigma, 4)
+    delta = mc.x + mc.sigma**2 * f1 / f
+    sq_err = (delta - mc.mu_true) ** 2
+    se = float(np.std(s_vals - sq_err, ddof=1) / np.sqrt(n_mc)) if n_mc > 1 else float("inf")
+    return UnbiasednessCheck(float(s_vals.mean()), float(sq_err.mean()), se, n_mc)
+
+
+# ---------------------------------------------------------------------------
 # MSE study
 # ---------------------------------------------------------------------------
 
@@ -212,20 +262,19 @@ def resolve_spec(
     return replace(spec, method=method)
 
 
-def _mse_rep(args) -> tuple[int, dict[str, float]]:
-    scenario, specs, folds_k, rep = args
+def _mse_rep(scenario: SimScenario, specs, folds_k: int, rep: int) -> dict[str, float]:
     sample = draw_scenario(scenario, rep)
     out: dict[str, float] = {}
     for spec in specs:
         resolved = resolve_spec(spec, sample, folds_k, derive_seed(scenario.seed, rep, 1))
         mu_hat = estimate(resolved, sample)
         out[spec.name] = float(np.mean((mu_hat - sample.mu_true) ** 2))
-    return rep, out
+    return out
 
 
 def kernel_threads(threads: int, jobs: int) -> int:
     """Cap on the kernel threads of one density_grid call in each process
-    that runs `jobs` jobs through _run_indexed on `threads` worker processes:
+    that runs `jobs` jobs through _map_reps on `threads` worker processes:
     the CPUs shared out among the processes, so that they do not
     oversubscribe them. A call uses fewer when it needs fewer row blocks."""
     processes = min(threads, jobs)
@@ -236,16 +285,14 @@ def _set_kernel_threads(count: int) -> None:
     kernel._THREADS = count
 
 
-def _run_indexed(worker, argslist, threads: int):
-    """Run `worker` over argslist, possibly in a process pool; results are
-    re-ordered by the leading index so output never depends on scheduling."""
-    if threads <= 1 or len(argslist) <= 1:
-        results = [worker(a) for a in argslist]
-    else:
-        count = kernel_threads(threads, len(argslist))
-        with ProcessPoolExecutor(threads, initializer=_set_kernel_threads, initargs=(count,)) as pool:
-            results = list(pool.map(worker, argslist))
-    return [payload for _, payload in sorted(results, key=lambda t: t[0])]
+def _map_reps(rep_fn, reps: int, threads: int) -> list:
+    """[rep_fn(0), ..., rep_fn(reps - 1)], possibly run in a process pool;
+    map returns results in rep order, so output never depends on scheduling."""
+    if threads <= 1 or reps <= 1:
+        return [rep_fn(rep) for rep in range(reps)]
+    count = kernel_threads(threads, reps)
+    with ProcessPoolExecutor(threads, initializer=_set_kernel_threads, initargs=(count,)) as pool:
+        return list(pool.map(rep_fn, range(reps)))
 
 
 def run_mse_study(
@@ -258,8 +305,7 @@ def run_mse_study(
     standard error of the across-rep mean."""
     names = [s.name for s in specs]
     check_unique_names(names)
-    argslist = [(scenario, tuple(specs), folds_k, rep) for rep in range(scenario.reps)]
-    per_rep_dicts = _run_indexed(_mse_rep, argslist, threads)
+    per_rep_dicts = _map_reps(partial(_mse_rep, scenario, tuple(specs), folds_k), scenario.reps, threads)
     per_rep = {name: np.array([d[name] for d in per_rep_dicts]) for name in names}
     rows = {}
     for name in names:
@@ -335,8 +381,9 @@ class BiasExperimentResult:
 _BIAS_SETTINGS = ("single-center", "two-center")
 
 
-def _bias_rep(args) -> tuple[int, dict[str, np.ndarray]]:
-    setting, n, select_k, folds_k, seed, rep = args
+def _bias_rep(setting: str, n: int, select_k: int, folds_k: int, seed: int, rep: int) -> dict[str, np.ndarray]:
+    # Draws sigma's groups before mu, and mu depends on the group in the
+    # two-center setting, so this keeps its own draw (not draw_scenario).
     rng = np.random.default_rng(np.random.SeedSequence([seed, rep]))
     wide = rng.random(n) < 0.3
     sigma = np.where(wide, 3.0, 1.0)
@@ -359,12 +406,11 @@ def _bias_rep(args) -> tuple[int, dict[str, np.ndarray]]:
     nest_bw = tune(sample, nest_grid, selection="argmin").argmin
 
     sel = np.argsort(x, kind="stable")[:select_k]
-    out = {
+    return {
         "naive": x[sel] - mu[sel],
         "tf": estimate(EstimatorSpec(TF(tf_h)), sample)[sel] - mu[sel],
         "nest": estimate(EstimatorSpec(Nest(nest_bw, jackknife=True)), sample)[sel] - mu[sel],
     }
-    return rep, out
 
 
 def run_bias_experiment(
@@ -386,8 +432,7 @@ def run_bias_experiment(
         raise ValueError(f"select_k must be >= 1, got {select_k}")
     if select_k > n:
         raise ValueError(f"select_k must be <= n, got {select_k} > {n}")
-    argslist = [(setting, n, select_k, folds_k, seed, rep) for rep in range(reps)]
-    payloads = _run_indexed(_bias_rep, argslist, threads)
+    payloads = _map_reps(partial(_bias_rep, setting, n, select_k, folds_k, seed), reps, threads)
     return {name: BiasExperimentResult(np.stack([p[name] for p in payloads])) for name in ("naive", "tf", "nest")}
 
 

@@ -39,10 +39,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Bandwidths, HeteroSample, check_bandwidths, kfold_split
-from .errors import AllCellsDegenerate, BadFoldCount, BadGroupCount, EmptyMonteCarlo
-from .kernel import FLOOR, KernelContext, density_grid, in_sample_triple
+from .errors import AllCellsDegenerate, BadFoldCount, BadGroupCount
+from .kernel import FLOOR, density_grid
 from .estimators import k_groups_fit
-from .priors import PriorSpec
 
 _FLOOR_FRACTION = 0.01
 
@@ -211,12 +210,12 @@ def tune_pooled(
 ) -> PooledSureReport:
     """One-dimensional SURE grid search for pooled-KDE rules (TF, Scaled,
     per-group TF). ``bracket_power`` is 4 for rules scored in x coordinates
-    and 2 for the scaled rule scored in z = x/sigma coordinates."""
-    xd = np.asarray(xd, dtype=float).reshape(-1)
-    sigma_risk = np.asarray(sigma_risk, dtype=float).reshape(-1)
+    and 2 for the scaled rule scored in z = x/sigma coordinates. The pair
+    (xd, sigma_risk) is validated as a :class:`HeteroSample`."""
+    sample = HeteroSample(xd, sigma_risk)
     hv = check_bandwidths("h_values", h_values)
     _, surface, scores, degenerate, (best, _) = _search(
-        xd, np.ones_like(xd), sigma_risk, hv, [1.0], fold_of, bracket_power, selection
+        sample.x, np.ones_like(sample.x), sample.sigma, hv, [1.0], fold_of, bracket_power, selection
     )
     return PooledSureReport(hv, surface[:, 0], scores[:, 0], degenerate[:, 0], hv[best])
 
@@ -245,52 +244,3 @@ def tune_kgroups(sample: HeteroSample, k_groups: int, folds_k: int, seed: int) -
         rep = tune_pooled(sample.x[idx], sample.sigma[idx], pooled_grid_for(sample.x[idx]), fold_of)
         out.append(rep.best_h)
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class UnbiasednessCheck:
-    mean_s: float
-    mc_risk: float
-    se: float
-    n_mc: int
-
-    @property
-    def gap(self) -> float:
-        return abs(self.mean_s - self.mc_risk)
-
-
-def sure_unbiasedness_check(
-    prior: PriorSpec,
-    sigma_law,
-    bw: Bandwidths,
-    n_train: int,
-    n_mc: int,
-    seed: int,
-) -> UnbiasednessCheck:
-    """Monte Carlo comparison of mean SURE against realized risk.
-
-    Draws one fixed training set, then n_mc fresh (X, mu, sigma) triples;
-    for each computes S and the squared error of the plug-in rule built on
-    the training set. The reported se is the standard error of the mean
-    pointwise difference, so |mean_s - mc_risk| <= 3 se is the natural
-    acceptance assertion.
-    """
-    if n_mc < 1:
-        raise EmptyMonteCarlo()
-    rng_train = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-    mu_t = prior.draw(rng_train, n_train)
-    sig_t = sigma_law.draw(rng_train, n_train)
-    x_t = mu_t + sig_t * rng_train.standard_normal(n_train)
-
-    rng_mc = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-    mu_s = prior.draw(rng_mc, n_mc)
-    sig_s = sigma_law.draw(rng_mc, n_mc)
-    x_s = mu_s + sig_s * rng_mc.standard_normal(n_mc)
-
-    f, f1, f2 = in_sample_triple(KernelContext(HeteroSample(x_t, sig_t), bw), queries=(x_s, sig_s))
-    s_vals = _sure_values(f, f1, f2, sig_s, 4)
-    delta = x_s + sig_s**2 * f1 / f
-    sq_err = (delta - mu_s) ** 2
-    diff = s_vals - sq_err
-    se = float(np.std(diff, ddof=1) / np.sqrt(n_mc)) if n_mc > 1 else float("inf")
-    return UnbiasednessCheck(float(s_vals.mean()), float(sq_err.mean()), se, n_mc)

@@ -49,7 +49,7 @@ from nesteb.simulation import (
     scenario_from_ratio,
     selection_bias_formula,
 )
-from nesteb.sure import sure_unbiasedness_check
+from nesteb.simulation import sure_unbiasedness_check
 
 FULL = os.environ.get("NESTEB_ACCEPTANCE", "smoke").lower() == "full"
 THREADS = min(2, os.cpu_count() or 1)

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from nesteb.errors import EmptyMonteCarlo, NoFeasibleRoot, ZeroTailMass
 from nesteb.estimators import EstimatorSpec, Naive, Nest, Oracle, TF
 from nesteb.priors import NormalPrior, SparseMixPrior, TwoPointPrior, point_mass
 from nesteb.simulation import (
-    _run_indexed,
+    _map_reps,
     SimScenario,
     TwoValueSigma,
     UniformSigma,
@@ -259,19 +260,30 @@ class TestBiasExperiment:
             run_bias_experiment("single-center", reps=1, select_k=31, seed=1, n=30)
 
 
-def kernel_threads_here(i):
-    return i, nesteb.kernel._THREADS
+def kernel_threads_here(rep):
+    return nesteb.kernel._THREADS
+
+
+def slow_first_rep(rep):
+    # rep 0 finishes last; returns (rep, finish time)
+    time.sleep(0.5 if rep == 0 else 0.0)
+    return rep, time.monotonic()
 
 
 class TestRunIndexed:
     def test_pool_workers_share_the_kernel_threads(self, monkeypatch):
         # 4 CPUs over 2 worker processes: 2 kernel threads in each
         monkeypatch.setattr(nesteb.kernel, "_THREADS", 4)
-        assert _run_indexed(kernel_threads_here, [0, 1, 2], threads=2) == [2, 2, 2]
-        assert _run_indexed(kernel_threads_here, [0, 1, 2], threads=3) == [1, 1, 1]
-        assert _run_indexed(kernel_threads_here, [0, 1], threads=8) == [2, 2]
-        assert _run_indexed(kernel_threads_here, [0, 1], threads=1) == [4, 4]
+        assert _map_reps(kernel_threads_here, 3, threads=2) == [2, 2, 2]
+        assert _map_reps(kernel_threads_here, 3, threads=3) == [1, 1, 1]
+        assert _map_reps(kernel_threads_here, 2, threads=8) == [2, 2]
+        assert _map_reps(kernel_threads_here, 2, threads=1) == [4, 4]
         assert nesteb.kernel._THREADS == 4
+
+    def test_pool_returns_results_in_rep_order(self):
+        out = _map_reps(slow_first_rep, 3, threads=2)
+        assert [rep for rep, _ in out] == [0, 1, 2]
+        assert out[0][1] > max(t for _, t in out[1:])
 
 
 class TestTwoComponentFit:

@@ -5,17 +5,23 @@ import pytest
 
 import nesteb.kernel
 from nesteb.data import Bandwidths, kfold_split, validate_sample
-from nesteb.errors import AllCellsDegenerate, EmptyMonteCarlo
+from nesteb.errors import AllCellsDegenerate, EmptyMonteCarlo, LengthMismatch, NonFiniteValue, NonPositiveSigma
 from nesteb.estimators import nest_estimates
 from nesteb.kernel import KernelContext, in_sample_triple
 from nesteb.priors import NormalPrior
-from nesteb.simulation import TwoValueSigma, UniformSigma, draw_scenario, scenario_from_ratio
+from nesteb.simulation import (
+    SimScenario,
+    TwoValueSigma,
+    UniformSigma,
+    draw_scenario,
+    scenario_from_ratio,
+    sure_unbiasedness_check,
+)
 from nesteb.sure import (
     SureGrid,
     _argmin_cell,
     _sure_values,
     default_grid,
-    sure_unbiasedness_check,
     tune,
     tune_kgroups,
     tune_pooled,
@@ -290,6 +296,26 @@ class TestTunePooled:
         assert len(hs) == 3
         assert all(h > 0 for h in hs)
 
+    @pytest.mark.parametrize(
+        "nan_at, sigma_risk, error, index",
+        [
+            (None, [1.0], LengthMismatch, None),
+            (None, np.full(50, -1.0), NonPositiveSigma, 0),
+            (3, np.ones(50), NonFiniteValue, 3),
+        ],
+        ids=["short-sigma", "negative-sigma", "nan-x"],
+    )
+    def test_sample_validated(self, nan_at, sigma_risk, error, index):
+        # a one-value sigma would broadcast, a negative one flips the risk
+        # terms' sign, and a NaN x leaves every cell degenerate
+        x = np.random.default_rng(9).normal(size=50)
+        if nan_at is not None:
+            x[nan_at] = np.nan
+        with pytest.raises(error) as info:
+            tune_pooled(x, sigma_risk, (0.3, 0.6, 0.9), kfold_split(50, 5, 0))
+        if index is not None:
+            assert info.value.index == index
+
 
 class TestGridEdges:
     """on_edge: the argmin sits on the first or last value of its grid axis."""
@@ -346,6 +372,19 @@ class TestUnbiasedness:
         a = sure_unbiasedness_check(NormalPrior(3, 1), law, bw, 300, 10000, seed=3)
         b = sure_unbiasedness_check(NormalPrior(3, 1), law, bw, 300, 20000, seed=3)
         assert b.se / a.se == pytest.approx(1 / math.sqrt(2), abs=0.08)
+
+    def test_draws_scenario_reps_zero_and_one(self):
+        # training set = rep 0 at n_train, Monte Carlo set = rep 1 at n_mc
+        prior, law, bw = NormalPrior(3, 1), UniformSigma(0.1, 1.68), Bandwidths(0.5, 0.3)
+        train = draw_scenario(SimScenario(prior, law, 200, 2, 11), 0)
+        mc = draw_scenario(SimScenario(prior, law, 1000, 2, 11), 1)
+        f, f1, f2 = in_sample_triple(KernelContext(train, bw), queries=(mc.x, mc.sigma))
+        s_vals = _sure_values(f, f1, f2, mc.sigma, 4)
+        sq_err = (mc.x + mc.sigma**2 * f1 / f - mc.mu_true) ** 2
+        res = sure_unbiasedness_check(prior, law, bw, 200, 1000, seed=11)
+        assert res.mean_s == float(s_vals.mean())
+        assert res.mc_risk == float(sq_err.mean())
+        assert res.se == float(np.std(s_vals - sq_err, ddof=1) / np.sqrt(1000))
 
 
 class TestGridValidation:
