@@ -191,18 +191,18 @@ def k_groups_fit(sample: HeteroSample, k: int) -> tuple[np.ndarray, ...]:
 
 
 def nest_estimates(sample: HeteroSample, bw: Bandwidths, jackknife: bool = False) -> np.ndarray:
-    f, f1, _ = in_sample_triple(KernelContext(sample, bw), jackknife)
+    f, f1, _ = in_sample_triple(KernelContext(sample, bw), jackknife, f2=False)
     return sample.x + sample.sigma**2 * f1 / f
 
 
 def tf_estimates(sample: HeteroSample, h: float) -> np.ndarray:
-    f, f1, _ = in_sample_triple(pooled_context(sample.x, h))
+    f, f1, _ = in_sample_triple(pooled_context(sample.x, h), f2=False)
     return sample.x + sample.sigma**2 * f1 / f
 
 
 def scaled_estimates(sample: HeteroSample, h: float) -> np.ndarray:
     z = sample.x / sample.sigma
-    f, f1, _ = in_sample_triple(pooled_context(z, h))
+    f, f1, _ = in_sample_triple(pooled_context(z, h), f2=False)
     return sample.sigma * (z + f1 / f)
 
 

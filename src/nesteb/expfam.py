@@ -194,5 +194,5 @@ def kde_lf1(values, thetas, bw: Bandwidths, value: float, theta: float) -> Score
     parameter plays sigma's role in the weights. Values and thetas form a
     :class:`HeteroSample`, so they must pair up and every theta be positive."""
     ctx = KernelContext(HeteroSample(values, thetas), bw)
-    f, f1, _ = in_sample_triple(ctx, queries=([value], [theta]))
+    f, f1, _ = in_sample_triple(ctx, queries=([value], [theta]), f2=False)
     return ScoreEstimate(float(f1[0] / f[0]))

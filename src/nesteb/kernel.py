@@ -17,7 +17,8 @@ The kernel normalizing constant cancels inside w_j, so weights are computed
 from bare exponentials; a weight normalizer that underflows to exactly zero
 raises DegenerateWeights rather than extrapolating. Sums that overflow (x
 differences near the float64 limit) come out inf or NaN without a warning;
-:func:`in_sample_triple` refuses them and the SURE tuners mark them degenerate.
+:func:`in_sample_triple` refuses those in the columns it computed and the SURE
+tuners mark them degenerate.
 
 Numerical contract: one routine, :func:`density_grid`, evaluates every
 pairwise sum in the package. Its two callers are the cross-fitted SURE
@@ -31,15 +32,28 @@ check). With u_j = (x - x_j)/h_xj, E_j = exp(-u_j^2 / 2), the unnormalized
     f2 = S2 / (sqrt(2 pi) h_x^3 T),    S2 = sum_j t_j E_j (u_j^2 - 1) / sigma_j^3
 
 Per row block of b queries, the weights t for every h_sigma form one
-(ns, b, n) array and the three kernel rows for every h_x one (3 nx, b, n)
-array, one contiguous (b, n) plane per h_sigma and per (h_x, component).
-One batched gemm (``np.matmul``) per chunk of ``_SUM_COLS`` = 256 training
-columns then gives every (h_sigma, h_x, component) sum, and the chunk sums
-are added in index order. Each query row is its own (ns x 256) by
-(256 x 3 nx) gemm, so a query's values depend on its own row only: output
-does not depend on the block partition of the queries. The chunk width is a
-constant, so output does not depend on the grid or on ``_BLOCK_ELEMS``
-either.
+(ns, b, n) array and the c kernel rows for every h_x one (c nx, b, n)
+array (c = 3, or 2 without f2), one contiguous (b, n) plane per h_sigma and
+per (h_x, component). One batched ``np.matmul`` per chunk of ``_SUM_COLS`` =
+256 training columns then gives every (h_sigma, h_x, component) sum, and the
+chunk sums are added in index order. Each query row is its own (ns x 256) by
+(256 x c nx) product, so a query's values depend on its own row only:
+output is bitwise independent of the block partition of the queries, of
+``_BLOCK_ELEMS``, of the kernel threads and of the BLAS thread count (the
+rules below). It is not independent of the grid: a cell's bits depend on
+the grid's shape. With one h_sigma (ns = 1) NumPy sends each product to
+gemv, and otherwise to gemm, and the two round differently: with fold keys
+at n = 1000, every f, f1 and f2 of the 100 cells of a 10 x 10 grid differed
+from the same cell computed alone, by up to 4e-11 relative.
+
+f2-free rule: a final fit needs f and f1 only (the Tweedie score f1/f), so
+``f2=False`` builds no f2 row. The general path skips its dx^2/sigma^5
+plane, both paths skip the three f2 passes per h_x, and the product loses
+its f2 column; f2 comes back as None. It is allowed on one cell only
+(nx = ns = 1), where each product is a gemv and f and f1 are bitwise those
+of the full call; on a larger grid the narrower product rounds differently
+(by up to 5e-14 relative on 3 x 1 and 3 x 2 grids at n = 1000), so such a
+call raises ValueError.
 
 Unit-sigma rule: when every training and query sigma is exactly 1, a
 property of the input checked once per call, each block is filled by a
@@ -83,7 +97,7 @@ BLAS's threading.
 
 The rows per block are chosen so that all matrices of all blocks in flight
 together, the weights, the kernel rows and three (b, n) scratch matrices,
-that is (ns + 3 nx + 3) n elements per query, hold at most ``_BLOCK_ELEMS``
+that is (ns + c nx + 3) n elements per query, hold at most ``_BLOCK_ELEMS``
 = 3 * 2^19 elements (12 MB of float64).
 """
 
@@ -198,6 +212,7 @@ def density_grid(
     hs_values,
     qkey: np.ndarray | None = None,
     tkey: np.ndarray | None = None,
+    f2: bool = True,
 ):
     """Raw (f, f1, f2) at each query for every (h_x, h_sigma) grid cell, and
     the weight normalizers, evaluated in row blocks spread over up to
@@ -208,11 +223,17 @@ def density_grid(
     (f_raw, f1, f2, wsum) with shapes (nx, ns, m) for the first three and
     (ns, m) for wsum; rows with wsum == 0 are left as NaN, and sums that
     overflow as inf or NaN, without a warning: the caller handles both.
+    With ``f2=False`` (one cell only: the f2-free rule) the f2 row is not
+    built and f2 is None.
     """
     m, n = xq.shape[0], xt.shape[0]
     hx = np.asarray(hx_values, dtype=float)
     nx, ns = hx.size, len(hs_values)
-    f, f1, f2 = (np.empty((nx, ns, m)) for _ in range(3))
+    if not f2 and nx * ns != 1:
+        raise ValueError(f"f2=False needs a one-cell grid, got {nx} h_x by {ns} h_sigma")
+    c = 3 if f2 else 2                    # kernel rows per h_x
+    f, f1 = np.empty((nx, ns, m)), np.empty((nx, ns, m))
+    f2_raw = np.empty((nx, ns, m)) if f2 else None
     wsum = np.empty((ns, m))
     wscale = np.array([-0.5 / (h * h) for h in hs_values])[:, None, None]
     unit = bool(np.all(st == 1.0) and np.all(sq == 1.0))   # the unit-sigma rule
@@ -220,7 +241,7 @@ def density_grid(
     inv_s2 = inv_s * inv_s
     inv_s3 = inv_s2 * inv_s
     hcol = hx[:, None, None]
-    row = (ns + 3 * nx + 3) * max(n, 1)   # block-matrix elements per query row
+    row = (ns + c * nx + 3) * max(n, 1)   # block-matrix elements per query row
     fit = max(1, _BLOCK_ELEMS // row)     # rows the budget holds (at least one)
     # at most one worker per row the budget holds, so all blocks in flight
     # fit it; with two or more workers m > fit, so each gets a block or more
@@ -232,7 +253,7 @@ def density_grid(
     # so malloc sees one size and reuses it: sizes that varied by call kept
     # freed buffers resident under glibc's moving mmap threshold, 12 MB more
     # peak RSS on an MSE replication.
-    shape = (workers, ns + 3 * nx + 3, step, n)
+    shape = (workers, ns + c * nx + 3, step, n)
     bufs = np.empty(max(math.prod(shape), _BLOCK_ELEMS))[: math.prod(shape)].reshape(shape)
 
     # worker i takes blocks i, i + W, i + 2W, ...; the calling thread is worker 0
@@ -242,8 +263,8 @@ def density_grid(
         buf = bufs[worker]
         for lo in range(worker * step, m, workers * step):
             hi = min(m, lo + step)
-            w, k = buf[:ns, : hi - lo], buf[ns : ns + 3 * nx, : hi - lo]
-            a, p1, p2 = buf[ns + 3 * nx :, : hi - lo]
+            w, k = buf[:ns, : hi - lo], buf[ns : ns + c * nx, : hi - lo]
+            a, p1, p2 = buf[ns + c * nx :, : hi - lo]
             if unit:
                 # every weight plane is the fold mask; dx and dx^2 carry the rows
                 if qkey is None:
@@ -254,14 +275,16 @@ def density_grid(
                 np.subtract(xq[lo:hi, None], xt, out=a)  # dx
                 np.multiply(a, a, out=p2)                # dx^2
                 for i, h in enumerate(hx):
-                    e, k1, k2 = k[3 * i], k[3 * i + 1], k[3 * i + 2]
+                    e, k1 = k[c * i], k[c * i + 1]
                     inv_h2 = 1.0 / (h * h)
                     np.multiply(p2, -0.5 * inv_h2, out=e)
                     np.exp(e, out=e)                     # E
                     np.multiply(e, a, out=k1)            # E dx
-                    np.multiply(p2, inv_h2, out=k2)
-                    k2 -= 1.0
-                    k2 *= e                              # E (u^2 - 1)
+                    if f2:
+                        k2 = k[c * i + 2]
+                        np.multiply(p2, inv_h2, out=k2)
+                        k2 -= 1.0
+                        k2 *= e                          # E (u^2 - 1)
             else:
                 np.subtract(sq[lo:hi, None], st, out=a)
                 a *= a
@@ -271,27 +294,31 @@ def density_grid(
                     w *= qkey[lo:hi, None] != tkey
                 np.subtract(xq[lo:hi, None], xt, out=a)  # dx
                 np.multiply(a, inv_s3, out=p1)           # dx / s^3
-                np.multiply(p1, a, out=p2)
-                p2 *= inv_s2                             # dx^2 / s^5
+                if f2:
+                    np.multiply(p1, a, out=p2)
+                    p2 *= inv_s2                         # dx^2 / s^5
                 a *= a
                 a *= -0.5 * inv_s2                       # -dx^2 / (2 s^2)
                 for i, h in enumerate(hx):
-                    e, k1, k2 = k[3 * i], k[3 * i + 1], k[3 * i + 2]
+                    e, k1 = k[c * i], k[c * i + 1]
                     np.multiply(a, 1.0 / (h * h), out=e)
                     np.exp(e, out=e)                     # E = exp(-u^2 / 2)
                     np.multiply(e, p1, out=k1)           # E dx / s^3
-                    np.multiply(p2, 1.0 / (h * h), out=k2)
-                    k2 -= inv_s3
-                    k2 *= e                              # E (u^2 - 1) / s^3
+                    if f2:
+                        k2 = k[c * i + 2]
+                        np.multiply(p2, 1.0 / (h * h), out=k2)
+                        k2 -= inv_s3
+                        k2 *= e                          # E (u^2 - 1) / s^3
                     e *= inv_s                           # E / s
             ws = w.sum(axis=-1)
             wsum[:, lo:hi] = ws
-            s = _contract(w, k).reshape(hi - lo, ns, nx, 3).transpose(3, 2, 1, 0)
+            s = _contract(w, k).reshape(hi - lo, ns, nx, c).transpose(3, 2, 1, 0)
             norm = SQRT_2PI * ws
             f[:, :, lo:hi] = s[0] / (hcol * norm)
             norm3 = hcol**3 * norm
             f1[:, :, lo:hi] = -s[1] / norm3
-            f2[:, :, lo:hi] = s[2] / norm3
+            if f2:
+                f2_raw[:, :, lo:hi] = s[2] / norm3
 
     with _one_blas_thread():
         if workers == 1:
@@ -302,17 +329,19 @@ def density_grid(
                 fill(0)
                 for d in done:
                     d.result()
-    return f, f1, f2, wsum
+    return f, f1, f2_raw, wsum
 
 
-def in_sample_triple(ctx: KernelContext, jackknife: bool = False, queries=None):
+def in_sample_triple(ctx: KernelContext, jackknife: bool = False, queries=None, f2: bool = True):
     """Floored f and raw f1, f2 on the context's bandwidth pair, as arrays.
 
     At every training point, each left out of its own fit when ``jackknife``
     (the leave-self-out estimator), or at ``queries=(x, sigma)`` (equal
-    lengths, positive sigmas, no jackknife). Raises DegenerateWeights listing
-    every query whose weight normalizer underflowed, then NonFiniteValue
-    naming the first query where f, f1 or f2 is not finite.
+    lengths, positive sigmas, no jackknife). With ``f2=False`` the f2 row is
+    not built and f2 is None; f and f1 are bitwise those of the full call.
+    Raises DegenerateWeights listing every query whose weight normalizer
+    underflowed, then NonFiniteValue naming the first query where a computed
+    column (f, f1 and, unless ``f2=False``, f2) is not finite.
     """
     t = ctx.train
     xq, sq = t.x, t.sigma
@@ -325,13 +354,13 @@ def in_sample_triple(ctx: KernelContext, jackknife: bool = False, queries=None):
             raise ValueError("query x and sigma must have equal length")
         if not np.all(sq > 0):
             raise ValueError("all query sigmas must be positive")
-    f, f1, f2, wsum = density_grid(xq, sq, t.x, t.sigma, [ctx.bw.h_x], [ctx.bw.h_sigma], key, key)
+    f, f1, f2_raw, wsum = density_grid(xq, sq, t.x, t.sigma, [ctx.bw.h_x], [ctx.bw.h_sigma], key, key, f2)
     bad = np.flatnonzero(wsum[0] == 0.0)
     if bad.size:
         raise DegenerateWeights(bad)
-    triple = f[0, 0], f1[0, 0], f2[0, 0]
-    finite = np.isfinite(triple)
+    cols = (f[0, 0], f1[0, 0]) + ((f2_raw[0, 0],) if f2 else ())
+    finite = np.isfinite(cols)
     if not finite.all():
         i = int(np.flatnonzero(~finite.all(axis=0))[0])
         raise NonFiniteValue(("f", "f1", "f2")[int(np.argmin(finite[:, i]))], i)
-    return np.maximum(triple[0], FLOOR), triple[1], triple[2]
+    return np.maximum(cols[0], FLOOR), cols[1], cols[2] if f2 else None

@@ -15,7 +15,6 @@ process pool.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Union
@@ -290,6 +289,9 @@ def _map_reps(rep_fn, reps: int, threads: int) -> list:
     map returns results in rep order, so output never depends on scheduling."""
     if threads <= 1 or reps <= 1:
         return [rep_fn(rep) for rep in range(reps)]
+    # imported here, so that `import nesteb.cli` loads no multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     count = kernel_threads(threads, reps)
     with ProcessPoolExecutor(threads, initializer=_set_kernel_threads, initargs=(count,)) as pool:
         return list(pool.map(rep_fn, range(reps)))

@@ -12,9 +12,9 @@ import pytest
 
 import nesteb.kernel
 from nesteb.cli import _parse_estimators, build_parser, main
-from nesteb.data import Bandwidths
+from nesteb.data import Bandwidths, validate_sample
 from nesteb.errors import NonsensicalCounts
-from nesteb.estimators import EstimatorSpec, Nest, estimate
+from nesteb.estimators import TF, EstimatorSpec, Naive, Nest, Scaled, estimate, post_processed
 from nesteb.io import fmt_value, read_csv, write_csv_atomic
 from nesteb.priors import NormalPrior
 from nesteb.simulation import draw_scenario, resolve_spec, scenario_from_ratio
@@ -98,6 +98,25 @@ class TestEstimateCommand:
 
         table = run_mse_study(sc, [EstimatorSpec(Nest(Bandwidths(0.5, 0.2)))])
         assert float(np.mean((got - s.mu_true) ** 2)) == table.per_rep["nest"][0]
+
+    def test_output_bytes_are_17g_of_returned_arrays(self, tmp_path):
+        rng = np.random.default_rng(10)
+        x, sigma = rng.normal(size=50) * 3, rng.uniform(0.1, 1.5, 50)
+        x[:3] = 1 / 3, -0.0, 2.5e30
+        inp, out = tmp_path / "in.csv", tmp_path / "out.csv"
+        write_sample_csv(inp, x, sigma)
+        methods = ["nest", "tf", "scaled", "naive"]
+        rc = main(["estimate", "--input", str(inp), "--output", str(out),
+                   *(a for m in methods for a in ("--method", m)),
+                   "--hx", "0.4", "--hsigma", "0.2", "--truncate", "4", "--stabilize-sign"])
+        assert rc == 0
+        s = validate_sample(x, sigma)
+        rules = [Nest(Bandwidths(0.4, 0.2)), TF(0.4), Scaled(0.4), Naive()]
+        cols = [estimate(post_processed(r, 4.0, True), s) for r in rules]
+        lines = ["id,x,sigma," + ",".join(methods)]
+        lines += [",".join([f"r{i}", *(format(float(c[i]), ".17g") for c in (x, sigma, *cols))])
+                  for i in range(50)]
+        assert out.read_bytes() == "".join(line + "\r\n" for line in lines).encode()
 
     def test_oracle_requires_prior(self, tmp_path, capsys):
         inp, out = tmp_path / "in.csv", tmp_path / "out.csv"
@@ -478,10 +497,20 @@ def test_manifest_reports_kernel_threads(tmp_path, caplog, monkeypatch):
         assert (manifest["command"], manifest["kernel_threads"]) == (argv[0], threads)
 
 
-def test_cli_import_leaves_scipy_special_unloaded():
+def loaded_after_cli_import(modules):
+    """Which of the named modules a fresh `import nesteb.cli` loads."""
     src = os.path.dirname(os.path.dirname(nesteb.kernel.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, nesteb.cli\nprint('scipy.special' in sys.modules)\n"
+    code = f"import sys, nesteb.cli\nprint(*(m for m in {modules!r} if m in sys.modules))\n"
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          timeout=120, check=True)
-    assert run.stdout.strip() == "False"
+    return run.stdout.split()
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    assert loaded_after_cli_import(["scipy.special"]) == []
+
+
+def test_cli_import_loads_no_process_pool():
+    # the replication pool is imported where a --threads run starts it
+    assert loaded_after_cli_import(["multiprocessing", "concurrent.futures.process"]) == []

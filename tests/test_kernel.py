@@ -340,6 +340,29 @@ def run_under_blas_threads(code):
     return out
 
 
+def peak_beyond_outputs(hx, hs, f2=True):
+    """Traced peak bytes of one keyed density_grid call at n = 2000, less the
+    bytes of the arrays it returns."""
+    rng = np.random.default_rng(8)
+    n = 2000
+    x, s = rng.normal(size=n), rng.uniform(0.4, 2.0, n)
+    key = kfold_split(n, 10, 0)
+    tracemalloc.start()
+    try:
+        out = density_grid(x, s, x, s, hx, hs, key, key, f2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - sum(a.nbytes for a in out if a is not None)
+
+
+def block_budget_bytes():
+    # the block matrices hold at most _BLOCK_ELEMS float64 elements; the
+    # per-block temporaries (key mask, matmul result, per-cell quotients)
+    # get a quarter of that again
+    return 8 * nesteb.kernel._BLOCK_ELEMS * 1.25
+
+
 class TestDensityGrid:
     CASES = ["heteroscedastic-3x3", "unit-sigma-pooled", "homoscedastic-nest", "weight-underflow",
              "long-training-index"]
@@ -429,22 +452,8 @@ class TestDensityGrid:
         assert len(one) == 2 and one == two
 
     def test_peak_memory_follows_block_budget(self):
-        rng = np.random.default_rng(8)
-        n = 2000
-        x, s = rng.normal(size=n), rng.uniform(0.4, 2.0, n)
-        key = kfold_split(n, 10, 0)
         grid = tuple(0.1 * k for k in range(1, 11))
-        tracemalloc.start()
-        try:
-            out = density_grid(x, s, x, s, grid, grid, key, key)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # the block matrices hold at most _BLOCK_ELEMS float64 elements; the
-        # per-block temporaries (key mask, matmul result, per-cell quotients)
-        # get a quarter of that again
-        budget = 8 * nesteb.kernel._BLOCK_ELEMS * 1.25
-        assert peak <= budget + sum(a.nbytes for a in out)
+        assert peak_beyond_outputs(grid, grid) <= block_budget_bytes()
 
 
 class TestKernelThreads:
@@ -501,19 +510,65 @@ class TestKernelThreads:
 
     @pytest.mark.parametrize("threads", [2, 64])
     def test_peak_memory_follows_block_budget_on_threads(self, monkeypatch, threads):
-        # at 64 threads the budget holds 18 of these rows: 18 workers, one row each
+        # at 64 threads the budget holds 18 of these rows: 18 workers, one row
+        # each; the same bound as on one thread: the budget covers all workers
         monkeypatch.setattr(nesteb.kernel, "_THREADS", threads)
-        rng = np.random.default_rng(8)
-        n = 2000
-        x, s = rng.normal(size=n), rng.uniform(0.4, 2.0, n)
-        key = kfold_split(n, 10, 0)
         grid = tuple(0.1 * k for k in range(1, 11))
-        tracemalloc.start()
-        try:
-            out = density_grid(x, s, x, s, grid, grid, key, key)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # the same bound as on one thread: the budget covers all workers
-        budget = 8 * nesteb.kernel._BLOCK_ELEMS * 1.25
-        assert peak <= budget + sum(a.nbytes for a in out)
+        assert peak_beyond_outputs(grid, grid) <= block_budget_bytes()
+
+
+class TestF2Free:
+    """``f2=False`` on one cell: f, f1 and wsum are the full call's bytes."""
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 13])
+    @pytest.mark.parametrize("case", TestDensityGrid.CASES)
+    def test_one_cell_is_bitwise_equal(self, monkeypatch, case, block_rows):
+        # every cell of the case's grid alone, under fold keys, jackknife keys
+        # and none (queries), on 1-3 kernel threads and blocks of 1, 2 or 13
+        # f2-free rows
+        xq, sq, xt, st, hxs, hss, key = grid_case(case)
+        jack = np.arange(len(xt))
+        keys = [(None, None), (jack[: len(xq)], jack)] + ([] if key is None else [(key, key)])
+        monkeypatch.setattr(nesteb.kernel, "_THREADS", 1)
+        full = {(hx, hs, i): density_grid(xq, sq, xt, st, [hx], [hs], *k)
+                for hx in hxs for hs in hss for i, k in enumerate(keys)}
+        monkeypatch.setattr(nesteb.kernel, "_BLOCK_ELEMS", block_rows * (1 + 2 + 3) * len(xt))
+        for threads in (1, 2, 3):
+            monkeypatch.setattr(nesteb.kernel, "_THREADS", threads)
+            for (hx, hs, i), (f, f1, _, wsum) in full.items():
+                got = density_grid(xq, sq, xt, st, [hx], [hs], *keys[i], f2=False)
+                assert got[2] is None
+                assert [a.tobytes() for a in (got[0], got[1], got[3])] == [a.tobytes() for a in (f, f1, wsum)]
+
+    @pytest.mark.parametrize("hx,hs", [((0.3, 0.6), (0.2,)), ((0.3,), (0.2, 0.5))])
+    def test_grid_refused(self, hx, hs):
+        xq, sq, xt, st, *_ = grid_case("heteroscedastic-3x3")
+        with pytest.raises(ValueError, match="one-cell"):
+            density_grid(xq, sq, xt, st, hx, hs, f2=False)
+
+    @pytest.mark.parametrize("jackknife", [False, True])
+    def test_in_sample_triple(self, jackknife):
+        rng = np.random.default_rng(12)
+        s = validate_sample(rng.normal(size=300), rng.uniform(0.4, 2.0, 300))
+        ctx = KernelContext(s, Bandwidths(0.5, 0.3))
+        f, f1, f2 = in_sample_triple(ctx, jackknife=jackknife)
+        g, g1, g2 = in_sample_triple(ctx, jackknife=jackknife, f2=False)
+        assert g2 is None and f2 is not None
+        assert (g.tobytes(), g1.tobytes()) == (f.tobytes(), f1.tobytes())
+
+    def test_peak_memory_follows_block_budget(self):
+        # one cell: the budget holds (1 + 2 + 3) n elements per row
+        assert peak_beyond_outputs((0.5,), (0.3,), f2=False) <= block_budget_bytes()
+
+    def test_only_computed_columns_are_checked(self):
+        # against x = 1e300 only the f2 row overflows (0 * inf); with f2 the
+        # triple is refused there, without it f and f1 come back finite
+        s = validate_sample([1.0, 1e300, 2.0], [1.0, 0.5, 1.0])
+        ctx = KernelContext(s, Bandwidths(0.5, 0.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue) as err:
+                in_sample_triple(ctx)
+            f, f1, f2 = in_sample_triple(ctx, f2=False)
+        assert (err.value.column, err.value.index) == ("f2", 0)
+        assert f2 is None and np.isfinite(f).all() and np.isfinite(f1).all()
