@@ -199,7 +199,8 @@ def cmd_tune(args) -> int:
     write_csv_atomic(
         args.output,
         ["h_x", "h_sigma", "S"],
-        ((hx, hs, s) for hx, hs, s, _ in report.iter_cells()),
+        ((hx, hs, float(report.surface[i, j]))
+         for i, hx in enumerate(report.h_x_values) for j, hs in enumerate(report.h_sigma_values)),
     )
     am = report.argmin
     s_min = float(report.surface[report.h_x_values.index(am.h_x), report.h_sigma_values.index(am.h_sigma)])
@@ -370,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
         "competitor rules, SURE bandwidth tuning, and simulation studies.",
     )
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=0, help="64-bit base seed")
+    seeded.add_argument("--seed", type=int_at_least(0), default=0, help="non-negative base seed")
     pooled = argparse.ArgumentParser(add_help=False)
     pooled.add_argument("--threads", type=int_at_least(1), default=1, help="worker processes (output is thread-count independent)")
     folded = argparse.ArgumentParser(add_help=False)

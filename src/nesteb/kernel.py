@@ -47,29 +47,27 @@ at n = 1000, every f, f1 and f2 of the 100 cells of a 10 x 10 grid differed
 from the same cell computed alone, by up to 4e-11 relative.
 
 f2-free rule: a final fit needs f and f1 only (the Tweedie score f1/f), so
-``f2=False`` builds no f2 row. The general path skips its dx^2/sigma^5
-plane, both paths skip the three f2 passes per h_x, and the product loses
-its f2 column; f2 comes back as None. It is allowed on one cell only
-(nx = ns = 1), where each product is a gemv and f and f1 are bitwise those
-of the full call; on a larger grid the narrower product rounds differently
-(by up to 5e-14 relative on 3 x 1 and 3 x 2 grids at n = 1000), so such a
-call raises ValueError.
+``f2=False`` builds no f2 row: the fill skips the three f2 passes per h_x
+and (sigma not 1) the dx^2/sigma^5 plane, the product loses its f2 column,
+and f2 comes back as None. It is allowed on one cell only (nx = ns = 1),
+where each product is a gemv and f and f1 are bitwise those of the full
+call; on a larger grid the narrower product rounds differently (by up to
+5e-14 relative on 3 x 1 and 3 x 2 grids at n = 1000), so such a call raises
+ValueError.
 
-Unit-sigma rule: when every training and query sigma is exactly 1, a
-property of the input checked once per call, each block is filled by a
-second path. The pooled rules (TF, Scaled and k-Groups, one-dimensional
-KDEs realized with sigma = 1) always take it, and so does homoscedastic NEST
-at sigma = 1. Every weight plane is then the fold mask (1.0 without keys)
-and the kernel rows come from dx and dx^2 alone:
+Unit-sigma rule: sigma = 1 skips the sigma factors. When every training and
+query sigma is exactly 1 (checked once per call), as for the pooled rules
+(TF, Scaled and k-Groups, one-dimensional KDEs realized with sigma = 1) and
+homoscedastic NEST at sigma = 1, each weight plane is the fold mask (1.0
+without keys) and the same per-h_x loop takes its rows from dx and dx^2:
 
     E = exp(dx^2 * (-0.5 / h_x^2)),   E dx,   (dx^2 / h_x^2 - 1) E
 
-Its bits equal the general path's on every accepted input, for three reasons:
-multiplying by 1/sigma = 1.0 and exp(-0.0) = 1.0 are exact; scaling by -0.5
-is exact, so dx^2 (-0.5 / h_x^2) rounds to the same bits as
-(-0.5 dx^2) (1 / h_x^2), except where a factor or the result is subnormal,
-and there E = exp(+-tiny) = 1.0 on both paths; and the weight normalizers
-are sums of zeros and ones, exact integers.
+The bits equal those with the sigma factors: multiplying by 1/sigma = 1.0
+and exp(-0.0) = 1.0 are exact; scaling by -0.5 is exact, so
+dx^2 (-0.5 / h_x^2) rounds as (-0.5 dx^2) (1 / h_x^2) does, except where a
+factor or the result is subnormal, and there E = exp(+-tiny) = 1.0 either
+way; and the weight normalizers are sums of zeros and ones, exact integers.
 
 Thread rule: the row blocks are spread over W kernel threads, W = the
 smallest of ``_THREADS`` (the CPUs in the process's affinity mask), the
@@ -240,6 +238,7 @@ def density_grid(
     inv_s = 1.0 / st
     inv_s2 = inv_s * inv_s
     inv_s3 = inv_s2 * inv_s
+    escale, s3 = (-0.5, 1.0) if unit else (1.0, inv_s3)     # at sigma = 1, q = dx^2 lacks the -1/2
     hcol = hx[:, None, None]
     row = (ns + c * nx + 3) * max(n, 1)   # block-matrix elements per query row
     fit = max(1, _BLOCK_ELEMS // row)     # rows the budget holds (at least one)
@@ -274,17 +273,7 @@ def density_grid(
                     w[1:] = w[0]
                 np.subtract(xq[lo:hi, None], xt, out=a)  # dx
                 np.multiply(a, a, out=p2)                # dx^2
-                for i, h in enumerate(hx):
-                    e, k1 = k[c * i], k[c * i + 1]
-                    inv_h2 = 1.0 / (h * h)
-                    np.multiply(p2, -0.5 * inv_h2, out=e)
-                    np.exp(e, out=e)                     # E
-                    np.multiply(e, a, out=k1)            # E dx
-                    if f2:
-                        k2 = k[c * i + 2]
-                        np.multiply(p2, inv_h2, out=k2)
-                        k2 -= 1.0
-                        k2 *= e                          # E (u^2 - 1)
+                q, d1 = p2, a
             else:
                 np.subtract(sq[lo:hi, None], st, out=a)
                 a *= a
@@ -299,16 +288,20 @@ def density_grid(
                     p2 *= inv_s2                         # dx^2 / s^5
                 a *= a
                 a *= -0.5 * inv_s2                       # -dx^2 / (2 s^2)
-                for i, h in enumerate(hx):
-                    e, k1 = k[c * i], k[c * i + 1]
-                    np.multiply(a, 1.0 / (h * h), out=e)
-                    np.exp(e, out=e)                     # E = exp(-u^2 / 2)
-                    np.multiply(e, p1, out=k1)           # E dx / s^3
-                    if f2:
-                        k2 = k[c * i + 2]
-                        np.multiply(p2, 1.0 / (h * h), out=k2)
-                        k2 -= inv_s3
-                        k2 *= e                          # E (u^2 - 1) / s^3
+                q, d1 = a, p1
+            # q: the exponent before 1/h_x^2; d1: the factor of E in row 1
+            for i, h in enumerate(hx):
+                e, k1 = k[c * i], k[c * i + 1]
+                inv_h2 = 1.0 / (h * h)
+                np.multiply(q, escale * inv_h2, out=e)
+                np.exp(e, out=e)                         # E = exp(-u^2 / 2)
+                np.multiply(e, d1, out=k1)               # E dx / s^3
+                if f2:
+                    k2 = k[c * i + 2]
+                    np.multiply(p2, inv_h2, out=k2)
+                    k2 -= s3
+                    k2 *= e                              # E (u^2 - 1) / s^3
+                if not unit:
                     e *= inv_s                           # E / s
             ws = w.sum(axis=-1)
             wsum[:, lo:hi] = ws

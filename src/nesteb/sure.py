@@ -110,12 +110,6 @@ class SureReport:
         return (_on_edge(self.h_x_values, self.argmin.h_x),
                 _on_edge(self.h_sigma_values, self.argmin.h_sigma))
 
-    def iter_cells(self):
-        """Yield (h_x, h_sigma, S, degenerate) in deterministic grid order."""
-        for i, hx in enumerate(self.h_x_values):
-            for j, hs in enumerate(self.h_sigma_values):
-                yield hx, hs, float(self.surface[i, j]), bool(self.degenerate[i, j])
-
 
 def _on_edge(values: tuple[float, ...], chosen: float) -> bool:
     return chosen in (values[0], values[-1])

@@ -249,6 +249,27 @@ def test_folds_below_two_exit_2(command, value, capsys):
     assert f"argument --folds: must be >= 2, got {value}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["estimate", "tune", "simulate", "bias"])
+@pytest.mark.parametrize("value", ["-1", "-7"])
+def test_seed_below_zero_exit_2(command, value, capsys):
+    required, _ = _TAKES[command]
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([command, *required, "--seed", value])
+    assert exc.value.code == 2
+    assert f"argument --seed: must be >= 0, got {value}" in capsys.readouterr().err
+    assert build_parser().parse_args([command, *required, "--seed", "0"]).seed == 0
+
+
+@pytest.mark.parametrize("method", ["naive", "tf"])
+def test_negative_seed_exits_2_before_reading_input(tmp_path, method):
+    # naive draws nothing and tf draws folds: both refuse the seed alike
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--input", str(tmp_path / "missing.csv"), "--output", str(tmp_path / "o.csv"),
+              "--method", method, "--seed", "-1"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "o.csv").exists()
+
+
 def estimate_near_float_limit(tmp_path, capsys, method_args):
     """Run `estimate` on a CSV with one x = 1e308; assert exit 1, one JSON
     line, no RuntimeWarning and no output file; return the JSON payload."""

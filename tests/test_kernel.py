@@ -314,7 +314,7 @@ def grid_case(name):
         s = np.ones(n)
         return x, s, x, s, (0.2, 0.5, 1.1), (1.0,), key
     if name == "homoscedastic-nest":
-        # the unit-sigma path with several h_sigma: the mask goes on every plane
+        # the unit-sigma rule with several h_sigma: the mask goes on every plane
         s = np.ones(n)
         return x, s, x, s, (0.3, 0.6, 1.0), (0.2, 0.5, 0.9), key
     if name == "weight-underflow":
@@ -322,6 +322,13 @@ def grid_case(name):
         # the two small h_sigma values and not at the large one
         s = np.append(rng.uniform(0.5, 1.5, n - 1), 30.0)
         return x, s, x, s, (0.4, 0.8), (0.2, 0.5, 40.0), key
+    if name == "two-value-sigma":
+        # criterion 6's design: sigma = 3 with probability 0.3, else 1
+        s = np.where(rng.random(n) < 0.3, 3.0, 1.0)
+        return x, s, x, s, (0.3, 0.6, 1.0), (0.2, 0.5, 0.9), key
+    if name == "three-value-sigma":
+        s = rng.choice([0.5, 1.0, 2.0], n)
+        return x, s, x, s, (0.3, 0.6, 1.0), (0.2, 0.5, 0.9), key
     # more training points than one chunk of the training-index sum
     xt, st = rng.normal(size=9000), rng.uniform(0.4, 2.0, 9000)
     return x[:3], st[:3], xt, st, (0.3, 0.9), (0.2, 0.6), None
@@ -365,7 +372,7 @@ def block_budget_bytes():
 
 class TestDensityGrid:
     CASES = ["heteroscedastic-3x3", "unit-sigma-pooled", "homoscedastic-nest", "weight-underflow",
-             "long-training-index"]
+             "two-value-sigma", "three-value-sigma", "long-training-index"]
 
     @pytest.mark.parametrize("case", CASES)
     def test_matches_reference_sums(self, case):
@@ -392,9 +399,10 @@ class TestDensityGrid:
     @pytest.mark.parametrize("keyed", [False, True])
     @pytest.mark.parametrize("n", [7, 300, 1000])
     def test_unit_sigma_path_is_the_general_path_scaled(self, n, keyed):
-        # sigma = 2 takes the general path and (x / 2, sigma = 1) the unit
-        # path; powers of two scale exactly, so f, f1 and f2 at sigma = 2 are
-        # 1/2, 1/4 and 1/8 of the unit path's bitwise, and wsum is equal
+        # sigma = 2 runs the fill with the sigma factors and (x / 2, sigma = 1)
+        # without them; powers of two scale exactly, so f, f1 and f2 at
+        # sigma = 2 are 1/2, 1/4 and 1/8 of those at sigma = 1 bitwise, and
+        # wsum is equal
         x = np.random.default_rng(n).normal(size=n)
         key = kfold_split(n, 5, 0) if keyed else None
         two, one = np.full(n, 2.0), np.ones(n)
