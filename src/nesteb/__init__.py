@@ -29,7 +29,7 @@ from .estimators import (
     truncate_estimates,
 )
 from .kernel import KernelContext, in_sample_triple
-from .priors import NormalPrior, SparseMixPrior, TwoPointPrior, point_mass
+from .priors import NormalPrior, SparseMixPrior, TwoPointPrior
 from .simulation import (
     SimScenario,
     TwoValueSigma,
@@ -75,7 +75,6 @@ __all__ = [
     "in_sample_triple",
     "k_groups_fit",
     "kfold_split",
-    "point_mass",
     "run_bias_experiment",
     "run_mse_study",
     "scenario_from_ratio",

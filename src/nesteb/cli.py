@@ -227,10 +227,15 @@ def _parse_estimators(text: str, prior, n: int) -> list[EstimatorSpec]:
     group count appended to k-Groups as kgroups:K."""
     specs = []
     for token in text.split(","):
-        name, sep, k = token.strip().partition(":")
+        token = token.strip()
+        name, sep, k = token.partition(":")
         if name not in _METHODS or bool(sep) != (name == "kgroups"):
-            raise NestError(f"unknown estimator {token.strip()!r}")
-        opts = argparse.Namespace(prior=prior, hx=None, hsigma=None, k=int(k) if sep else None)
+            raise NestError(f"unknown estimator {token!r}")
+        try:
+            k = int(k) if sep else None
+        except ValueError:  # int()'s own error class, with a detail that names the token
+            raise ValueError(f"unknown estimator {token!r}") from None
+        opts = argparse.Namespace(prior=prior, hx=None, hsigma=None, k=k)
         specs.append(study_spec(_METHODS[name](opts), prior, n))
     return specs
 
@@ -404,8 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", parents=[seeded, pooled, folded], help="MSE study over one scenario cell")
     p.add_argument("--scenario", choices=sorted(_SCENARIO_PRIORS), required=True)
     p.add_argument("--ratio", type=float, default=0.9, help="target var(mu)/var(X) in (0,1)")
-    p.add_argument("--n", type=int)
-    p.add_argument("--reps", type=int)
+    p.add_argument("--n", type=int_at_least(1))
+    p.add_argument("--reps", type=int_at_least(1))
     p.add_argument("--estimators", help=f"comma list of {','.join(_METHODS)}; kgroups takes a group count, kgroups:K")
     p.add_argument("--output", required=True)
     profile = p.add_mutually_exclusive_group()
@@ -415,9 +420,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bias", parents=[seeded, pooled, folded], help="tail-selection bias experiment")
     p.add_argument("--setting", choices=["single-center", "two-center"], required=True)
-    p.add_argument("--reps", type=int, default=200)
+    p.add_argument("--reps", type=int_at_least(1), default=200)
     p.add_argument("--select-k", type=int, default=20, dest="select_k")
-    p.add_argument("--n", type=int, default=5000)
+    p.add_argument("--n", type=int_at_least(1), default=5000)
     p.add_argument("--output", required=True, help="CSV of (estimator, rep, diff)")
     p.set_defaults(func=cmd_bias)
 

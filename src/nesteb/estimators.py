@@ -81,7 +81,9 @@ class Nest(_Rule):
     name: ClassVar[str] = "nest"
 
     def apply(self, sample: HeteroSample) -> np.ndarray:
-        return nest_estimates(sample, _resolved(self.bw, "NEST bandwidths"), jackknife=self.jackknife)
+        ctx = KernelContext(sample, _resolved(self.bw, "NEST bandwidths"))
+        f, f1, _ = in_sample_triple(ctx, self.jackknife, f2=False)
+        return sample.x + sample.sigma**2 * f1 / f
 
     def describe(self) -> dict:
         return {"h_x": self.bw.h_x, "h_sigma": self.bw.h_sigma}
@@ -93,7 +95,8 @@ class TF(_Rule):
     name: ClassVar[str] = "tf"
 
     def apply(self, sample: HeteroSample) -> np.ndarray:
-        return tf_estimates(sample, _resolved(self.h, "TF bandwidth"))
+        f, f1, _ = in_sample_triple(pooled_context(sample.x, _resolved(self.h, "TF bandwidth")), f2=False)
+        return sample.x + sample.sigma**2 * f1 / f
 
     def describe(self) -> dict:
         return {"h": self.h}
@@ -105,7 +108,9 @@ class Scaled(_Rule):
     name: ClassVar[str] = "scaled"
 
     def apply(self, sample: HeteroSample) -> np.ndarray:
-        return scaled_estimates(sample, _resolved(self.h, "Scaled bandwidth"))
+        z = sample.x / sample.sigma
+        f, f1, _ = in_sample_triple(pooled_context(z, _resolved(self.h, "Scaled bandwidth")), f2=False)
+        return sample.sigma * (z + f1 / f)
 
     def describe(self) -> dict:
         return {"h": self.h}
@@ -121,7 +126,14 @@ class KGroups(_Rule):
         return f"{self.k}-groups"
 
     def apply(self, sample: HeteroSample) -> np.ndarray:
-        return kgroups_estimates(sample, self.k, _resolved(self.h_per_group, "k-Groups bandwidths"))
+        h_per_group = _resolved(self.h_per_group, "k-Groups bandwidths")
+        groups = k_groups_fit(sample, self.k)
+        if len(h_per_group) != self.k:
+            raise BadGroupCount(self.k, sample.n, f"got {len(h_per_group)} bandwidths for {self.k} groups")
+        out = np.empty(sample.n)
+        for h, idx in zip(h_per_group, groups):
+            out[idx] = TF(float(h)).apply(sample.subset(idx))
+        return out
 
     def describe(self) -> dict:
         return {"k": self.k, "h_per_group": list(self.h_per_group)}
@@ -183,39 +195,6 @@ def k_groups_fit(sample: HeteroSample, k: int) -> tuple[np.ndarray, ...]:
         raise BadGroupCount(k, sample.n)
     order = np.argsort(sample.sigma, kind="stable")
     return tuple(np.sort(b) for b in np.array_split(order, k))
-
-
-# ---------------------------------------------------------------------------
-# Vectorized estimation
-# ---------------------------------------------------------------------------
-
-
-def nest_estimates(sample: HeteroSample, bw: Bandwidths, jackknife: bool = False) -> np.ndarray:
-    f, f1, _ = in_sample_triple(KernelContext(sample, bw), jackknife, f2=False)
-    return sample.x + sample.sigma**2 * f1 / f
-
-
-def tf_estimates(sample: HeteroSample, h: float) -> np.ndarray:
-    f, f1, _ = in_sample_triple(pooled_context(sample.x, h), f2=False)
-    return sample.x + sample.sigma**2 * f1 / f
-
-
-def scaled_estimates(sample: HeteroSample, h: float) -> np.ndarray:
-    z = sample.x / sample.sigma
-    f, f1, _ = in_sample_triple(pooled_context(z, h), f2=False)
-    return sample.sigma * (z + f1 / f)
-
-
-def kgroups_estimates(sample: HeteroSample, k: int, h_per_group) -> np.ndarray:
-    groups = k_groups_fit(sample, k)
-    hs = tuple(float(h) for h in h_per_group)
-    if len(hs) != k:
-        raise BadGroupCount(k, sample.n, f"got {len(hs)} bandwidths for {k} groups")
-    out = np.empty(sample.n)
-    for g, idx in enumerate(groups):
-        sub = sample.subset(idx)
-        out[idx] = tf_estimates(sub, hs[g])
-    return out
 
 
 def check_truncation_bound(bound: float) -> float:

@@ -153,8 +153,3 @@ class TwoPointPrior(_GaussianMixture):
 
 
 PriorSpec = Union[NormalPrior, SparseMixPrior, TwoPointPrior]
-
-
-def point_mass(at: float = 0.0) -> TwoPointPrior:
-    """Degenerate prior concentrated at a single value."""
-    return TwoPointPrior(1.0, at, at)

@@ -84,13 +84,6 @@ class TwoValueSigma:
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return np.where(rng.random(n) < self.p1, self.s1, self.s2)
 
-    def mean_sq(self) -> float:
-        return self.p1 * self.s1**2 + (1.0 - self.p1) * self.s2**2
-
-    def sd(self) -> float:
-        m = self.p1 * self.s1 + (1.0 - self.p1) * self.s2
-        return math.sqrt(max(self.mean_sq() - m * m, 0.0))
-
 
 SigmaLaw = Union[UniformSigma, TwoValueSigma]
 
@@ -165,7 +158,6 @@ class UnbiasednessCheck:
     mean_s: float
     mc_risk: float
     se: float
-    n_mc: int
 
 
 def sure_unbiasedness_check(
@@ -195,7 +187,7 @@ def sure_unbiasedness_check(
     delta = mc.x + mc.sigma**2 * f1 / f
     sq_err = (delta - mc.mu_true) ** 2
     se = float(np.std(s_vals - sq_err, ddof=1) / np.sqrt(n_mc)) if n_mc > 1 else float("inf")
-    return UnbiasednessCheck(float(s_vals.mean()), float(sq_err.mean()), se, n_mc)
+    return UnbiasednessCheck(float(s_vals.mean()), float(sq_err.mean()), se)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +209,6 @@ class MseTable:
 
     scenario: str
     n: int
-    reps: int
     rows: dict[str, MseRow]
     per_rep: dict[str, np.ndarray]
 
@@ -310,7 +301,7 @@ def run_mse_study(
         vals = per_rep[name]
         se = float(np.std(vals, ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
         rows[name] = MseRow(float(vals.mean()), se, scenario.reps)
-    return MseTable(scenario.label, scenario.n, scenario.reps, rows, per_rep)
+    return MseTable(scenario.label, scenario.n, rows, per_rep)
 
 
 def study_spec(method, prior: PriorSpec, n: int) -> EstimatorSpec:

@@ -33,14 +33,12 @@ from nesteb.estimators import (
     TF,
     default_truncation_bound,
     estimate,
-    nest_estimates,
-    tf_estimates,
     truncate_estimates,
 )
 from nesteb.expfam import FamilyPoint, Gamma, Binomial, gamma_point_mass_lf1, lh_prime, posterior_mean
 from nesteb.io import read_csv, write_csv_atomic
 from nesteb.kernel import KernelContext, in_sample_triple
-from nesteb.priors import NormalPrior, TwoPointPrior, point_mass
+from nesteb.priors import NormalPrior, TwoPointPrior
 from nesteb.simulation import (
     UniformSigma,
     run_bias_experiment,
@@ -56,6 +54,7 @@ THREADS = min(2, os.cpu_count() or 1)
 
 NORMAL_PRIOR = NormalPrior(3.0, 1.0)
 TWOPOINT_PRIOR = TwoPointPrior(0.5, 0.0, 3.0)
+POINT_MASS = TwoPointPrior(1.0, 0.0, 0.0)  # all prior mass at 0
 RATIO_96 = 9.6 / 10.6  # var(mu)/var(X) anchor for the 9.6x noise-ratio cell
 RATIO_92 = 9.2 / 10.2
 
@@ -143,8 +142,8 @@ def test_criterion_4_sure_unbiasedness():
 def test_criterion_5_selection_bias_formula():
     rng = np.random.default_rng(105)
     cases = [
-        (point_mass(0.0), 1.0, 0.003),
-        (point_mass(0.0), 2.0, 0.006),
+        (POINT_MASS, 1.0, 0.003),
+        (POINT_MASS, 2.0, 0.006),
         (NormalPrior(0.0, 1.0), 1.0, 0.004),
     ]
     details, ok = [], True
@@ -157,7 +156,7 @@ def test_criterion_5_selection_bias_formula():
         good = abs(emp - form) <= tol
         ok = ok and good
         details.append(f"{type(prior).__name__} s={sigma}: emp {emp:.5f} vs {form:.5f} (tol {tol})")
-    assert abs(selection_bias_formula(0.0, 1.0, point_mass(0.0)) - 0.7978845608) < 1e-9
+    assert abs(selection_bias_formula(0.0, 1.0, POINT_MASS) - 0.7978845608) < 1e-9
     report("criterion-5", ok, "; ".join(details))
 
 
@@ -214,14 +213,14 @@ def test_criterion_7_property_suite(tmp_path):
     xs = rng.normal(size=150)
     hom = validate_sample(xs, np.full(150, 0.9))
     checks["homoscedastic"] = bool(
-        np.max(np.abs(nest_estimates(hom, Bandwidths(0.5, 0.3)) - tf_estimates(hom, 0.45))) < 1e-10
+        np.max(np.abs(Nest(Bandwidths(0.5, 0.3)).apply(hom) - TF(0.45).apply(hom))) < 1e-10
     )
 
     # shift equivariance within 1e-10
     het = validate_sample(rng.normal(size=80), rng.uniform(0.5, 1.5, 80))
     shifted = validate_sample(het.x + 20.0, het.sigma)
-    a = nest_estimates(het, Bandwidths(0.5, 0.3))
-    b = nest_estimates(shifted, Bandwidths(0.5, 0.3))
+    a = Nest(Bandwidths(0.5, 0.3)).apply(het)
+    b = Nest(Bandwidths(0.5, 0.3)).apply(shifted)
     checks["shift-equivariance"] = bool(np.max(np.abs(b - (a + 20.0))) < 1e-10)
 
     # truncation dominance, exact

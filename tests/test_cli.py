@@ -239,6 +239,26 @@ def test_threads_below_one_exit_2(command, value, capsys):
     assert f"argument --threads: must be >= 1, got {value}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "bias"])
+@pytest.mark.parametrize("flag", ["--n", "--reps"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_n_and_reps_below_one_exit_2(command, flag, value, capsys):
+    required, _ = _TAKES[command]
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([command, *required, flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be >= 1, got {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("token", ["kgroups:x", "kgroups:"])
+def test_bad_group_count_token_is_an_unknown_estimator(tmp_path, capsys, token):
+    rc = main(["simulate", "--scenario", "normal", "--estimators", f"naive,{token}",
+               "--output", str(tmp_path / "o.csv")])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err.strip()) == {
+        "error": "ValueError", "detail": f"unknown estimator {token!r}"}
+
+
 @pytest.mark.parametrize("command", ["estimate", "tune", "simulate", "bias"])
 @pytest.mark.parametrize("value", ["1", "0", "-5"])
 def test_folds_below_two_exit_2(command, value, capsys):

@@ -17,11 +17,7 @@ from nesteb.estimators import (
     default_truncation_bound,
     estimate,
     k_groups_fit,
-    kgroups_estimates,
-    nest_estimates,
-    scaled_estimates,
     stabilize_sign,
-    tf_estimates,
     truncate_estimates,
 )
 from nesteb.kernel import in_sample_triple, pooled_context
@@ -94,12 +90,12 @@ class TestNestPoint:
         x = rng.normal(1.0, 0.5, n) + sigma * rng.normal(size=n)
         s = validate_sample(x, sigma)
         h_x = 0.3
-        nest = nest_estimates(s, Bandwidths(h_x, 0.05))
+        nest = Nest(Bandwidths(h_x, 0.05)).apply(s)
         per_group = np.empty(n)
         for g, sig_g in ((True, 1.0), (False, 3.0)):
             idx = np.flatnonzero(grp == g)
             sub = s.subset(idx)
-            per_group[idx] = tf_estimates(sub, h_x * sig_g)
+            per_group[idx] = TF(h_x * sig_g).apply(sub)
         np.testing.assert_allclose(nest, per_group, atol=1e-6)
 
 
@@ -125,8 +121,8 @@ class TestTfAndScaledPoints:
         rng = np.random.default_rng(10)
         xs = rng.normal(size=50)
         s = validate_sample(xs, np.ones(50))
-        a = scaled_estimates(s, 0.4)
-        b = tf_estimates(s, 0.4)
+        a = Scaled(0.4).apply(s)
+        b = TF(0.4).apply(s)
         np.testing.assert_array_equal(a, b)
 
     def test_scaled_single_point_closed_form(self):
@@ -140,8 +136,8 @@ class TestTfAndScaledPoints:
 class TestKGroups:
     def test_k1_equals_tf_bitwise(self):
         s = random_sample(n=70, seed=11)
-        a = kgroups_estimates(s, 1, [0.45])
-        b = tf_estimates(s, 0.45)
+        a = KGroups(1, (0.45,)).apply(s)
+        b = TF(0.45).apply(s)
         np.testing.assert_array_equal(a, b)
 
     def test_quantile_split_n4(self):
@@ -165,10 +161,10 @@ class TestKGroups:
         # exact group separation only when the two sigma values are balanced
         if (sigma == 1.0).sum() == n // 2:
             assert np.all(sigma[groups[0]] == 1.0)
-        got = kgroups_estimates(s, 2, [0.5, 0.5])
+        got = KGroups(2, (0.5, 0.5)).apply(s)
         for g, idx in enumerate(groups):
             sub = s.subset(idx)
-            np.testing.assert_allclose(got[idx], tf_estimates(sub, 0.5), rtol=1e-13)
+            np.testing.assert_allclose(got[idx], TF(0.5).apply(sub), rtol=1e-13)
 
     def test_bad_group_count(self):
         s = random_sample(n=5)
@@ -256,7 +252,7 @@ class TestEstimateDispatch:
         # point's kernel is exactly 0: x + 4 e / (1 + e), e = exp(-2), at h = 0.5
         s = validate_sample([1.0, 1e300, 2.0], [1.0, 1.0, 1.0])
         lift = 4 * math.exp(-2.0) / (1 + math.exp(-2.0))
-        for mu in (nest_estimates(s, Bandwidths(0.5, 0.5)), tf_estimates(s, 0.5), scaled_estimates(s, 0.5)):
+        for mu in (Nest(Bandwidths(0.5, 0.5)).apply(s), TF(0.5).apply(s), Scaled(0.5).apply(s)):
             assert mu[1] == 1e300
             np.testing.assert_allclose(mu[[0, 2]], [1 + lift, 2 - lift], rtol=1e-14)   # 1.4768..., 1.5232...
         # the f2 row itself still refuses the input

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from nesteb.priors import NormalPrior, SparseMixPrior, TwoPointPrior, point_mass
+from nesteb.priors import NormalPrior, SparseMixPrior, TwoPointPrior
 
 PRIORS = [
     NormalPrior(3.0, 1.0),
@@ -14,7 +14,7 @@ PRIORS = [
     # a component of zero weight: its log weight is -inf
     pytest.param(SparseMixPrior(0.0, 3.0, 0.3), id="SparseMixPrior-no-null"),
     pytest.param(SparseMixPrior(1.0, 3.0, 0.3), id="SparseMixPrior-all-null"),
-    pytest.param(point_mass(0.0), id="point_mass"),
+    pytest.param(TwoPointPrior(1.0, 0.0, 0.0), id="point_mass"),
 ]
 
 
@@ -60,7 +60,7 @@ class TestClosedForms:
         assert p.variance() == pytest.approx(expect)
 
     def test_point_mass_prior(self):
-        p = point_mass(0.0)
+        p = TwoPointPrior(1.0, 0.0, 0.0)
         assert p.variance() == 0.0
         assert float(p.posterior_mean(5.0, 1.0)) == 0.0
         # marginal is the pure noise density

@@ -9,7 +9,7 @@ import nesteb.simulation
 from nesteb.data import Bandwidths
 from nesteb.errors import EmptyMonteCarlo, NoFeasibleRoot, ZeroTailMass
 from nesteb.estimators import EstimatorSpec, Naive, Nest, Oracle, TF
-from nesteb.priors import NormalPrior, SparseMixPrior, TwoPointPrior, point_mass
+from nesteb.priors import NormalPrior, SparseMixPrior, TwoPointPrior
 from nesteb.simulation import (
     _map_reps,
     SimScenario,
@@ -25,6 +25,8 @@ from nesteb.simulation import (
     tf_average_shrinkage,
 )
 from twocomponent import fit_two_component
+
+POINT_MASS = TwoPointPrior(1.0, 0.0, 0.0)  # all prior mass at 0
 
 
 class TestSolveSigmaM:
@@ -100,21 +102,21 @@ class TestDrawScenario:
 
 class TestSelectionBiasFormula:
     def test_point_mass_hazard_at_zero(self):
-        got = selection_bias_formula(0.0, 1.0, point_mass(0.0))
+        got = selection_bias_formula(0.0, 1.0, POINT_MASS)
         assert got == pytest.approx(0.7978845608028654, rel=1e-12)
 
     def test_point_mass_hazard_scales_with_sigma(self):
-        got = selection_bias_formula(0.0, 2.0, point_mass(0.0))
+        got = selection_bias_formula(0.0, 2.0, POINT_MASS)
         assert got == pytest.approx(1.5957691216057308, rel=1e-12)
 
     def test_far_left_threshold_is_unbiased(self):
-        assert selection_bias_formula(-40.0, 1.0, point_mass(0.0)) < 1e-200
+        assert selection_bias_formula(-40.0, 1.0, POINT_MASS) < 1e-200
 
     def test_zero_tail_mass(self):
         with pytest.raises(ZeroTailMass):
-            selection_bias_formula(60.0, 1.0, point_mass(0.0))
+            selection_bias_formula(60.0, 1.0, POINT_MASS)
 
-    @pytest.mark.parametrize("prior", [point_mass(0.0), NormalPrior(0.0, 1.0)])
+    @pytest.mark.parametrize("prior", [POINT_MASS, NormalPrior(0.0, 1.0)])
     @pytest.mark.parametrize("t", [0.0, 1.0, 2.0])
     @pytest.mark.parametrize("sigma", [1.0, 2.0])
     def test_monte_carlo_agreement(self, prior, t, sigma):

@@ -6,7 +6,7 @@ import pytest
 import nesteb.kernel
 from nesteb.data import Bandwidths, kfold_split, validate_sample
 from nesteb.errors import AllCellsDegenerate, EmptyMonteCarlo, LengthMismatch, NonFiniteValue, NonPositiveSigma
-from nesteb.estimators import nest_estimates
+from nesteb.estimators import Nest
 from nesteb.kernel import KernelContext, in_sample_triple
 from nesteb.priors import NormalPrior
 from nesteb.simulation import (
@@ -262,9 +262,9 @@ class TestTune:
         best = math.inf
         for hx in grid.h_x_values:
             for hs in grid.h_sigma_values:
-                mu = nest_estimates(s, Bandwidths(hx, hs))
+                mu = Nest(Bandwidths(hx, hs)).apply(s)
                 best = min(best, float(np.mean((mu - s.mu_true) ** 2)))
-        mu_sure = nest_estimates(s, rep.argmin)
+        mu_sure = Nest(rep.argmin).apply(s)
         mse_sure = float(np.mean((mu_sure - s.mu_true) ** 2))
         assert mse_sure <= 1.10 * best
 
