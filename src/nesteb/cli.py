@@ -233,8 +233,8 @@ def _parse_estimators(text: str, prior, n: int) -> list[EstimatorSpec]:
             raise NestError(f"unknown estimator {token!r}")
         try:
             k = int(k) if sep else None
-        except ValueError:  # int()'s own error class, with a detail that names the token
-            raise ValueError(f"unknown estimator {token!r}") from None
+        except ValueError:
+            raise NestError(f"unknown estimator {token!r}") from None
         opts = argparse.Namespace(prior=prior, hx=None, hsigma=None, k=k)
         specs.append(study_spec(_METHODS[name](opts), prior, n))
     return specs
@@ -391,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hx", type=float,
                    help="fixed bandwidth: NEST h_x multiplier (with --hsigma), or the pooled h for tf/scaled")
     p.add_argument("--hsigma", type=float, help="fixed NEST h_sigma in sigma units (with --hx)")
-    p.add_argument("--k-groups", type=int, default=2, dest="k_groups")
+    p.add_argument("--k-groups", type=int_at_least(1), default=2, dest="k_groups")
     p.add_argument("--prior", help="oracle prior: normal:m,tau | sparsemix:p0,m,tau | twopoint:p0,a,b")
     p.add_argument("--truncate", nargs="?", const="auto",
                    help="clip shrinkage estimates to +/-BOUND (default bound 2 log n)")
@@ -421,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bias", parents=[seeded, pooled, folded], help="tail-selection bias experiment")
     p.add_argument("--setting", choices=["single-center", "two-center"], required=True)
     p.add_argument("--reps", type=int_at_least(1), default=200)
-    p.add_argument("--select-k", type=int, default=20, dest="select_k")
+    p.add_argument("--select-k", type=int_at_least(1), default=20, dest="select_k")
     p.add_argument("--n", type=int_at_least(1), default=5000)
     p.add_argument("--output", required=True, help="CSV of (estimator, rep, diff)")
     p.set_defaults(func=cmd_bias)

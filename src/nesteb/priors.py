@@ -6,6 +6,9 @@ parameterization of it, listed by `components()`. Convolved with the noise
 N(0, sigma^2), component k is N(m_k, tau_k^2 + sigma^2), so the marginal
 density, survival function and score f'/f of X | sigma, and the posterior
 mean E(mu | x, sigma) (Tweedie's formula), all follow from the components.
+The first component's posterior weight is the logistic 1 / (1 + exp(l1 - l0))
+of the two log densities, and the normal upper tail is 0.5 erfc(z / sqrt 2),
+z = (t - m) / sqrt(v2); NumPy and `math` compute both.
 `variance()` is the one quantity written per class: the noise calibration
 reads its exact bits, and no single formula gives all three classes' bits.
 
@@ -16,6 +19,7 @@ meaningful internal consistency check rather than a tautology.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -24,12 +28,7 @@ import numpy as np
 from .kernel import SQRT_2PI
 
 
-def _special():
-    """scipy.special, imported on first use: loading it costs about 0.3 s, which
-    commands that evaluate no normal tail or mixture weight do not pay."""
-    import scipy.special
-
-    return scipy.special
+_erfc = np.vectorize(math.erfc, otypes=[float])  # NumPy has no erfc
 
 
 def _phi(d, s):
@@ -43,7 +42,8 @@ def mixture_weight(x, w0, m0, s0, w1, m1, s1):
     with np.errstate(divide="ignore"):
         l0 = np.log(w0) - 0.5 * ((x - m0) / s0) ** 2 - np.log(s0)
         l1 = np.log(w1) - 0.5 * ((x - m1) / s1) ** 2 - np.log(s1)
-    return _special().expit(l0 - l1)
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(l1 - l0))
 
 
 class _GaussianMixture:
@@ -71,7 +71,7 @@ class _GaussianMixture:
 
     def marginal_survival(self, t, sigma):
         t, _, comps = self._convolved(t, sigma)
-        return sum(w * _special().ndtr((m - t) / np.sqrt(v2)) for w, m, _, v2 in comps)
+        return sum(w * 0.5 * _erfc((t - m) / np.sqrt(v2) / math.sqrt(2.0)) for w, m, _, v2 in comps)
 
     def marginal_score(self, x, sigma):
         x, _, comps = self._convolved(x, sigma)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import expit, ndtr
 
-from nesteb.priors import NormalPrior, SparseMixPrior, TwoPointPrior
+from nesteb.priors import NormalPrior, SparseMixPrior, TwoPointPrior, mixture_weight
 
 PRIORS = [
     NormalPrior(3.0, 1.0),
@@ -83,3 +84,34 @@ class TestClosedForms:
             SparseMixPrior(1.3, 0.0, 1.0)
         with pytest.raises(ValueError):
             TwoPointPrior(-0.1, 0.0, 1.0)
+
+
+class TestAgainstScipy:
+    """The weight and tail closed forms against scipy.special as the reference."""
+
+    def test_mixture_weight_matches_expit(self):
+        rng = np.random.default_rng(20)
+        n = 200_000
+        w0 = rng.random(n)
+        w1 = 1.0 - w0
+        w0[::50] = 0.0  # zero-weight components: log weight -inf
+        w1[1::50] = 0.0
+        m0, m1 = rng.uniform(-5.0, 5.0, (2, n))
+        s0, s1 = rng.uniform(0.1, 3.0, (2, n))
+        x = m0 + rng.uniform(-40.0, 40.0, n) * s0
+        with np.errstate(divide="ignore"):
+            l0 = np.log(w0) - 0.5 * ((x - m0) / s0) ** 2 - np.log(s0)
+            l1 = np.log(w1) - 0.5 * ((x - m1) / s1) ** 2 - np.log(s1)
+        # the same formula; NumPy's exp and libm's differ by up to 1 ulp, and
+        # 1 / (1 + e) can turn that, with its two roundings, into up to 4 ulps
+        # of the weight (3 are seen here, at l0 - l1 of about -37)
+        np.testing.assert_array_max_ulp(mixture_weight(x, w0, m0, s0, w1, m1, s1), expit(l0 - l1), maxulp=4)
+
+    @pytest.mark.parametrize("prior", PRIORS, ids=lambda p: type(p).__name__)
+    def test_marginal_survival_matches_ndtr(self, prior):
+        t = np.linspace(-40.0, 40.0, 4001)
+        for sigma in (0.5, 1.0, 2.0):
+            got = prior.marginal_survival(t, sigma)
+            want = sum(w * ndtr((m - t) / np.sqrt(sigma**2 + tau**2)) for w, m, tau in prior.components())
+            both = (got >= 1e-300) & (want >= 1e-300)
+            np.testing.assert_allclose(got[both], want[both], rtol=1e-12, atol=0)

@@ -3,6 +3,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.special import log_ndtr
 
 import nesteb.kernel
 import nesteb.simulation
@@ -115,6 +116,12 @@ class TestSelectionBiasFormula:
     def test_zero_tail_mass(self):
         with pytest.raises(ZeroTailMass):
             selection_bias_formula(60.0, 1.0, POINT_MASS)
+
+    def test_subnormal_tail_returns_the_hazard(self):
+        # erfc's tail is subnormal, not 0, out to z of about 38.5
+        t = 37.9
+        hazard = math.exp(-0.5 * t * t - 0.5 * math.log(2 * math.pi) - log_ndtr(-t))
+        assert selection_bias_formula(t, 1.0, POINT_MASS) == pytest.approx(hazard, rel=1e-6)
 
     @pytest.mark.parametrize("prior", [POINT_MASS, NormalPrior(0.0, 1.0)])
     @pytest.mark.parametrize("t", [0.0, 1.0, 2.0])
