@@ -147,8 +147,10 @@ class TestEstimateCommand:
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [
+    "argv, error",
+    # an unparsable kgroups:K token raises NestError, the ValueError subclass of every unknown estimator
+    [(["simulate", "--scenario", "normal", "--estimators", "naive,kgroups:"], "NestError")]
+    + [(argv, "ValueError") for argv in [
         ["tune", "--input", "{inp}", "--grid-hx", "0.5,0.3"],
         ["estimate", "--input", "{inp}", "--hx", "-1", "--hsigma", "0.2"],
         ["simulate", "--scenario", "normal", "--ratio", "1.5"],
@@ -168,20 +170,20 @@ class TestEstimateCommand:
         ["bias", "--setting", "single-center", "--select-k", "100", "--n", "30", "--reps", "1", "--folds", "3"],
         # h_sigma below 2**-511, whose square underflows (was a ZeroDivisionError traceback)
         ["estimate", "--input", "{inp}", "--method", "nest", "--hx", "0.5", "--hsigma", "1e-163"],
-    ],
-    ids=["descending-grid", "negative-hx", "ratio-above-one",
+    ]],
+    ids=["bad-kgroups-token", "descending-grid", "negative-hx", "ratio-above-one",
          "duplicate-method", "lone-hx-with-nest", "hx-with-kgroups", "hsigma-with-tf",
          "hsigma-with-scaled", "both-flags-unused", "zero-truncate-nest", "zero-truncate-naive",
          "negative-truncate", "nan-truncate", "select-k-above-n", "tiny-hsigma"],
 )
-def test_value_errors_exit_1_with_one_json_line(tmp_path, capsys, argv):
+def test_value_errors_exit_1_with_one_json_line(tmp_path, capsys, argv, error):
     inp, out = tmp_path / "in.csv", tmp_path / "out.csv"
     write_sample_csv(inp, [0.0, 1.0, 2.0], [1.0, 0.5, 0.8])
     rc = main([a.format(inp=inp) for a in argv] + ["--output", str(out)])
     assert rc == 1
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
-    assert json.loads(lines[0])["error"] == "ValueError"
+    assert json.loads(lines[0])["error"] == error
 
 
 @pytest.mark.parametrize("method", ["tf", "nest"])
