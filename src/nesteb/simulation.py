@@ -217,20 +217,19 @@ class MseTable:
             yield name, row
 
 
-def _pooled_h(xd, sample: HeteroSample, folds_k: int, seed: int, bracket_power: int = 4,
-              selection: str = "penalized") -> float:
+def _pooled_h(xd, sample: HeteroSample, folds_k: int, seed: int, bracket_power: int, selection: str) -> float:
     fold_of = kfold_split(sample.n, fold_count(sample.n, folds_k), seed)
     return tune_pooled(xd, sample.sigma, pooled_grid_for(xd), fold_of, bracket_power, selection).best_h
 
 
 # Method type -> (the field SURE tuning fills in, its tuner(method, sample,
-# folds_k, seed)). The tuners look tune, tune_pooled and tune_kgroups up in
-# this module at call time, so a wrapper installed here sees every call.
+# folds_k, seed, selection)). The tuners look tune, tune_pooled and tune_kgroups
+# up in this module at call time, so a wrapper installed here sees every call.
 _TUNERS = {
-    Nest: ("bw", lambda m, s, k, seed: tune(s, default_grid(s, k=k, seed=seed)).argmin),
-    TF: ("h", lambda m, s, k, seed: _pooled_h(s.x, s, k, seed)),
-    Scaled: ("h", lambda m, s, k, seed: _pooled_h(s.x / s.sigma, s, k, seed, bracket_power=2)),
-    KGroups: ("h_per_group", lambda m, s, k, seed: tune_kgroups(s, m.k, k, seed)),
+    Nest: ("bw", lambda m, s, k, seed, sel: tune(s, default_grid(s, k=k, seed=seed), sel).argmin),
+    TF: ("h", lambda m, s, k, seed, sel: _pooled_h(s.x, s, k, seed, 4, sel)),
+    Scaled: ("h", lambda m, s, k, seed, sel: _pooled_h(s.x / s.sigma, s, k, seed, 2, sel)),
+    KGroups: ("h_per_group", lambda m, s, k, seed, sel: tune_kgroups(s, m.k, k, seed, sel)),
 }
 
 
@@ -239,23 +238,26 @@ def resolve_spec(
     sample: HeteroSample,
     folds_k: int = 10,
     seed: int = 0,
+    selection: str = "penalized",
 ) -> EstimatorSpec:
-    """Fill in any unresolved bandwidths by SURE tuning on this sample."""
+    """Fill in any unresolved bandwidths by SURE tuning on this sample under ``selection``."""
     field, tuner = _TUNERS.get(type(spec.method), (None, None))
     if field is None or getattr(spec.method, field) is not None:
         return spec
-    method = replace(spec.method, **{field: tuner(spec.method, sample, folds_k, seed)})
+    method = replace(spec.method, **{field: tuner(spec.method, sample, folds_k, seed, selection)})
     return replace(spec, method=method)
+
+
+def _fits(specs, sample: HeteroSample, folds_k: int, seed: int, selection: str = "penalized"):
+    """(name, estimates) per spec, its bandwidths SURE-tuned on this sample."""
+    for spec in specs:
+        yield spec.name, estimate(resolve_spec(spec, sample, folds_k, seed, selection), sample)
 
 
 def _mse_rep(scenario: SimScenario, specs, folds_k: int, rep: int) -> dict[str, float]:
     sample = draw_scenario(scenario, rep)
-    out: dict[str, float] = {}
-    for spec in specs:
-        resolved = resolve_spec(spec, sample, folds_k, derive_seed(scenario.seed, rep, 1))
-        mu_hat = estimate(resolved, sample)
-        out[spec.name] = float(np.mean((mu_hat - sample.mu_true) ** 2))
-    return out
+    fits = _fits(specs, sample, folds_k, derive_seed(scenario.seed, rep, 1))
+    return {name: float(np.mean((mu_hat - sample.mu_true) ** 2)) for name, mu_hat in fits}
 
 
 def kernel_threads(threads: int, jobs: int) -> int:
@@ -365,11 +367,10 @@ class BiasExperimentResult:
 
 
 _BIAS_SETTINGS = ("single-center", "two-center")
+_BIAS_SPECS = (EstimatorSpec(Naive()), EstimatorSpec(TF()), EstimatorSpec(Nest(jackknife=True)))
 
 
-def _bias_rep(setting: str, n: int, select_k: int, folds_k: int, seed: int, rep: int) -> dict[str, np.ndarray]:
-    # Draws sigma's groups before mu, and mu depends on the group in the
-    # two-center setting, so this keeps its own draw (not draw_scenario).
+def _bias_rep(setting: str, n: int, select_k: int, folds_k: int, seed: int, specs, rep: int) -> dict[str, np.ndarray]:
     rng = np.random.default_rng(np.random.SeedSequence([seed, rep]))
     wide = rng.random(n) < 0.3
     sigma = np.where(wide, 3.0, 1.0)
@@ -380,23 +381,9 @@ def _bias_rep(setting: str, n: int, select_k: int, folds_k: int, seed: int, rep:
         mu = np.where(wide, 5.0, 0.0) + 0.5 * rng.standard_normal(n)
     x = mu + sigma * rng.standard_normal(n)
     sample = HeteroSample(x, sigma, mu)
-    tune_seed = derive_seed(seed, rep, 2)
-
-    # The tail diagnostic follows the plain argmin selection, and the NEST
-    # fit leaves each point out of its own density: at the selected extremes
-    # the point's own kernel otherwise dominates the sparse local density and
-    # mutes the correction. The compound-MSE studies keep the safeguarded
-    # selection and the full fit.
-    tf_h = _pooled_h(x, sample, folds_k, tune_seed, selection="argmin")
-    nest_grid = default_grid(sample, k=folds_k, seed=tune_seed)
-    nest_bw = tune(sample, nest_grid, selection="argmin").argmin
-
     sel = np.argsort(x, kind="stable")[:select_k]
-    return {
-        "naive": x[sel] - mu[sel],
-        "tf": estimate(EstimatorSpec(TF(tf_h)), sample)[sel] - mu[sel],
-        "nest": estimate(EstimatorSpec(Nest(nest_bw, jackknife=True)), sample)[sel] - mu[sel],
-    }
+    fits = _fits(specs, sample, folds_k, derive_seed(seed, rep, 2), "argmin")
+    return {name: mu_hat[sel] - mu[sel] for name, mu_hat in fits}
 
 
 def run_bias_experiment(
@@ -407,9 +394,18 @@ def run_bias_experiment(
     n: int = 5000,
     folds_k: int = 10,
     threads: int = 1,
+    specs: tuple[EstimatorSpec, ...] = _BIAS_SPECS,
 ) -> dict[str, BiasExperimentResult]:
     """Repeatedly select the smallest observations and record mu_hat - mu for
-    the naive, TF, and NEST rules (bandwidths SURE-tuned inside each rep)."""
+    each spec, keyed by its name (default: naive, TF and jackknifed NEST).
+
+    Each rep keeps its own draw, not draw_scenario's: it draws sigma's groups
+    before mu, which depends on the group in the two-center setting. The tail
+    diagnostic SURE-tunes each rep by the plain argmin, and NEST's jackknifed
+    fit leaves each point out of its own density: at the selected extremes the
+    point's own kernel otherwise dominates the sparse local density and mutes
+    the correction. The compound-MSE studies keep the safeguarded selection
+    and the full fit."""
     if setting not in _BIAS_SETTINGS:
         raise ValueError(f"setting must be one of {_BIAS_SETTINGS}, got {setting!r}")
     if reps < 1:
@@ -418,5 +414,7 @@ def run_bias_experiment(
         raise ValueError(f"select_k must be >= 1, got {select_k}")
     if select_k > n:
         raise ValueError(f"select_k must be <= n, got {select_k} > {n}")
-    payloads = _map_reps(partial(_bias_rep, setting, n, select_k, folds_k, seed), reps, threads)
-    return {name: BiasExperimentResult(np.stack([p[name] for p in payloads])) for name in ("naive", "tf", "nest")}
+    names = [s.name for s in specs]
+    check_unique_names(names)
+    payloads = _map_reps(partial(_bias_rep, setting, n, select_k, folds_k, seed, tuple(specs)), reps, threads)
+    return {name: BiasExperimentResult(np.stack([p[name] for p in payloads])) for name in names}

@@ -227,14 +227,15 @@ def pooled_grid_for(values) -> tuple[float, ...]:
     return tuple(v * scale for v in unit_grid())
 
 
-def tune_kgroups(sample: HeteroSample, k_groups: int, folds_k: int, seed: int) -> tuple[float, ...]:
+def tune_kgroups(sample: HeteroSample, k_groups: int, folds_k: int, seed: int,
+                 selection: str = "penalized") -> tuple[float, ...]:
     """Independent per-group TF bandwidths, each tuned by pooled SURE inside
-    its own sigma-quantile group."""
+    its own sigma-quantile group under ``selection``."""
     out = []
     for g, idx in enumerate(k_groups_fit(sample, k_groups)):
         if idx.size < 2:
             raise BadGroupCount(k_groups, sample.n, f"group {g} too small to cross-fit")
         fold_of = kfold_split(idx.size, fold_count(idx.size, folds_k), seed)
-        rep = tune_pooled(sample.x[idx], sample.sigma[idx], pooled_grid_for(sample.x[idx]), fold_of)
+        rep = tune_pooled(sample.x[idx], sample.sigma[idx], pooled_grid_for(sample.x[idx]), fold_of, 4, selection)
         out.append(rep.best_h)
     return tuple(out)

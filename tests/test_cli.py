@@ -437,6 +437,18 @@ class TestBiasCommand:
         assert len(rows) == 3 * 2 * 3  # estimators x reps x select_k
         assert set(rows[0]) == {"estimator", "rep", "diff"}
 
+    def test_output_independent_of_threads(self, tmp_path):
+        outs = []
+        for threads, name in ((1, "t1.csv"), (2, "t2.csv")):
+            out = tmp_path / name
+            rc = main(["bias", "--setting", "two-center", "--reps", "2", "--select-k", "3", "--n", "150",
+                       "--folds", "5", "--seed", "3", "--threads", str(threads), "--output", str(out)])
+            assert rc == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        estimators = [r["estimator"] for r in read_rows(tmp_path / "t1.csv")]
+        assert estimators == ["naive"] * 6 + ["tf"] * 6 + ["nest"] * 6
+
 
 class TestExpfamCommand:
     def test_gamma_display_plugin(self, tmp_path):

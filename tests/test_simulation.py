@@ -7,9 +7,9 @@ from scipy.special import log_ndtr
 
 import nesteb.kernel
 import nesteb.simulation
-from nesteb.data import Bandwidths
+from nesteb.data import Bandwidths, HeteroSample, derive_seed, kfold_split, validate_sample
 from nesteb.errors import EmptyMonteCarlo, NoFeasibleRoot, ZeroTailMass
-from nesteb.estimators import EstimatorSpec, Naive, Nest, Oracle, TF
+from nesteb.estimators import EstimatorSpec, KGroups, Naive, Nest, Oracle, TF, estimate, k_groups_fit
 from nesteb.priors import NormalPrior, SparseMixPrior, TwoPointPrior
 from nesteb.simulation import (
     _map_reps,
@@ -17,6 +17,7 @@ from nesteb.simulation import (
     TwoValueSigma,
     UniformSigma,
     draw_scenario,
+    resolve_spec,
     run_bias_experiment,
     run_mse_study,
     scenario_from_ratio,
@@ -25,6 +26,7 @@ from nesteb.simulation import (
     table_specs,
     tf_average_shrinkage,
 )
+from nesteb.sure import default_grid, fold_count, pooled_grid_for, tune, tune_pooled
 from twocomponent import fit_two_component
 
 POINT_MASS = TwoPointPrior(1.0, 0.0, 0.0)  # all prior mass at 0
@@ -215,6 +217,20 @@ class TestRunMseStudy:
         table = run_mse_study(sc, [EstimatorSpec(TF()), EstimatorSpec(Naive())])
         assert table.rows["tf"].mse < table.rows["naive"].mse * 1.5
 
+    def test_kgroups_resolves_under_the_selection_given(self):
+        # each group's pick is its own argmin-selected pooled tune
+        rng = np.random.default_rng(0)
+        sigma = rng.uniform(0.5, 2.0, 120)
+        s = validate_sample(rng.normal(size=120) + sigma * rng.standard_normal(120), sigma)
+        got = resolve_spec(EstimatorSpec(KGroups(2)), s, folds_k=5, seed=3, selection="argmin").method.h_per_group
+        want = []
+        for idx in k_groups_fit(s, 2):
+            fold_of = kfold_split(idx.size, fold_count(idx.size, 5), 3)
+            x = s.x[idx]
+            want.append(tune_pooled(x, s.sigma[idx], pooled_grid_for(x), fold_of, selection="argmin").best_h)
+        assert got == tuple(want)
+        assert got != resolve_spec(EstimatorSpec(KGroups(2)), s, folds_k=5, seed=3).method.h_per_group
+
     def test_table_specs_lineup(self):
         specs = table_specs(SparseMixPrior(0.7, 3, 0.3), n=1000, include_kgroups=(2,))
         names = [s.name for s in specs]
@@ -227,7 +243,57 @@ class TestRunMseStudy:
         assert all(not s.stabilize_sign for s in table_specs(NormalPrior(3, 1), 1000))
 
 
+def reference_bias_rep(setting, n, select_k, folds_k, seed, rep):
+    """One rep of the bias runner as the tuners compute it by hand: argmin
+    tune_pooled for TF, argmin tune for the jackknifed NEST fit."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, rep]))
+    wide = rng.random(n) < 0.3
+    sigma = np.where(wide, 3.0, 1.0)
+    center = 1.0 if setting == "single-center" else np.where(wide, 5.0, 0.0)
+    mu = center + 0.5 * rng.standard_normal(n)
+    x = mu + sigma * rng.standard_normal(n)
+    sample = HeteroSample(x, sigma, mu)
+    tune_seed = derive_seed(seed, rep, 2)
+    fold_of = kfold_split(n, fold_count(n, folds_k), tune_seed)
+    tf_h = tune_pooled(x, sigma, pooled_grid_for(x), fold_of, selection="argmin").best_h
+    nest_bw = tune(sample, default_grid(sample, k=folds_k, seed=tune_seed), selection="argmin").argmin
+    sel = np.argsort(x, kind="stable")[:select_k]
+    return {
+        "naive": x[sel] - mu[sel],
+        "tf": estimate(EstimatorSpec(TF(tf_h)), sample)[sel] - mu[sel],
+        "nest": estimate(EstimatorSpec(Nest(nest_bw, jackknife=True)), sample)[sel] - mu[sel],
+    }
+
+
 class TestBiasExperiment:
+    @pytest.mark.parametrize("setting", ["single-center", "two-center"])
+    def test_default_output_is_the_hand_tuned_reference(self, setting):
+        res = run_bias_experiment(setting, reps=2, select_k=6, seed=44, n=250, folds_k=5)
+        assert list(res) == ["naive", "tf", "nest"]
+        for rep in range(2):
+            want = reference_bias_rep(setting, 250, 6, 5, 44, rep)
+            for name, diffs in want.items():
+                assert res[name].diffs[rep].tobytes() == diffs.tobytes()
+
+    def test_naive_and_nest_run_no_pooled_tune(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("tune_pooled called")
+
+        full = run_bias_experiment("single-center", reps=2, select_k=4, seed=45, n=200, folds_k=5)
+        monkeypatch.setattr(nesteb.simulation, "tune_pooled", refuse)
+        specs = (EstimatorSpec(Naive()), EstimatorSpec(Nest(jackknife=True)))
+        res = run_bias_experiment("single-center", reps=2, select_k=4, seed=45, n=200, folds_k=5, specs=specs)
+        assert list(res) == ["naive", "nest"]
+        for name in res:
+            np.testing.assert_array_equal(res[name].diffs, full[name].diffs)
+
+    def test_duplicate_names_rejected(self, monkeypatch):
+        # a second "nest" would overwrite the first one's diffs
+        monkeypatch.setattr(nesteb.simulation, "_bias_rep", None)
+        specs = (EstimatorSpec(Nest(jackknife=True)), EstimatorSpec(Nest()))
+        with pytest.raises(ValueError, match="duplicate estimator names"):
+            run_bias_experiment("single-center", reps=1, select_k=2, seed=1, n=50, specs=specs)
+
     def test_small_run_shapes_and_determinism(self):
         res = run_bias_experiment("single-center", reps=2, select_k=5, seed=41, n=400, folds_k=5)
         assert set(res) == {"naive", "tf", "nest"}
@@ -244,7 +310,9 @@ class TestBiasExperiment:
     def test_threads_do_not_change_output(self):
         a = run_bias_experiment("single-center", reps=2, select_k=4, seed=42, n=300, folds_k=5)
         b = run_bias_experiment("single-center", reps=2, select_k=4, seed=42, n=300, folds_k=5, threads=2)
-        np.testing.assert_array_equal(a["tf"].diffs, b["tf"].diffs)
+        assert list(a) == list(b) == ["naive", "tf", "nest"]
+        for name in a:
+            np.testing.assert_array_equal(a[name].diffs, b[name].diffs)
 
     def test_naive_lower_tail_bias_is_negative(self):
         res = run_bias_experiment("single-center", reps=4, select_k=10, seed=43, n=800, folds_k=5)
