@@ -36,7 +36,7 @@ from .estimators import (
     post_processed,
 )
 from .expfam import Beta, Binomial, FamilyPoint, Gamma, NegBinomial, ScoreEstimate, lh_prime, posterior_mean
-from .io import CsvFormatError, fmt_value, read_csv, write_csv_atomic
+from .io import fmt_value, read_csv, write_csv_atomic
 from .priors import NormalPrior, SparseMixPrior, TwoPointPrior
 from .simulation import (
     kernel_threads,
@@ -101,15 +101,7 @@ def _parse_floats(text: str) -> tuple[float, ...]:
 
 
 def _load_sample(path: str):
-    rows = read_csv(path, ["id", "x", "sigma"])
-    ids, xs, sigmas = [], [], []
-    for lineno, row in enumerate(rows, start=2):
-        ids.append(row["id"])
-        try:
-            xs.append(float(row["x"]))
-            sigmas.append(float(row["sigma"]))
-        except ValueError as e:
-            raise CsvFormatError(path, lineno, str(e)) from None
+    ids, xs, sigmas = read_csv(path, {"id": str, "x": float, "sigma": float})
     return ids, validate_sample(xs, sigmas)
 
 
@@ -333,17 +325,12 @@ def cmd_expfam(args) -> int:
 
 
 def cmd_prep_gap(args) -> int:
-    rows = read_csv(args.input, ["id", "pass_A", "n_A", "pass_D", "n_D"])
+    columns = read_csv(args.input, {"id": str, "pass_A": int, "n_A": int, "pass_D": int, "n_D": int})
     kept, filtered = [], []
-    for lineno, row in enumerate(rows, start=2):
-        rid = row["id"]
-        try:
-            pa, na = int(row["pass_A"]), int(row["n_A"])
-            pd_, nd = int(row["pass_D"]), int(row["n_D"])
-        except ValueError as e:
-            raise CsvFormatError(args.input, lineno, str(e)) from None
+    for rid, pa, na, pd_, nd in zip(*columns):
         if na <= 0 or nd <= 0 or pa < 0 or pd_ < 0 or pa > na or pd_ > nd:
-            raise NonsensicalCounts(rid, f"pass/total counts inconsistent: {row}")
+            raise NonsensicalCounts(
+                rid, f"pass/total counts inconsistent: pass_A={pa}, n_A={na}, pass_D={pd_}, n_D={nd}")
         if na < 30 or nd < 30:
             filtered.append((rid, "min-testers"))
             continue

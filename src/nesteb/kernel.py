@@ -329,8 +329,10 @@ def in_sample_triple(ctx: KernelContext, jackknife: bool = False, queries=None, 
     """Floored f and raw f1, f2 on the context's bandwidth pair, as arrays.
 
     At every training point, each left out of its own fit when ``jackknife``
-    (the leave-self-out estimator), or at ``queries=(x, sigma)`` (equal
-    lengths, positive sigmas, no jackknife). With ``f2=False`` the f2 row is
+    (the leave-self-out estimator), or at ``queries=(x, sigma)`` (no
+    jackknife), which unless empty follow :class:`HeteroSample`'s rules before
+    any kernel work: LengthMismatch, NonFiniteValue naming x or sigma, then
+    NonPositiveSigma. With ``f2=False`` the f2 row is
     not built and f2 is None; f and f1 are bitwise those of the full call.
     Raises DegenerateWeights listing every query whose weight normalizer
     underflowed, then NonFiniteValue naming the first query where a computed
@@ -340,13 +342,12 @@ def in_sample_triple(ctx: KernelContext, jackknife: bool = False, queries=None, 
     xq, sq = t.x, t.sigma
     key = np.arange(t.n) if jackknife else None
     if queries is not None:
-        xq, sq = (np.asarray(v, dtype=float).reshape(-1) for v in queries)
         if jackknife:
             raise ValueError("jackknife applies to the training points, not to queries")
-        if xq.shape != sq.shape:
-            raise ValueError("query x and sigma must have equal length")
-        if not np.all(sq > 0):
-            raise ValueError("all query sigmas must be positive")
+        xq, sq = (np.asarray(v, dtype=float).reshape(-1) for v in queries)
+        if xq.size or sq.size:
+            q = HeteroSample(xq, sq)
+            xq, sq = q.x, q.sigma
     f, f1, f2_raw, wsum = density_grid(xq, sq, t.x, t.sigma, [ctx.bw.h_x], [ctx.bw.h_sigma], key, key, f2)
     bad = np.flatnonzero(wsum[0] == 0.0)
     if bad.size:

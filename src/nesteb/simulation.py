@@ -282,7 +282,7 @@ def _map_reps(rep_fn, reps: int, threads: int) -> list:
     from concurrent.futures import ProcessPoolExecutor
 
     count = kernel_threads(threads, reps)
-    with ProcessPoolExecutor(threads, initializer=_set_kernel_threads, initargs=(count,)) as pool:
+    with ProcessPoolExecutor(min(threads, reps), initializer=_set_kernel_threads, initargs=(count,)) as pool:
         return list(pool.map(rep_fn, range(reps)))
 
 

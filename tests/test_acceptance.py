@@ -249,7 +249,7 @@ def test_criterion_7_property_suite(tmp_path):
     vals = [1 / 3, 1e-300, math.pi, -0.0, 2.5e300]
     path = tmp_path / "roundtrip.csv"
     write_csv_atomic(str(path), ["v"], ((v,) for v in vals))
-    back = [float(r["v"]) for r in read_csv(str(path), ["v"])]
+    (back,) = read_csv(str(path), {"v": float})
     checks["csv-roundtrip"] = back == vals
 
     # determinism under fixed seeds, independent of worker count

@@ -15,7 +15,7 @@ from nesteb.cli import _parse_estimators, build_parser, main
 from nesteb.data import Bandwidths, validate_sample
 from nesteb.errors import NonsensicalCounts
 from nesteb.estimators import TF, EstimatorSpec, Naive, Nest, Scaled, estimate, post_processed
-from nesteb.io import fmt_value, read_csv, write_csv_atomic
+from nesteb.io import CsvFormatError, fmt_value, read_csv, write_csv_atomic
 from nesteb.priors import NormalPrior
 from nesteb.simulation import draw_scenario, resolve_spec, scenario_from_ratio
 
@@ -35,8 +35,8 @@ class TestCsvRoundTrip:
         vals = [1 / 3, 1e-300, 2.5e300, -0.0, 7.1, math.pi, 1.0000000000000002]
         p = tmp_path / "vals.csv"
         write_csv_atomic(str(p), ["id", "v"], ((i, v) for i, v in enumerate(vals)))
-        rows = read_csv(str(p), ["id", "v"])
-        got = [float(r["v"]) for r in rows]
+        ids, got = read_csv(str(p), {"id": int, "v": float})
+        assert ids == list(range(len(vals)))
         assert got == vals
 
     def test_fmt_value_17_digits(self):
@@ -45,19 +45,59 @@ class TestCsvRoundTrip:
     def test_read_errors_carry_line_numbers(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("id,x\n1,2,3\n")
-        from nesteb.io import CsvFormatError
-
         with pytest.raises(CsvFormatError) as err:
-            read_csv(str(p), ["id", "x"])
+            read_csv(str(p), {"id": str, "x": float})
         assert err.value.line == 2
 
     def test_missing_columns_detected(self, tmp_path):
         p = tmp_path / "nohdr.csv"
         p.write_text("a,b\n1,2\n")
-        from nesteb.io import CsvFormatError
+        with pytest.raises(CsvFormatError) as err:
+            read_csv(str(p), {"id": str, "x": float})
+        assert err.value.line == 1
 
-        with pytest.raises(CsvFormatError):
-            read_csv(str(p), ["id", "x"])
+    @pytest.mark.parametrize("text,line", [
+        ("id,x,sigma\n\na,1,1\nb,foo,1\n", 4),            # a blank line before the bad row
+        ('id,x,sigma\na,1,"1\n"\nb,foo,1\n', 4),         # a quoted field spanning two lines
+        ('id,x,sigma\n"a\nb",1,1\n\nc,2\n', 5),          # both, and a short row
+    ], ids=["blank-line", "multi-line-field", "both"])
+    def test_estimate_errors_name_the_file_line(self, tmp_path, capsys, text, line):
+        inp = tmp_path / "in.csv"
+        inp.write_text(text)
+        rc = main(["estimate", "--input", str(inp), "--output", str(tmp_path / "o.csv"), "--method", "naive"])
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "CsvFormatError"
+        assert payload["detail"].startswith(f"{inp}:{line}: ")
+
+    def test_prep_gap_errors_name_the_file_line(self, tmp_path, capsys):
+        inp = tmp_path / "gap.csv"
+        inp.write_text("id,pass_A,n_A,pass_D,n_D\n\ns1,x,40,10,40\n")
+        rc = main(["prep-gap", "--input", str(inp), "--output", str(tmp_path / "o.csv")])
+        assert rc == 1
+        assert json.loads(capsys.readouterr().err.strip())["detail"].startswith(f"{inp}:3: ")
+
+    def test_requested_column_named_twice_is_refused(self, tmp_path):
+        p = tmp_path / "dup.csv"
+        p.write_text("id,x,sigma,x,note,note\na,1,1,5,u,v\n")
+        with pytest.raises(CsvFormatError) as err:
+            read_csv(str(p), {"id": str, "x": float, "sigma": float})
+        assert err.value.line == 1 and "['x']" in str(err.value)
+        # a repeated column that nothing reads still loads
+        assert read_csv(str(p), {"id": str, "sigma": float}) == [["a"], [1.0]]
+
+    def test_byte_order_mark_gives_identical_output(self, tmp_path):
+        rng = np.random.default_rng(3)
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_sample_csv(plain, rng.normal(size=30), rng.uniform(0.5, 1.5, 30))
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        outs = []
+        for inp in (plain, marked):
+            outs.append(tmp_path / f"{inp.stem}.out.csv")
+            rc = main(["estimate", "--input", str(inp), "--output", str(outs[-1]),
+                       "--method", "nest", "--method", "naive", "--hx", "0.5", "--hsigma", "0.3"])
+            assert rc == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 class TestEstimateCommand:
@@ -525,7 +565,9 @@ class TestPrepGapCommand:
         rc = main(["prep-gap", "--input", str(inp), "--output", str(out)])
         assert rc == 1
         err = capsys.readouterr().err.strip().splitlines()[-1]
-        assert json.loads(err)["error"] == "NonsensicalCounts"
+        assert json.loads(err) == {
+            "error": "NonsensicalCounts",
+            "detail": "row 'bad': pass/total counts inconsistent: pass_A=50, n_A=40, pass_D=10, n_D=40"}
 
 
 def test_manifest_reports_kernel_threads(tmp_path, caplog, monkeypatch):

@@ -172,6 +172,19 @@ class TestQueryBatch:
         with pytest.raises(ValueError):
             in_sample_triple(ctx, jackknife=jackknife, queries=queries)
 
+    @pytest.mark.parametrize("queries,column,index", [
+        (([0.0, np.nan], [1.0, 1.0]), "x", 1),
+        (([np.inf, 0.0], [1.0, 1.0]), "x", 0),
+        (([0.0, 0.0], [1.0, np.nan]), "sigma", 1),
+        (([0.0, 0.0], [np.inf, 1.0]), "sigma", 0),
+    ], ids=["nan-x", "inf-x", "nan-sigma", "inf-sigma"])
+    def test_non_finite_queries_refused_by_name(self, monkeypatch, queries, column, index):
+        ctx = KernelContext(validate_sample([0.0, 1.0], [1.0, 1.0]), Bandwidths(1.0, 1.0))
+        monkeypatch.setattr(nesteb.kernel, "density_grid", None)   # refused before any kernel work
+        with pytest.raises(NonFiniteValue) as err:
+            in_sample_triple(ctx, queries=queries)
+        assert (err.value.column, err.value.index) == (column, index)
+
     def test_non_finite_sums_raise_at_first_index(self):
         # x differences near the float64 limit overflow: E dx / s^3 is 0 * inf
         s = validate_sample([1.0, 1e308, 2.0], [1.0, 0.5, 1.0])

@@ -1,5 +1,7 @@
 import math
+import os
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -347,7 +349,17 @@ def slow_first_rep(rep):
     return rep, time.monotonic()
 
 
+def record_worker_pid(directory, count):
+    # a stand-in for the pool initializer: one file per worker process
+    open(os.path.join(directory, str(os.getpid())), "w").close()
+
+
 class TestRunIndexed:
+    def test_pool_starts_one_process_per_rep_at_most(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(nesteb.simulation, "_set_kernel_threads", partial(record_worker_pid, str(tmp_path)))
+        assert _map_reps(abs, 2, threads=3) == [0, 1]
+        assert 1 <= len(os.listdir(tmp_path)) <= 2
+
     def test_pool_workers_share_the_kernel_threads(self, monkeypatch):
         # 4 CPUs over 2 worker processes: 2 kernel threads in each
         monkeypatch.setattr(nesteb.kernel, "_THREADS", 4)
