@@ -306,15 +306,9 @@ def cmd_expfam(args) -> int:
     if param is None:
         raise NestError(f"--{option.replace('_', '-')} is required for {args.family}")
     family = make(param)
-    value = args.x
-    if args.family == "beta":
-        if not (0.0 < args.x < 1.0):
-            raise NestError("beta observations must lie in (0, 1); pass the raw x")
-        value = math.log(args.x)
-    point = FamilyPoint(family, value)
-    score = ScoreEstimate(args.lf1)
+    point = FamilyPoint(family, family.coordinate(args.x))
     header = ["family", "value", "lh_prime", "lf1", "posterior_mean"]
-    row = (args.family, float(value), lh_prime(point), args.lf1, posterior_mean(point, score))
+    row = (args.family, float(point.value), lh_prime(point), args.lf1, posterior_mean(point, ScoreEstimate(args.lf1)))
     if args.output:
         write_csv_atomic(args.output, header, [row])
     else:

@@ -14,14 +14,20 @@ ScoreEstimate so that any score provider can be plugged in:
 H(k) is the k-th harmonic number (empty sum = 0) and gamma_E the
 Euler-Mascheroni constant. Discrete and Binomial posterior means are returned
 on the transformed (log-odds / log-probability) scale only.
+
+Each family class carries its own rules: its domain, which ``carrier``
+checks (NaN and infinities refused) before it computes the carrier term -l'_h,
+so a FamilyPoint evaluates it once to validate itself; the sign of the
+reported mean (-1 for Gamma's rate); and ``coordinate``, the map from a raw
+observation to the data coordinate (log x for Beta, the identity otherwise).
+``lh_prime`` and ``posterior_mean`` only read these.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Union
+from typing import ClassVar
 
 import numpy as np
 
@@ -32,78 +38,99 @@ from .kernel import KernelContext, in_sample_triple
 EULER_GAMMA = 0.57721566490153286061
 
 
-@dataclass(frozen=True)
-class Binomial:
-    n_trials: int
+class Family:
+    """What every family dataclass provides: ``carrier(value)``, the term -l'_h
+    at a point of the data coordinate, raising DomainError outside the domain;
+    ``sign``, -1 where the mean reports -eta; ``coordinate(x)`` of a raw x."""
 
-    def __post_init__(self):
-        if self.n_trials < 1:
-            raise DomainError("Binomial needs n_trials >= 1")
+    sign: ClassVar[float] = 1.0
 
-
-@dataclass(frozen=True)
-class NegBinomial:
-    r: int
-
-    def __post_init__(self):
-        if self.r < 1:
-            raise DomainError("NegBinomial needs r >= 1")
-
-
-@dataclass(frozen=True)
-class Gamma:
-    alpha: float
-
-    def __post_init__(self):
-        if not (self.alpha > 0):
-            raise DomainError("Gamma needs alpha > 0")
-
-
-@dataclass(frozen=True)
-class Beta:
-    beta: float
-
-    def __post_init__(self):
-        if not (self.beta > 0):
-            raise DomainError("Beta needs beta > 0")
-
-
-Family = Union[Binomial, NegBinomial, Gamma, Beta]
+    def coordinate(self, x: float) -> float:
+        return x
 
 
 def _check_integer(value: float, what: str) -> int:
-    if value != int(value):
+    if not (math.isfinite(value) and value == int(value)):
         raise DomainError(f"{what} must be an integer, got {value}")
     return int(value)
 
 
 @dataclass(frozen=True)
+class Binomial(Family):
+    n_trials: int
+
+    def __post_init__(self):
+        if _check_integer(self.n_trials, "Binomial n_trials") < 1:
+            raise DomainError("Binomial needs n_trials >= 1")
+
+    def carrier(self, value: float) -> float:
+        x = _check_integer(value, "Binomial count")
+        if not (0 <= x <= self.n_trials):
+            raise DomainError(f"Binomial count {x} outside [0, {self.n_trials}]")
+        return harmonic(x) + harmonic(int(self.n_trials) - x) - 2.0 * EULER_GAMMA
+
+
+@dataclass(frozen=True)
+class NegBinomial(Family):
+    r: int
+
+    def __post_init__(self):
+        if _check_integer(self.r, "NegBinomial r") < 1:
+            raise DomainError("NegBinomial needs r >= 1")
+
+    def carrier(self, value: float) -> float:
+        x = _check_integer(value, "NegBinomial count")
+        if x < 0:
+            raise DomainError(f"NegBinomial count {x} negative")
+        return math.fsum(1.0 / k for k in range(x + 1, x + int(self.r)))
+
+
+@dataclass(frozen=True)
+class Gamma(Family):
+    alpha: float
+    sign: ClassVar[float] = -1.0
+
+    def __post_init__(self):
+        if not (0 < self.alpha < math.inf):
+            raise DomainError(f"Gamma needs a finite alpha > 0, got {self.alpha}")
+
+    def carrier(self, value: float) -> float:
+        if not (0 < value < math.inf):
+            raise DomainError(f"Gamma value must be finite and > 0, got {value}")
+        return (1.0 - self.alpha) / value
+
+
+@dataclass(frozen=True)
+class Beta(Family):
+    beta: float
+
+    def __post_init__(self):
+        if not (0 < self.beta < math.inf):
+            raise DomainError(f"Beta needs a finite beta > 0, got {self.beta}")
+
+    def carrier(self, value: float) -> float:
+        if not (-math.inf < value < 0):
+            raise DomainError(f"Beta coordinate z = log x must be finite and < 0, got {value}")
+        x = math.exp(value)
+        return (self.beta - 1.0) * x / (1.0 - x)
+
+    def coordinate(self, x: float) -> float:
+        if not (0.0 < x < 1.0):
+            raise DomainError("beta observations must lie in (0, 1); pass the raw x")
+        return math.log(x)
+
+
+@dataclass(frozen=True)
 class FamilyPoint:
-    """One observation in the family's canonical data coordinate: the count x
-    for Binomial/NegBinomial, the positive value x for Gamma, and z = log x
-    for Beta (hence z < 0)."""
+    """One observation in the family's data coordinate (the count x for
+    Binomial/NegBinomial, the positive x for Gamma, z = log x < 0 for Beta),
+    which the family's carrier checks."""
 
     family: Family
     value: float
 
     def __post_init__(self):
-        f, v = self.family, self.value
-        if isinstance(f, Binomial):
-            iv = _check_integer(v, "Binomial count")
-            if not (0 <= iv <= f.n_trials):
-                raise DomainError(f"Binomial count {iv} outside [0, {f.n_trials}]")
-        elif isinstance(f, NegBinomial):
-            iv = _check_integer(v, "NegBinomial count")
-            if iv < 0:
-                raise DomainError(f"NegBinomial count {iv} negative")
-        elif isinstance(f, Gamma):
-            if not (v > 0):
-                raise DomainError(f"Gamma value must be > 0, got {v}")
-        elif isinstance(f, Beta):
-            if not (v < 0):
-                raise DomainError(f"Beta coordinate z = log x must be < 0, got {v}")
-        else:
-            raise DomainError(f"unknown family {f!r}")
+        self.family.carrier(self.value)
 
 
 @dataclass(frozen=True)
@@ -118,7 +145,6 @@ class ScoreEstimate:
             raise ValueError("lf1 must be finite")
 
 
-@lru_cache(maxsize=4096)
 def harmonic(k: int) -> float:
     """H(k) = sum_{j=1}^k 1/j via exact compensated summation; H(0) = 0."""
     if k < 0:
@@ -127,29 +153,15 @@ def harmonic(k: int) -> float:
 
 
 def lh_prime(p: FamilyPoint) -> float:
-    """The closed-form carrier term -l'_h at the point, per family."""
-    f, v = p.family, p.value
-    if isinstance(f, Binomial):
-        x = int(v)
-        return harmonic(x) + harmonic(f.n_trials - x) - 2.0 * EULER_GAMMA
-    if isinstance(f, NegBinomial):
-        x = int(v)
-        if f.r == 1:
-            return 0.0
-        return harmonic(x + f.r - 1) - harmonic(x)
-    if isinstance(f, Gamma):
-        return (1.0 - f.alpha) / v
-    # Beta: value is z = log x
-    x = math.exp(v)
-    return (f.beta - 1.0) * x / (1.0 - x)
+    """The closed-form carrier term -l'_h at the point."""
+    return p.family.carrier(p.value)
 
 
 def posterior_mean(p: FamilyPoint, score: ScoreEstimate) -> float:
     """Posterior mean of the family's parameter transform given the point and
     an injected marginal score."""
-    # Gamma reports the rate -eta; adding 0.0 keeps an exact zero unsigned
-    sign = -1.0 if isinstance(p.family, Gamma) else 1.0
-    return sign * (lh_prime(p) + score.lf1) + 0.0
+    # adding 0.0 keeps an exact zero unsigned
+    return p.family.sign * (lh_prime(p) + score.lf1) + 0.0
 
 
 def discrete_lf1(pmf, x: int) -> ScoreEstimate:
@@ -183,10 +195,8 @@ def discrete_lf1(pmf, x: int) -> ScoreEstimate:
 def gamma_point_mass_lf1(alpha: float, beta0: float, x: float) -> ScoreEstimate:
     """Exact marginal score for a Gamma(alpha, .) observation under a prior
     concentrated at rate beta0: the marginal is Gamma(alpha, beta0), so
-    l'_f(x) = (alpha - 1)/x - beta0."""
-    if not (x > 0):
-        raise DomainError(f"Gamma value must be > 0, got {x}")
-    return ScoreEstimate((alpha - 1.0) / x - beta0)
+    l'_f(x) = (alpha - 1)/x - beta0, the Gamma carrier's negative less beta0."""
+    return ScoreEstimate(-Gamma(alpha).carrier(x) - beta0)
 
 
 def kde_lf1(values, thetas, bw: Bandwidths, value: float, theta: float) -> ScoreEstimate:

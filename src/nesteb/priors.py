@@ -20,7 +20,7 @@ meaningful internal consistency check rather than a tautology.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
@@ -48,7 +48,14 @@ def mixture_weight(x, w0, m0, s0, w1, m1, s1):
 
 class _GaussianMixture:
     """The mixture's quantities from `components()`, a tuple of one or two
-    (weight, location, tau) triples."""
+    (weight, location, tau) triples. Every parameter must be finite; each
+    class's `__post_init__` adds its own rules after this check."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"prior parameter {f.name} must be finite, got {value}")
 
     # variance() is per class: solve_sigma_M reads bits no shared formula keeps.
     def mean(self) -> float:
@@ -100,6 +107,7 @@ class NormalPrior(_GaussianMixture):
     tau: float
 
     def __post_init__(self):
+        super().__post_init__()
         if not (self.tau > 0):
             raise ValueError("tau must be positive")
 
@@ -119,6 +127,7 @@ class SparseMixPrior(_GaussianMixture):
     tau: float
 
     def __post_init__(self):
+        super().__post_init__()
         if not (0.0 <= self.p0 <= 1.0):
             raise ValueError("p0 must lie in [0, 1]")
         if not (self.tau > 0):
@@ -142,6 +151,7 @@ class TwoPointPrior(_GaussianMixture):
     b: float
 
     def __post_init__(self):
+        super().__post_init__()
         if not (0.0 <= self.p0 <= 1.0):
             raise ValueError("p0 must lie in [0, 1]")
 

@@ -210,11 +210,24 @@ class TestEstimateCommand:
         ["bias", "--setting", "single-center", "--select-k", "100", "--n", "30", "--reps", "1", "--folds", "3"],
         # h_sigma below 2**-511, whose square underflows (was a ZeroDivisionError traceback)
         ["estimate", "--input", "{inp}", "--method", "nest", "--hx", "0.5", "--hsigma", "1e-163"],
+        # a non-finite prior parameter (was a NaN oracle column)
+        ["estimate", "--input", "{inp}", "--method", "oracle", "--prior", "normal:1,inf"],
+    ]]
+    # family inputs outside the domain, non-finite ones included, refused by the family's own checks
+    + [(["expfam", "--lf1", "0", *argv], "DomainError") for argv in [
+        ["--family", "binomial", "--n-trials", "5", "--x", "inf"],
+        ["--family", "binomial", "--n-trials", "5", "--x", "nan"],
+        ["--family", "gamma", "--alpha", "inf", "--x", "1"],
+        ["--family", "beta", "--beta", "inf", "--x", "0.5"],
+        ["--family", "gamma", "--alpha", "2", "--x", "inf"],
+        ["--family", "beta", "--beta", "3", "--x", "1.5"],
     ]],
     ids=["bad-kgroups-token", "descending-grid", "negative-hx", "ratio-above-one",
          "duplicate-method", "lone-hx-with-nest", "hx-with-kgroups", "hsigma-with-tf",
          "hsigma-with-scaled", "both-flags-unused", "zero-truncate-nest", "zero-truncate-naive",
-         "negative-truncate", "nan-truncate", "select-k-above-n", "tiny-hsigma"],
+         "negative-truncate", "nan-truncate", "select-k-above-n", "tiny-hsigma", "infinite-prior-tau",
+         "binomial-inf-x", "binomial-nan-x", "gamma-inf-alpha", "beta-inf-beta", "gamma-inf-x",
+         "beta-x-above-one"],
 )
 def test_value_errors_exit_1_with_one_json_line(tmp_path, capsys, argv, error):
     inp, out = tmp_path / "in.csv", tmp_path / "out.csv"

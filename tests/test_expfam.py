@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -42,6 +43,17 @@ class TestLhPrime:
     def test_negbinomial_r1_is_zero(self):
         assert lh_prime(FamilyPoint(NegBinomial(1), 4)) == 0.0
 
+    @pytest.mark.parametrize("r", [2, 3, 10])
+    def test_negbinomial_sum_is_exact_against_fractions(self, r):
+        # the direct sum has no H(x + r - 1) - H(x) cancellation (8.6e-13 at r=3)
+        x = 10**4
+        exact = float(sum(Fraction(1, k) for k in range(x + 1, x + r)))
+        assert lh_prime(FamilyPoint(NegBinomial(r), x)) == pytest.approx(exact, rel=1e-15, abs=0)
+
+    def test_negbinomial_cost_follows_r_not_the_count(self):
+        # r - 1 terms of about 1e-300 each; a sum from 1 to x would never return
+        assert lh_prime(FamilyPoint(NegBinomial(3), 1e300)) == pytest.approx(2e-300, rel=1e-15, abs=0)
+
     def test_gamma_alpha1_is_zero(self):
         assert lh_prime(FamilyPoint(Gamma(1.0), 2.7)) == 0.0
 
@@ -78,27 +90,55 @@ class TestLhPrime:
 
 
 class TestFamilyPointValidation:
+    # each family refuses a point outside its domain at construction and in its carrier
+    @staticmethod
+    def refuses(family, value):
+        with pytest.raises(DomainError):
+            FamilyPoint(family, value)
+        with pytest.raises(DomainError):
+            family.carrier(value)
+
     def test_binomial_bounds(self):
-        with pytest.raises(DomainError):
-            FamilyPoint(Binomial(3), 4)
-        with pytest.raises(DomainError):
-            FamilyPoint(Binomial(3), -1)
-        with pytest.raises(DomainError):
-            FamilyPoint(Binomial(3), 1.5)
+        for value in (4, -1, 1.5, math.inf, math.nan):
+            self.refuses(Binomial(3), value)
+
+    def test_negbinomial_count(self):
+        for value in (-1, 1.5, math.inf, math.nan):
+            self.refuses(NegBinomial(2), value)
 
     def test_gamma_positive(self):
-        with pytest.raises(DomainError):
-            FamilyPoint(Gamma(2.0), 0.0)
+        for value in (0.0, math.inf, math.nan):
+            self.refuses(Gamma(2.0), value)
 
     def test_beta_log_coordinate_negative(self):
-        with pytest.raises(DomainError):
-            FamilyPoint(Beta(2.0), 0.1)
+        for value in (0.1, -math.inf, math.nan):
+            self.refuses(Beta(2.0), value)
 
     def test_parameter_validation(self):
         with pytest.raises(DomainError):
             Binomial(0)
         with pytest.raises(DomainError):
             Gamma(-1.0)
+        # non-finite parameters, and fractional ones for the count families
+        for family, param in [(Binomial, 2.5), (Binomial, math.inf), (Binomial, math.nan),
+                              (NegBinomial, 2.5), (NegBinomial, math.inf), (NegBinomial, math.nan),
+                              (Gamma, math.inf), (Gamma, math.nan), (Beta, math.inf), (Beta, math.nan)]:
+            with pytest.raises(DomainError):
+                family(param)
+
+
+class TestCoordinate:
+    @pytest.mark.parametrize("family", [Binomial(3), NegBinomial(2), Gamma(2.0)])
+    def test_identity_for_three_families(self, family):
+        assert family.coordinate(2.0) == 2.0
+
+    def test_beta_takes_log_of_raw_x(self):
+        assert Beta(2.0).coordinate(0.25) == math.log(0.25)
+
+    @pytest.mark.parametrize("x", [0.0, 1.0, 1.5, -0.5, math.nan, math.inf])
+    def test_beta_refuses_x_outside_unit_interval(self, x):
+        with pytest.raises(DomainError):
+            Beta(2.0).coordinate(x)
 
 
 class TestPosteriorMean:
@@ -173,7 +213,7 @@ class TestPosteriorMean:
             got = posterior_mean(FamilyPoint(Binomial(n), xk), ScoreEstimate(lf1))
             assert got == harmonic(xk) + harmonic(n - xk) - 2.0 * EULER_GAMMA + lf1
             r = int(rng.integers(1, 20))
-            expect = (0.0 if r == 1 else harmonic(xk + r - 1) - harmonic(xk)) + lf1
+            expect = math.fsum(1.0 / k for k in range(xk + 1, xk + r)) + lf1
             assert posterior_mean(FamilyPoint(NegBinomial(r), xk), ScoreEstimate(lf1)) == expect
             alpha, x = float(rng.uniform(0.1, 5.0)), float(rng.uniform(0.01, 10.0))
             got = posterior_mean(FamilyPoint(Gamma(alpha), x), ScoreEstimate(lf1))

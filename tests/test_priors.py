@@ -84,6 +84,13 @@ class TestClosedForms:
             SparseMixPrior(1.3, 0.0, 1.0)
         with pytest.raises(ValueError):
             TwoPointPrior(-0.1, 0.0, 1.0)
+        # a non-finite parameter would give NaN or inf posterior means
+        for make, *params in [(NormalPrior, 1.0, math.inf), (NormalPrior, math.inf, 1.0),
+                              (NormalPrior, math.nan, 1.0), (SparseMixPrior, 0.5, math.inf, 1.0),
+                              (SparseMixPrior, 0.5, 0.0, math.nan), (TwoPointPrior, 0.5, math.nan, 3.0),
+                              (TwoPointPrior, 0.5, 0.0, -math.inf)]:
+            with pytest.raises(ValueError, match="must be finite"):
+                make(*params)
 
 
 class TestAgainstScipy:
