@@ -12,6 +12,7 @@ __version__ = "0.1.0"
 from .data import (
     Bandwidths,
     HeteroSample,
+    k_groups_fit,
     kfold_split,
     validate_sample,
 )
@@ -24,7 +25,6 @@ from .estimators import (
     Scaled,
     TF,
     estimate,
-    k_groups_fit,
     stabilize_sign,
     truncate_estimates,
 )

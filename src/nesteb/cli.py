@@ -15,6 +15,7 @@ import json
 import logging
 import math
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -65,21 +66,21 @@ def _manifest(command: str, args: argparse.Namespace, **resolved) -> None:
     log.info(json.dumps(payload))
 
 
+# `--prior` kind -> its prior class, whose fields are the parameters in order.
+_PRIORS = {"normal": NormalPrior, "sparsemix": SparseMixPrior, "twopoint": TwoPointPrior}
+_PRIOR_FORMS = " | ".join(f"{kind}:{','.join(f.name for f in fields(c))}" for kind, c in _PRIORS.items())
+
+
 def _parse_prior(text: str):
     kind, _, rest = text.partition(":")
     try:
         parts = [float(p) for p in rest.split(",")] if rest else []
     except ValueError:
         raise NestError(f"bad prior parameters in {text!r}") from None
-    if kind == "normal" and len(parts) == 2:
-        return NormalPrior(*parts)
-    if kind == "sparsemix" and len(parts) == 3:
-        return SparseMixPrior(*parts)
-    if kind == "twopoint" and len(parts) == 3:
-        return TwoPointPrior(*parts)
-    raise NestError(
-        f"bad prior spec {text!r}; expected normal:m,tau | sparsemix:p0,m,tau | twopoint:p0,a,b"
-    )
+    make = _PRIORS.get(kind)
+    if make is None or len(parts) != len(fields(make)):
+        raise NestError(f"bad prior spec {text!r}; expected {_PRIOR_FORMS}")
+    return make(*parts)
 
 
 def int_at_least(least: int):
@@ -105,33 +106,36 @@ def _load_sample(path: str):
     return ids, validate_sample(xs, sigmas)
 
 
-def _oracle(opts) -> Oracle:
-    if opts.prior is None:
+def _oracle(prior) -> Oracle:
+    if prior is None:
         raise NestError("--prior is required for the oracle method")
-    return Oracle(opts.prior)
+    return Oracle(prior)
 
 
-def _nest(opts) -> Nest:
-    if (opts.hx is None) != (opts.hsigma is None):
-        missing = "--hsigma" if opts.hsigma is None else "--hx"
+def _nest(hx, hsigma) -> Nest:
+    if (hx is None) != (hsigma is None):
+        missing = "--hsigma" if hsigma is None else "--hx"
         raise ValueError(f"nest takes both --hx and --hsigma or neither; {missing} is missing")
-    return Nest(None if opts.hx is None else Bandwidths(opts.hx, opts.hsigma))
+    return Nest(None if hx is None else Bandwidths(hx, hsigma))
 
 
 # One entry per method token, shared by `estimate --method` and `simulate
-# --estimators`. Each builds the method from the command's options: prior,
-# fixed bandwidths hx/hsigma (None leaves them to the SURE tuner) and k.
+# --estimators`: its builder and the options it takes, in order. A bandwidth
+# left None goes to the SURE tuner, a group count left None to KGroups' own.
+# `estimate` refuses an option that no requested method takes.
 _METHODS = {
-    "naive": lambda opts: Naive(),
-    "oracle": _oracle,
-    "nest": _nest,
-    "tf": lambda opts: TF(opts.hx),
-    "scaled": lambda opts: Scaled(opts.hx),
-    "kgroups": lambda opts: KGroups(opts.k),
+    "naive": (Naive, ()),
+    "oracle": (_oracle, ("prior",)),
+    "nest": (_nest, ("hx", "hsigma")),
+    "tf": (TF, ("hx",)),
+    "scaled": (Scaled, ("hx",)),
+    "kgroups": (lambda k: KGroups() if k is None else KGroups(k), ("k_groups",)),
 }
 
-# The methods that use each fixed-bandwidth flag of `estimate`.
-_FLAG_USERS = {"hx": ("nest", "tf", "scaled"), "hsigma": ("nest",)}
+
+def _build(name: str, options: dict):
+    make, takes = _METHODS[name]
+    return make(*(options.get(option) for option in takes))
 
 
 # ---------------------------------------------------------------------------
@@ -142,13 +146,14 @@ _FLAG_USERS = {"hx": ("nest", "tf", "scaled"), "hsigma": ("nest",)}
 def cmd_estimate(args) -> int:
     methods = args.method or ["nest"]
     check_unique_names(methods)
-    for flag, users in _FLAG_USERS.items():
-        if getattr(args, flag) is not None and not set(users) & set(methods):
-            raise ValueError(f"--{flag} is used only by {', '.join(users)}; none of them was requested")
+    for option in dict.fromkeys(o for _, takes in _METHODS.values() for o in takes):
+        users = [name for name, (_, takes) in _METHODS.items() if option in takes]
+        if getattr(args, option) is not None and not set(users) & set(methods):
+            flag = "--" + option.replace("_", "-")
+            raise ValueError(f"{flag} is used only by {', '.join(users)}; none of them was requested")
     bound = None if args.truncate in (None, "auto") else check_truncation_bound(float(args.truncate))
     prior = _parse_prior(args.prior) if args.prior else None
-    opts = argparse.Namespace(prior=prior, hx=args.hx, hsigma=args.hsigma, k=args.k_groups)
-    chosen = [_METHODS[name](opts) for name in methods]
+    chosen = [_build(name, {**vars(args), "prior": prior}) for name in methods]
     ids, sample = _load_sample(args.input)
     if sample.n == 1:
         log.warning("single-row input: density fits degenerate to the query point itself")
@@ -227,8 +232,7 @@ def _parse_estimators(text: str, prior, n: int) -> list[EstimatorSpec]:
             k = int(k) if sep else None
         except ValueError:
             raise NestError(f"unknown estimator {token!r}") from None
-        opts = argparse.Namespace(prior=prior, hx=None, hsigma=None, k=k)
-        specs.append(study_spec(_METHODS[name](opts), prior, n))
+        specs.append(study_spec(_build(name, {"prior": prior, "k_groups": k}), prior, n))
     return specs
 
 
@@ -271,14 +275,9 @@ def cmd_bias(args) -> int:
         folds_k=args.folds,
         threads=args.threads,
     )
-
-    def rows():
-        for name, res in results.items():
-            for rep in range(res.diffs.shape[0]):
-                for d in res.diffs[rep]:
-                    yield (name, rep, float(d))
-
-    write_csv_atomic(args.output, ["estimator", "rep", "diff"], rows())
+    rows = ((name, rep, d) for name, res in results.items() for rep, diffs in enumerate(res.diffs.tolist())
+            for d in diffs)
+    write_csv_atomic(args.output, ["estimator", "rep", "diff"], rows)
     _manifest(
         "bias",
         args,
@@ -372,8 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hx", type=float,
                    help="fixed bandwidth: NEST h_x multiplier (with --hsigma), or the pooled h for tf/scaled")
     p.add_argument("--hsigma", type=float, help="fixed NEST h_sigma in sigma units (with --hx)")
-    p.add_argument("--k-groups", type=int_at_least(1), default=2, dest="k_groups")
-    p.add_argument("--prior", help="oracle prior: normal:m,tau | sparsemix:p0,m,tau | twopoint:p0,a,b")
+    p.add_argument("--k-groups", type=int_at_least(1), dest="k_groups", help="group count for kgroups")
+    p.add_argument("--prior", help=f"oracle prior: {_PRIOR_FORMS}")
     p.add_argument("--truncate", nargs="?", const="auto",
                    help="clip shrinkage estimates to +/-BOUND (default bound 2 log n)")
     p.add_argument("--stabilize-sign", action="store_true",
@@ -394,9 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int_at_least(1))
     p.add_argument("--estimators", help=f"comma list of {','.join(_METHODS)}; kgroups takes a group count, kgroups:K")
     p.add_argument("--output", required=True)
-    profile = p.add_mutually_exclusive_group()
-    profile.add_argument("--smoke", action="store_true", help="n=1000, reps=10 unless overridden (default)")
-    profile.add_argument("--full", action="store_true", help="n=5000, reps=50 unless overridden")
+    p.add_argument("--full", action="store_true",
+                   help="n=5000, reps=50 unless overridden (default: n=1000, reps=10)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("bias", parents=[seeded, pooled, folded], help="tail-selection bias experiment")

@@ -1,4 +1,5 @@
-"""Core datatypes, input validation, and deterministic K-fold splitting."""
+"""Core datatypes, input validation, sigma-quantile grouping, and
+deterministic K-fold splitting."""
 
 from __future__ import annotations
 
@@ -6,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadFoldCount, LengthMismatch, NonFiniteValue, NonPositiveSigma
+from .errors import BadFoldCount, BadGroupCount, LengthMismatch, NonFiniteValue, NonPositiveSigma
 
 
 @dataclass(frozen=True)
@@ -56,20 +57,38 @@ def validate_sample(x, sigma, mu_true=None) -> HeteroSample:
     return HeteroSample(x, sigma, mu_true)
 
 
+def k_groups_fit(sample: HeteroSample, k: int) -> tuple[np.ndarray, ...]:
+    """Split into k near-equal contiguous sigma-quantile blocks; the g-th
+    array holds the ascending original indices of the g-th block.
+
+    Ties in sigma are broken by original index (stable sort). Group index
+    arrays are returned in ascending original order so that within-group
+    evaluation keeps the sample's own summation order.
+    """
+    if not (1 <= k <= sample.n):
+        raise BadGroupCount(k, sample.n)
+    order = np.argsort(sample.sigma, kind="stable")
+    return tuple(np.sort(b) for b in np.array_split(order, k))
+
+
 # Smallest accepted bandwidth: at it h^2 = 2^-1022, the smallest normal float,
 # so h^2, 1/h^2 and -0.5/h^2 are finite and nonzero for every accepted h.
 H_MIN = 2.0**-511
 
 
 def check_bandwidths(name: str, values) -> tuple[float, ...]:
-    """The bandwidth rule: a nonempty list of finite values, each >= H_MIN.
-    Returns the values as floats; raises ValueError naming ``name``."""
+    """The bandwidth rule: a nonempty, strictly ascending list of finite
+    values, each >= H_MIN. Ascending grids let the SURE argmin break ties by
+    the smallest bandwidth first. Returns the values as floats; raises
+    ValueError naming ``name``."""
     hv = tuple(float(h) for h in values)
     if not hv:
         raise ValueError(f"{name} must be nonempty")
     for h in hv:
         if not H_MIN <= h < np.inf:   # refuses nan too
             raise ValueError(f"{name} must be finite and >= 2**-511, got {h}")
+    if any(a >= b for a, b in zip(hv, hv[1:])):
+        raise ValueError(f"{name} must be strictly ascending")
     return hv
 
 

@@ -21,7 +21,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .data import Bandwidths, HeteroSample
+from .data import Bandwidths, HeteroSample, k_groups_fit
 from .errors import BadGroupCount
 from .kernel import KernelContext, in_sample_triple, pooled_context
 from .priors import PriorSpec
@@ -176,25 +176,6 @@ def check_unique_names(names: list[str]) -> None:
     """Each estimator may appear once: its name keys an output column."""
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate estimator names: {names}")
-
-
-# ---------------------------------------------------------------------------
-# Grouping
-# ---------------------------------------------------------------------------
-
-
-def k_groups_fit(sample: HeteroSample, k: int) -> tuple[np.ndarray, ...]:
-    """Split into k near-equal contiguous sigma-quantile blocks; the g-th
-    array holds the ascending original indices of the g-th block.
-
-    Ties in sigma are broken by original index (stable sort). Group index
-    arrays are returned in ascending original order so that within-group
-    evaluation keeps the sample's own summation order.
-    """
-    if not (1 <= k <= sample.n):
-        raise BadGroupCount(k, sample.n)
-    order = np.argsort(sample.sigma, kind="stable")
-    return tuple(np.sort(b) for b in np.array_split(order, k))
 
 
 def check_truncation_bound(bound: float) -> float:

@@ -16,17 +16,17 @@ Euler-Mascheroni constant. Discrete and Binomial posterior means are returned
 on the transformed (log-odds / log-probability) scale only.
 
 Each family class carries its own rules: its domain, which ``carrier``
-checks (NaN and infinities refused) before it computes the carrier term -l'_h,
-so a FamilyPoint evaluates it once to validate itself; the sign of the
-reported mean (-1 for Gamma's rate); and ``coordinate``, the map from a raw
-observation to the data coordinate (log x for Beta, the identity otherwise).
-``lh_prime`` and ``posterior_mean`` only read these.
+checks (NaN and infinities refused) before it computes the carrier term -l'_h;
+the sign of the reported mean (-1 for Gamma's rate); and ``coordinate``, the
+map from a raw observation to the data coordinate (log x for Beta, the
+identity otherwise). A FamilyPoint computes its carrier term once and refuses
+one that overflows; ``lh_prime`` and ``posterior_mean`` only read these.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
@@ -124,13 +124,18 @@ class Beta(Family):
 class FamilyPoint:
     """One observation in the family's data coordinate (the count x for
     Binomial/NegBinomial, the positive x for Gamma, z = log x < 0 for Beta),
-    which the family's carrier checks."""
+    which the family's carrier checks. ``carrier`` holds the term -l'_h at
+    the point, computed once here; a term that overflows is a DomainError."""
 
     family: Family
     value: float
+    carrier: float = field(init=False)
 
     def __post_init__(self):
-        self.family.carrier(self.value)
+        term = self.family.carrier(self.value)
+        if not math.isfinite(term):
+            raise DomainError(f"carrier term -l'_h at {self.value} overflows to {term}")
+        object.__setattr__(self, "carrier", term)
 
 
 @dataclass(frozen=True)
@@ -154,14 +159,14 @@ def harmonic(k: int) -> float:
 
 def lh_prime(p: FamilyPoint) -> float:
     """The closed-form carrier term -l'_h at the point."""
-    return p.family.carrier(p.value)
+    return p.carrier
 
 
 def posterior_mean(p: FamilyPoint, score: ScoreEstimate) -> float:
     """Posterior mean of the family's parameter transform given the point and
     an injected marginal score."""
     # adding 0.0 keeps an exact zero unsigned
-    return p.family.sign * (lh_prime(p) + score.lf1) + 0.0
+    return p.family.sign * (p.carrier + score.lf1) + 0.0
 
 
 def discrete_lf1(pmf, x: int) -> ScoreEstimate:

@@ -372,13 +372,12 @@ _BIAS_SPECS = (EstimatorSpec(Naive()), EstimatorSpec(TF()), EstimatorSpec(Nest(j
 
 def _bias_rep(setting: str, n: int, select_k: int, folds_k: int, seed: int, specs, rep: int) -> dict[str, np.ndarray]:
     rng = np.random.default_rng(np.random.SeedSequence([seed, rep]))
-    wide = rng.random(n) < 0.3
-    sigma = np.where(wide, 3.0, 1.0)
+    sigma = TwoValueSigma(3.0, 1.0, 0.3).draw(rng, n)
     if setting == "single-center":
         mu = 1.0 + 0.5 * rng.standard_normal(n)
     else:
         # centers linked to the noise groups: narrow group at 0, wide at 5
-        mu = np.where(wide, 5.0, 0.0) + 0.5 * rng.standard_normal(n)
+        mu = np.where(sigma == 3.0, 5.0, 0.0) + 0.5 * rng.standard_normal(n)
     x = mu + sigma * rng.standard_normal(n)
     sample = HeteroSample(x, sigma, mu)
     sel = np.argsort(x, kind="stable")[:select_k]

@@ -38,10 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Bandwidths, HeteroSample, check_bandwidths, kfold_split
+from .data import Bandwidths, HeteroSample, check_bandwidths, k_groups_fit, kfold_split
 from .errors import AllCellsDegenerate, BadFoldCount, BadGroupCount
 from .kernel import FLOOR, density_grid
-from .estimators import k_groups_fit
 
 _FLOOR_FRACTION = 0.01
 
@@ -57,9 +56,7 @@ class SureGrid:
 
     def __post_init__(self):
         for name in ("h_x_values", "h_sigma_values"):
-            hv = check_bandwidths(name, getattr(self, name))
-            if any(a >= b for a, b in zip(hv, hv[1:])):
-                raise ValueError(f"{name} must be strictly ascending")
+            check_bandwidths(name, getattr(self, name))
         if self.k < 2:
             raise ValueError("fold count must be >= 2")
 

@@ -202,6 +202,8 @@ class TestEstimateCommand:
         ["estimate", "--input", "{inp}.absent", "--method", "scaled", "--hsigma", "0.3"],
         ["estimate", "--input", "{inp}.absent", "--method", "naive", "--method", "oracle",
          "--prior", "normal:0,1", "--hx", "0.5", "--hsigma", "0.3"],
+        ["estimate", "--input", "{inp}.absent", "--method", "naive", "--prior", "normal:0,1"],
+        ["estimate", "--input", "{inp}.absent", "--method", "naive", "--k-groups", "3"],
         # a truncation bound that is not > 0, whatever the methods
         ["estimate", "--input", "{inp}.absent", "--method", "nest", "--truncate", "0"],
         ["estimate", "--input", "{inp}.absent", "--method", "naive", "--truncate", "0"],
@@ -221,13 +223,17 @@ class TestEstimateCommand:
         ["--family", "beta", "--beta", "inf", "--x", "0.5"],
         ["--family", "gamma", "--alpha", "2", "--x", "inf"],
         ["--family", "beta", "--beta", "3", "--x", "1.5"],
+        # finite inputs in the domain whose carrier term overflows
+        ["--family", "gamma", "--alpha", "2", "--x", "1e-320"],
+        ["--family", "beta", "--beta", "1e308", "--x", "0.9999999999999999"],
     ]],
     ids=["bad-kgroups-token", "descending-grid", "negative-hx", "ratio-above-one",
          "duplicate-method", "lone-hx-with-nest", "hx-with-kgroups", "hsigma-with-tf",
-         "hsigma-with-scaled", "both-flags-unused", "zero-truncate-nest", "zero-truncate-naive",
+         "hsigma-with-scaled", "both-flags-unused", "prior-with-naive", "k-groups-with-naive",
+         "zero-truncate-nest", "zero-truncate-naive",
          "negative-truncate", "nan-truncate", "select-k-above-n", "tiny-hsigma", "infinite-prior-tau",
          "binomial-inf-x", "binomial-nan-x", "gamma-inf-alpha", "beta-inf-beta", "gamma-inf-x",
-         "beta-x-above-one"],
+         "beta-x-above-one", "gamma-carrier-overflow", "beta-carrier-overflow"],
 )
 def test_value_errors_exit_1_with_one_json_line(tmp_path, capsys, argv, error):
     inp, out = tmp_path / "in.csv", tmp_path / "out.csv"
@@ -237,6 +243,30 @@ def test_value_errors_exit_1_with_one_json_line(tmp_path, capsys, argv, error):
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == error
+
+
+@pytest.mark.parametrize("flag, value, users", [
+    ("--prior", "normal:0,1", "oracle"), ("--k-groups", "3", "kgroups"),
+    ("--hx", "0.5", "nest, tf, scaled"), ("--hsigma", "0.5", "nest"),
+])
+def test_unused_option_names_the_methods_that_take_it(tmp_path, capsys, flag, value, users):
+    rc = main(["estimate", "--input", str(tmp_path / "absent.csv"), "--output", str(tmp_path / "o.csv"),
+               "--method", "naive", flag, value])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err.strip()) == {
+        "error": "ValueError", "detail": f"{flag} is used only by {users}; none of them was requested"}
+
+
+def test_k_groups_option_reaches_kgroups(tmp_path, caplog):
+    rng = np.random.default_rng(6)
+    inp, out = tmp_path / "in.csv", tmp_path / "out.csv"
+    write_sample_csv(inp, rng.normal(size=40), rng.uniform(0.5, 1.5, 40))
+    caplog.set_level(logging.INFO, logger="nesteb")
+    rc = main(["estimate", "--input", str(inp), "--output", str(out), "--folds", "4",
+               "--method", "kgroups", "--k-groups", "3"])
+    assert rc == 0
+    resolved = json.loads(caplog.records[-1].getMessage())["manifest"]["resolved"]
+    assert resolved["kgroups"]["k"] == 3 and len(resolved["kgroups"]["h_per_group"]) == 3
 
 
 @pytest.mark.parametrize("method", ["tf", "nest"])

@@ -114,6 +114,12 @@ class TestFamilyPointValidation:
         for value in (0.1, -math.inf, math.nan):
             self.refuses(Beta(2.0), value)
 
+    def test_overflowing_carrier_term_refused(self):
+        # finite points inside the domain whose carrier term overflows to -inf and +inf
+        for family, value in ((Gamma(2.0), 1e-320), (Beta(1e308), math.log(0.9999999999999999))):
+            with pytest.raises(DomainError, match="overflows"):
+                FamilyPoint(family, value)
+
     def test_parameter_validation(self):
         with pytest.raises(DomainError):
             Binomial(0)
@@ -222,6 +228,16 @@ class TestPosteriorMean:
             z = math.log(u)
             got = posterior_mean(FamilyPoint(Beta(beta), z), ScoreEstimate(lf1))
             assert got == (beta - 1.0) * math.exp(z) / (1.0 - math.exp(z)) + lf1
+
+    def test_carrier_computed_once_per_point(self, monkeypatch):
+        # construction, lh_prime and posterior_mean share one carrier evaluation
+        calls = []
+        carrier = Binomial.carrier
+        monkeypatch.setattr(Binomial, "carrier", lambda self, value: calls.append(value) or carrier(self, value))
+        p = FamilyPoint(Binomial(10), 3)
+        lh, mean = lh_prime(p), posterior_mean(p, ScoreEstimate(0.5))
+        assert calls == [3]
+        assert lh == harmonic(3) + harmonic(7) - 2.0 * EULER_GAMMA and mean == lh + 0.5
 
     def test_gamma_exact_zero_is_unsigned(self):
         # (alpha - 1)/x - l'_f is +0.0 when the two terms cancel

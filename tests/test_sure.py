@@ -422,8 +422,11 @@ class TestGridValidation:
         with pytest.raises(ValueError, match="sd = inf"):
             pooled_grid_for(x)
         fold_of = kfold_split(3, 3, seed=0)
-        for bad in ((0.5, math.inf), (math.nan,)):
-            with pytest.raises(ValueError, match="finite"):
+        # and, as SureGrid's axes, a descending or repeated grid, which the
+        # argmin's smallest-h-first tie rule cannot read
+        for bad, match in (((0.5, math.inf), "finite"), ((math.nan,), "finite"),
+                           ((0.9, 0.3, 0.3, 0.1), "ascending"), ((0.3, 0.3), "ascending")):
+            with pytest.raises(ValueError, match=match):
                 tune_pooled([0.0, 1.0, 2.0], np.ones(3), bad, fold_of)
 
     def test_default_grid_scales_with_sigma_spread(self):
