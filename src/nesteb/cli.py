@@ -36,7 +36,7 @@ from .estimators import (
     estimate,
     post_processed,
 )
-from .expfam import Beta, Binomial, FamilyPoint, Gamma, NegBinomial, ScoreEstimate, lh_prime, posterior_mean
+from .expfam import Beta, Binomial, FamilyPoint, Gamma, NegBinomial, ScoreEstimate, posterior_mean
 from .io import fmt_value, read_csv, write_csv_atomic
 from .priors import NormalPrior, SparseMixPrior, TwoPointPrior
 from .simulation import (
@@ -290,24 +290,20 @@ def cmd_bias(args) -> int:
     return 0
 
 
-# `expfam --family` -> (the option holding the family's parameter, its constructor).
-_FAMILIES = {
-    "binomial": ("n_trials", Binomial),
-    "negbinomial": ("r", NegBinomial),
-    "gamma": ("alpha", Gamma),
-    "beta": ("beta", Beta),
-}
+# `expfam --family` -> its family class, whose one field is the option holding its parameter.
+_FAMILIES = {"binomial": Binomial, "negbinomial": NegBinomial, "gamma": Gamma, "beta": Beta}
 
 
 def cmd_expfam(args) -> int:
-    option, make = _FAMILIES[args.family]
-    param = getattr(args, option)
+    make = _FAMILIES[args.family]
+    (option,) = fields(make)
+    param = getattr(args, option.name)
     if param is None:
-        raise NestError(f"--{option.replace('_', '-')} is required for {args.family}")
+        raise NestError(f"--{option.name.replace('_', '-')} is required for {args.family}")
     family = make(param)
     point = FamilyPoint(family, family.coordinate(args.x))
     header = ["family", "value", "lh_prime", "lf1", "posterior_mean"]
-    row = (args.family, float(point.value), lh_prime(point), args.lf1, posterior_mean(point, ScoreEstimate(args.lf1)))
+    row = (args.family, float(point.value), point.carrier, args.lf1, posterior_mean(point, ScoreEstimate(args.lf1)))
     if args.output:
         write_csv_atomic(args.output, header, [row])
     else:
@@ -407,10 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expfam", help="spot-evaluate an exponential-family posterior mean")
     p.add_argument("--family", choices=list(_FAMILIES), required=True)
-    p.add_argument("--n-trials", type=int, dest="n_trials")
-    p.add_argument("--r", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
+    for make in _FAMILIES.values():
+        (option,) = fields(make)   # the one field, annotated int or float
+        p.add_argument(f"--{option.name.replace('_', '-')}", type={"int": int, "float": float}[option.type])
     p.add_argument("--x", type=float, required=True, help="observation (raw x for every family)")
     p.add_argument("--lf1", type=float, required=True, help="injected marginal score l'_f")
     p.add_argument("--output")

@@ -71,22 +71,22 @@ def k_groups_fit(sample: HeteroSample, k: int) -> tuple[np.ndarray, ...]:
     return tuple(np.sort(b) for b in np.array_split(order, k))
 
 
-# Smallest accepted bandwidth: at it h^2 = 2^-1022, the smallest normal float,
-# so h^2, 1/h^2 and -0.5/h^2 are finite and nonzero for every accepted h.
-H_MIN = 2.0**-511
+# Smallest accepted bandwidth: at it h^3 = 2^-1020, a normal float, so h^3,
+# h^2, 1/h^2 and -0.5/h^2 are finite and nonzero for every accepted h.
+H_MIN = 2.0**-340
 
 
 def check_bandwidths(name: str, values) -> tuple[float, ...]:
     """The bandwidth rule: a nonempty, strictly ascending list of finite
-    values, each >= H_MIN. Ascending grids let the SURE argmin break ties by
-    the smallest bandwidth first. Returns the values as floats; raises
-    ValueError naming ``name``."""
+    values, each >= H_MIN = 2^-340, where h^3 is a normal float. Ascending
+    grids let the SURE argmin break ties by the smallest bandwidth first.
+    Returns the values as floats; raises ValueError naming ``name``."""
     hv = tuple(float(h) for h in values)
     if not hv:
         raise ValueError(f"{name} must be nonempty")
     for h in hv:
         if not H_MIN <= h < np.inf:   # refuses nan too
-            raise ValueError(f"{name} must be finite and >= 2**-511, got {h}")
+            raise ValueError(f"{name} must be finite and >= H_MIN = {H_MIN!r}, got {h}")
     if any(a >= b for a, b in zip(hv, hv[1:])):
         raise ValueError(f"{name} must be strictly ascending")
     return hv

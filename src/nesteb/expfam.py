@@ -20,7 +20,8 @@ checks (NaN and infinities refused) before it computes the carrier term -l'_h;
 the sign of the reported mean (-1 for Gamma's rate); and ``coordinate``, the
 map from a raw observation to the data coordinate (log x for Beta, the
 identity otherwise). A FamilyPoint computes its carrier term once and refuses
-one that overflows; ``lh_prime`` and ``posterior_mean`` only read these.
+one that overflows; ``posterior_mean`` reads it and refuses a mean that
+overflows.
 """
 
 from __future__ import annotations
@@ -157,44 +158,34 @@ def harmonic(k: int) -> float:
     return math.fsum(1.0 / j for j in range(1, k + 1))
 
 
-def lh_prime(p: FamilyPoint) -> float:
-    """The closed-form carrier term -l'_h at the point."""
-    return p.carrier
-
-
 def posterior_mean(p: FamilyPoint, score: ScoreEstimate) -> float:
     """Posterior mean of the family's parameter transform given the point and
-    an injected marginal score."""
+    an injected marginal score; a mean that overflows is a DomainError."""
+    mean = p.family.sign * (p.carrier + score.lf1)
+    if not math.isfinite(mean):
+        raise DomainError(f"posterior mean at {p.value} overflows to {mean}")
     # adding 0.0 keeps an exact zero unsigned
-    return p.family.sign * (p.carrier + score.lf1) + 0.0
+    return mean + 0.0
 
 
 def discrete_lf1(pmf, x: int) -> ScoreEstimate:
-    """Finite-difference surrogate for l'_f on an integer support.
-
-    Central difference of log pmf where both neighbors exist, one-sided at
-    the support edges. The pmf must be positive at the point and at every
-    neighbor used.
+    """Finite-difference surrogate for l'_f on an integer support: the slope
+    of log pmf between the neighbours i = max(x-1, 0) and j = min(x+1, n-1),
+    so central inside the support and one-sided at its edges. x must be an
+    integer (2.0 reads as 2), and the pmf positive at x, j and i.
     """
     p = np.asarray(pmf, dtype=float).reshape(-1)
     n = p.shape[0]
     if n < 2:
         raise DomainError("pmf support must contain at least two points")
+    x = _check_integer(x, "pmf point x")
     if not (0 <= x < n):
         raise DomainError(f"x={x} outside pmf support [0, {n - 1}]")
-    if p[x] <= 0.0:
-        raise ZeroMass(x)
-
-    def logp(i: int) -> float:
-        if p[i] <= 0.0:
-            raise ZeroMass(i)
-        return math.log(p[i])
-
-    if x == 0:
-        return ScoreEstimate(logp(1) - logp(0))
-    if x == n - 1:
-        return ScoreEstimate(logp(n - 1) - logp(n - 2))
-    return ScoreEstimate(0.5 * (logp(x + 1) - logp(x - 1)))
+    i, j = max(x - 1, 0), min(x + 1, n - 1)
+    for k in (x, j, i):
+        if p[k] <= 0.0:
+            raise ZeroMass(k)
+    return ScoreEstimate((math.log(p[j]) - math.log(p[i])) / (j - i))
 
 
 def gamma_point_mass_lf1(alpha: float, beta0: float, x: float) -> ScoreEstimate:

@@ -11,7 +11,8 @@ Conventions (phi_h is the Gaussian kernel with bandwidth h):
     f2(x|sigma)  = sum_j w_j phi_{h_xj}(x - x_j) / h_xj^2 * {((x - x_j)/h_xj)^2 - 1}
 
 Bandwidth rule (``data.check_bandwidths``): every h is finite and at least
-``data.H_MIN`` = 2^-511, so h^2, 1/h^2 and -0.5/h^2 are finite and nonzero.
+``data.H_MIN`` = 2^-340, where h^3 is a normal float, so h^3, h^2, 1/h^2
+and -0.5/h^2 are finite and nonzero.
 
 The kernel normalizing constant cancels inside w_j, so weights are computed
 from bare exponentials; a weight normalizer that underflows to exactly zero

@@ -210,8 +210,10 @@ class TestEstimateCommand:
         ["estimate", "--input", "{inp}.absent", "--method", "tf", "--truncate=-1"],
         ["estimate", "--input", "{inp}.absent", "--method", "scaled", "--truncate", "nan"],
         ["bias", "--setting", "single-center", "--select-k", "100", "--n", "30", "--reps", "1", "--folds", "3"],
-        # h_sigma below 2**-511, whose square underflows (was a ZeroDivisionError traceback)
+        # h_sigma below data.H_MIN, whose square underflows (was a ZeroDivisionError traceback)
         ["estimate", "--input", "{inp}", "--method", "nest", "--hx", "0.5", "--hsigma", "1e-163"],
+        # h_x below data.H_MIN, whose cube underflows (was NonFiniteValue in column f1)
+        ["estimate", "--input", "{inp}", "--method", "tf", "--hx", "1e-110"],
         # a non-finite prior parameter (was a NaN oracle column)
         ["estimate", "--input", "{inp}", "--method", "oracle", "--prior", "normal:1,inf"],
     ]]
@@ -226,14 +228,18 @@ class TestEstimateCommand:
         # finite inputs in the domain whose carrier term overflows
         ["--family", "gamma", "--alpha", "2", "--x", "1e-320"],
         ["--family", "beta", "--beta", "1e308", "--x", "0.9999999999999999"],
+        # finite carrier terms and scores whose posterior mean overflows
+        ["--family", "gamma", "--alpha", "2", "--x", "1e-308", "--lf1=-1e308"],
+        ["--family", "beta", "--beta", "1e308", "--x", "0.5", "--lf1", "1.7e308"],
     ]],
     ids=["bad-kgroups-token", "descending-grid", "negative-hx", "ratio-above-one",
          "duplicate-method", "lone-hx-with-nest", "hx-with-kgroups", "hsigma-with-tf",
          "hsigma-with-scaled", "both-flags-unused", "prior-with-naive", "k-groups-with-naive",
          "zero-truncate-nest", "zero-truncate-naive",
-         "negative-truncate", "nan-truncate", "select-k-above-n", "tiny-hsigma", "infinite-prior-tau",
+         "negative-truncate", "nan-truncate", "select-k-above-n", "tiny-hsigma", "tiny-hx", "infinite-prior-tau",
          "binomial-inf-x", "binomial-nan-x", "gamma-inf-alpha", "beta-inf-beta", "gamma-inf-x",
-         "beta-x-above-one", "gamma-carrier-overflow", "beta-carrier-overflow"],
+         "beta-x-above-one", "gamma-carrier-overflow", "beta-carrier-overflow",
+         "gamma-mean-overflow", "beta-mean-overflow"],
 )
 def test_value_errors_exit_1_with_one_json_line(tmp_path, capsys, argv, error):
     inp, out = tmp_path / "in.csv", tmp_path / "out.csv"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nesteb.data import Bandwidths, HeteroSample, derive_seed, kfold_split, validate_sample
+from nesteb.data import H_MIN, Bandwidths, HeteroSample, derive_seed, kfold_split, validate_sample
 from nesteb.errors import BadFoldCount, LengthMismatch, NonFiniteValue, NonPositiveSigma
 
 
@@ -88,7 +88,6 @@ class TestHeteroSampleValidates:
         assert not any(c.flags.writeable for c in (sub.x, sub.sigma, sub.mu_true))
 
 
-H_MIN = 2.0**-511                          # h^2 is the smallest normal float
 BELOW_H_MIN = float(np.nextafter(H_MIN, 0.0))
 
 

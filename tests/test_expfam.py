@@ -22,7 +22,6 @@ from nesteb.expfam import (
     gamma_point_mass_lf1,
     harmonic,
     kde_lf1,
-    lh_prime,
     posterior_mean,
 )
 
@@ -41,51 +40,51 @@ class TestHarmonic:
 
 class TestLhPrime:
     def test_negbinomial_r1_is_zero(self):
-        assert lh_prime(FamilyPoint(NegBinomial(1), 4)) == 0.0
+        assert FamilyPoint(NegBinomial(1), 4).carrier == 0.0
 
     @pytest.mark.parametrize("r", [2, 3, 10])
     def test_negbinomial_sum_is_exact_against_fractions(self, r):
         # the direct sum has no H(x + r - 1) - H(x) cancellation (8.6e-13 at r=3)
         x = 10**4
         exact = float(sum(Fraction(1, k) for k in range(x + 1, x + r)))
-        assert lh_prime(FamilyPoint(NegBinomial(r), x)) == pytest.approx(exact, rel=1e-15, abs=0)
+        assert FamilyPoint(NegBinomial(r), x).carrier == pytest.approx(exact, rel=1e-15, abs=0)
 
     def test_negbinomial_cost_follows_r_not_the_count(self):
         # r - 1 terms of about 1e-300 each; a sum from 1 to x would never return
-        assert lh_prime(FamilyPoint(NegBinomial(3), 1e300)) == pytest.approx(2e-300, rel=1e-15, abs=0)
+        assert FamilyPoint(NegBinomial(3), 1e300).carrier == pytest.approx(2e-300, rel=1e-15, abs=0)
 
     def test_gamma_alpha1_is_zero(self):
-        assert lh_prime(FamilyPoint(Gamma(1.0), 2.7)) == 0.0
+        assert FamilyPoint(Gamma(1.0), 2.7).carrier == 0.0
 
     def test_binomial_n2_x1(self):
         # derived: 1 + 1 - 2*gamma_E
-        got = lh_prime(FamilyPoint(Binomial(2), 1))
+        got = FamilyPoint(Binomial(2), 1).carrier
         assert got == pytest.approx(0.8455686701969343, rel=1e-14)
 
     def test_binomial_empty_sum_at_zero_count(self):
-        got = lh_prime(FamilyPoint(Binomial(3), 0))
+        got = FamilyPoint(Binomial(3), 0).carrier
         assert got == pytest.approx(harmonic(3) - 2 * EULER_GAMMA, rel=1e-14)
 
     def test_binomial_symmetry(self):
         for n in (2, 5, 9):
             for x in range(n + 1):
-                a = lh_prime(FamilyPoint(Binomial(n), x))
-                b = lh_prime(FamilyPoint(Binomial(n), n - x))
+                a = FamilyPoint(Binomial(n), x).carrier
+                b = FamilyPoint(Binomial(n), n - x).carrier
                 assert a == pytest.approx(b, rel=1e-14)
 
     def test_negbinomial_recurrence(self):
         for x in (0, 3, 11):
             for r in (1, 2, 5):
-                lo = lh_prime(FamilyPoint(NegBinomial(r), x))
-                hi = lh_prime(FamilyPoint(NegBinomial(r + 1), x))
+                lo = FamilyPoint(NegBinomial(r), x).carrier
+                hi = FamilyPoint(NegBinomial(r + 1), x).carrier
                 assert hi - lo == pytest.approx(1.0 / (x + r), rel=1e-12)
 
     def test_gamma_formula(self):
-        assert lh_prime(FamilyPoint(Gamma(3.0), 2.0)) == pytest.approx(-1.0)
+        assert FamilyPoint(Gamma(3.0), 2.0).carrier == pytest.approx(-1.0)
 
     def test_beta_formula(self):
         z = math.log(0.25)
-        got = lh_prime(FamilyPoint(Beta(4.0), z))
+        got = FamilyPoint(Beta(4.0), z).carrier
         assert got == pytest.approx(3.0 * 0.25 / 0.75, rel=1e-12)
 
 
@@ -230,12 +229,12 @@ class TestPosteriorMean:
             assert got == (beta - 1.0) * math.exp(z) / (1.0 - math.exp(z)) + lf1
 
     def test_carrier_computed_once_per_point(self, monkeypatch):
-        # construction, lh_prime and posterior_mean share one carrier evaluation
+        # construction, the `carrier` field and posterior_mean share one carrier evaluation
         calls = []
         carrier = Binomial.carrier
         monkeypatch.setattr(Binomial, "carrier", lambda self, value: calls.append(value) or carrier(self, value))
         p = FamilyPoint(Binomial(10), 3)
-        lh, mean = lh_prime(p), posterior_mean(p, ScoreEstimate(0.5))
+        lh, mean = p.carrier, posterior_mean(p, ScoreEstimate(0.5))
         assert calls == [3]
         assert lh == harmonic(3) + harmonic(7) - 2.0 * EULER_GAMMA and mean == lh + 0.5
 
@@ -244,6 +243,13 @@ class TestPosteriorMean:
         for alpha, x, lf1 in ((1.0, 2.0, 0.0), (3.0, 4.0, 0.5)):
             got = posterior_mean(FamilyPoint(Gamma(alpha), x), ScoreEstimate(lf1))
             assert got == 0.0 and math.copysign(1.0, got) == 1.0
+
+    def test_overflowing_mean_refused(self):
+        # a finite carrier term and a finite score whose sum overflows, to -inf and +inf
+        for point, lf1 in ((FamilyPoint(Gamma(2.0), 1e-308), -1e308),
+                           (FamilyPoint(Beta(1e308), math.log(0.5)), 1.7e308)):
+            with pytest.raises(DomainError, match="overflows"):
+                posterior_mean(point, ScoreEstimate(lf1))
 
 
 class TestDiscreteLf1:
@@ -270,6 +276,13 @@ class TestDiscreteLf1:
     def test_out_of_support(self):
         with pytest.raises(DomainError):
             discrete_lf1([0.5, 0.5], 2)
+
+    def test_point_is_an_integer_count(self):
+        # an integral float reads as the count; a fractional one is outside the support
+        pmf = [0.1, 0.2, 0.3, 0.4]
+        assert discrete_lf1(pmf, 2.0).lf1 == discrete_lf1(pmf, 2).lf1
+        with pytest.raises(DomainError, match="integer"):
+            discrete_lf1(pmf, 2.5)
 
 
 class TestKdeProvider:

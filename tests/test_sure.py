@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import nesteb.kernel
-from nesteb.data import Bandwidths, kfold_split, validate_sample
+from nesteb.data import H_MIN, Bandwidths, kfold_split, validate_sample
 from nesteb.errors import AllCellsDegenerate, EmptyMonteCarlo, LengthMismatch, NonFiniteValue, NonPositiveSigma
 from nesteb.estimators import Nest
 from nesteb.kernel import KernelContext, in_sample_triple
@@ -403,12 +403,11 @@ class TestGridValidation:
             SureGrid((0.1,), (math.nan,))
 
     def test_bandwidths_below_h_min_rejected(self):
-        # below 2**-511, h^2 is subnormal and -0.5 / h^2 can overflow
-        h_min = 2.0**-511
-        below = float(np.nextafter(h_min, 0.0))
-        SureGrid((h_min, 0.1), (h_min,))
+        # H_MIN is accepted on every axis and the float just below it is refused
+        below = float(np.nextafter(H_MIN, 0.0))
+        SureGrid((H_MIN, 0.1), (H_MIN,))
         fold_of = kfold_split(3, 3, seed=0)
-        assert tune_pooled([0.0, 1.0, 2.0], np.ones(3), (h_min, 1.0), fold_of).best_h == 1.0
+        assert tune_pooled([0.0, 1.0, 2.0], np.ones(3), (H_MIN, 1.0), fold_of).best_h == 1.0
         for grid in (((below, 0.1), (0.1,)), ((0.1,), (below,))):
             with pytest.raises(ValueError, match="finite"):
                 SureGrid(*grid)
