@@ -22,7 +22,7 @@ from typing import ClassVar
 import numpy as np
 
 from .data import Bandwidths, HeteroSample, k_groups_fit
-from .errors import BadGroupCount
+from .errors import BadGroupCount, NonFiniteValue
 from .kernel import KernelContext, in_sample_triple, pooled_context
 from .priors import PriorSpec
 
@@ -203,8 +203,15 @@ def stabilize_sign(x, mu_hat) -> np.ndarray:
 
 
 def estimate(spec: EstimatorSpec, sample: HeteroSample) -> np.ndarray:
-    """Apply the configured method to every observation, then post-process."""
-    mu = spec.method.apply(sample)
+    """Apply the configured method to every observation, then post-process.
+
+    Raises NonFiniteValue naming the method and the first observation whose
+    raw estimate is not finite (for example where sigma^2 overflows)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = spec.method.apply(sample)
+    bad = np.flatnonzero(~np.isfinite(mu))
+    if bad.size:
+        raise NonFiniteValue(spec.name, int(bad[0]))
     if spec.truncation_bound is not None:
         mu = truncate_estimates(mu, spec.truncation_bound)
     if spec.stabilize_sign:

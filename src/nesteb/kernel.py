@@ -35,26 +35,40 @@ check). With u_j = (x - x_j)/h_xj, E_j = exp(-u_j^2 / 2), the unnormalized
 Per row block of b queries, the weights t for every h_sigma form one
 (ns, b, n) array and the c kernel rows for every h_x one (c nx, b, n)
 array (c = 3, or 2 without f2), one contiguous (b, n) plane per h_sigma and
-per (h_x, component). One batched ``np.matmul`` per chunk of ``_SUM_COLS`` =
-256 training columns then gives every (h_sigma, h_x, component) sum, and the
-chunk sums are added in index order. Each query row is its own (ns x 256) by
-(256 x c nx) product, so a query's values depend on its own row only:
-output is bitwise independent of the block partition of the queries, of
-``_BLOCK_ELEMS``, of the kernel threads and of the BLAS thread count (the
-rules below). It is not independent of the grid: a cell's bits depend on
-the grid's shape. With one h_sigma (ns = 1) NumPy sends each product to
-gemv, and otherwise to gemm, and the two round differently: with fold keys
-at n = 1000, every f, f1 and f2 of the 100 cells of a 10 x 10 grid differed
-from the same cell computed alone, by up to 4e-11 relative.
+per (h_x, component). How the training index is then summed depends on the
+call's shape, by two rules:
+
+- One-cell rule: a call with one cell (nx = ns = 1: every final fit, query
+  evaluation and Monte Carlo SURE check) runs no BLAS routine. Right after
+  the exp, E is multiplied by the one weight plane (not where that plane is
+  all ones: unit sigma without keys), the rows t E / sigma,
+  t E (x - x_j) / sigma^3 and t E (u^2 - 1) / sigma^3 are built from that
+  product, and each row is reduced by NumPy's ``sum`` over the whole
+  training index (a pairwise sum). So such a call neither pins OpenBLAS
+  nor takes ``_PIN_LOCK``, and its bits do not depend on the BLAS library.
+- Grid rule: every other call (the SURE surfaces, the pooled 10 x 1 tunes
+  included) runs one batched ``np.matmul`` per chunk of ``_SUM_COLS`` = 256
+  training columns, which gives every (h_sigma, h_x, component) sum, and
+  adds the chunk sums in index order. Each query row is its own
+  (ns x 256) by (256 x c nx) product, run on one BLAS thread (the BLAS rule
+  below). With one h_sigma (ns = 1) NumPy sends each product to gemv, and
+  otherwise to gemm.
+
+Under either rule a query's values depend on its own row only: output is
+bitwise independent of the block partition of the queries, of
+``_BLOCK_ELEMS``, of the kernel threads and of the BLAS thread count. It is
+not independent of the grid: a cell's bits depend on the grid's shape, as
+gemv, gemm and NumPy's sum round differently. With fold keys at n = 1000,
+about half of the f, f1 and f2 values of the 100 cells of a 10 x 10 grid
+differed from the same cell computed alone, by up to 4e-11 relative.
 
 f2-free rule: a final fit needs f and f1 only (the Tweedie score f1/f), so
 ``f2=False`` builds no f2 row: the fill skips the three f2 passes per h_x
-and (sigma not 1) the dx^2/sigma^5 plane, the product loses its f2 column,
-and f2 comes back as None. It is allowed on one cell only (nx = ns = 1),
-where each product is a gemv and f and f1 are bitwise those of the full
-call; on a larger grid the narrower product rounds differently (by up to
-5e-14 relative on 3 x 1 and 3 x 2 grids at n = 1000), so such a call raises
-ValueError.
+and (sigma not 1) the dx^2/sigma^5 plane, and f2 comes back as None. It is
+allowed on one cell only (nx = ns = 1), where each row is summed on its
+own, so f and f1 are bitwise those of the full call; on a larger grid the
+product without the f2 column rounds differently (by up to 5e-14 relative
+on 3 x 1 and 3 x 2 grids at n = 1000), so such a call raises ValueError.
 
 Unit-sigma rule: sigma = 1 skips the sigma factors. When every training and
 query sigma is exactly 1 (checked once per call), as for the pooled rules
@@ -81,18 +95,19 @@ is bitwise the same under any thread count. ``_BLOCK_ELEMS`` is the budget
 of all workers together; the caller allocates every worker's block matrices
 as one array before the fan-out.
 
-BLAS rule: the gemms run with the OpenBLAS bundled with NumPy pinned to one
-thread (its ``scipy_openblas_set_num_threads64_``, called through ctypes),
-and the previous count is restored afterwards. So every gemm takes
+BLAS rule: the gemms and gemvs of a grid call run with the OpenBLAS
+bundled with NumPy pinned to one thread (its
+``scipy_openblas_set_num_threads64_``, called through ctypes), and the
+previous count is restored afterwards. So every gemm takes
 OpenBLAS's single-thread path, whatever ``OPENBLAS_NUM_THREADS`` says. A
 fixed chunk width alone is not a rule: OpenBLAS threads a gemm once m n k
 passes a cutoff, and on a SkylakeX core unpinned gemms rounded differently
 under one and two threads at every width tried, 256 to 4096 columns. The
 pin is a process-wide setting, taken once per call around the whole
-fan-out; ``_PIN_LOCK`` therefore serializes concurrent ``density_grid``
-calls from user threads. Under a NumPy that carries no such library
-(another BLAS) the gemms run unpinned, and the output then depends on that
-BLAS's threading.
+fan-out; ``_PIN_LOCK`` therefore serializes concurrent grid calls from
+user threads (one-cell calls take neither). Under a NumPy that carries no
+such library (another BLAS) the gemms run unpinned, and a grid's output
+then depends on that BLAS's threading; a one-cell call's does not.
 
 The rows per block are chosen so that all matrices of all blocks in flight
 together, the weights, the kernel rows and three (b, n) scratch matrices,
@@ -109,7 +124,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -236,9 +251,12 @@ def density_grid(
     wsum = np.empty((ns, m))
     wscale = np.array([-0.5 / (h * h) for h in hs_values])[:, None, None]
     unit = bool(np.all(st == 1.0) and np.all(sq == 1.0))   # the unit-sigma rule
-    inv_s = 1.0 / st
-    inv_s2 = inv_s * inv_s
-    inv_s3 = inv_s2 * inv_s
+    one_cell = nx * ns == 1                                 # the one-cell rule: row sums, no gemm
+    weighted = not (unit and qkey is None)                  # a weight plane that is not all ones
+    with np.errstate(over="ignore"):                        # sigma powers may leave the float range
+        inv_s = 1.0 / st
+        inv_s2 = inv_s * inv_s
+        inv_s3 = inv_s2 * inv_s
     escale, s3 = (-0.5, 1.0) if unit else (1.0, inv_s3)     # at sigma = 1, q = dx^2 lacks the -1/2
     hcol = hx[:, None, None]
     row = (ns + c * nx + 3) * max(n, 1)   # block-matrix elements per query row
@@ -296,6 +314,8 @@ def density_grid(
                 inv_h2 = 1.0 / (h * h)
                 np.multiply(q, escale * inv_h2, out=e)
                 np.exp(e, out=e)                         # E = exp(-u^2 / 2)
+                if one_cell and weighted:
+                    e *= w[0]                            # t E: the rows carry the weights
                 np.multiply(e, d1, out=k1)               # E dx / s^3
                 if f2:
                     k2 = k[c * i + 2]
@@ -306,7 +326,10 @@ def density_grid(
                     e *= inv_s                           # E / s
             ws = w.sum(axis=-1)
             wsum[:, lo:hi] = ws
-            s = _contract(w, k).reshape(hi - lo, ns, nx, c).transpose(3, 2, 1, 0)
+            if one_cell:
+                s = k.sum(axis=-1).reshape(c, 1, 1, hi - lo)
+            else:
+                s = _contract(w, k).reshape(hi - lo, ns, nx, c).transpose(3, 2, 1, 0)
             norm = SQRT_2PI * ws
             f[:, :, lo:hi] = s[0] / (hcol * norm)
             norm3 = hcol**3 * norm
@@ -314,7 +337,7 @@ def density_grid(
             if f2:
                 f2_raw[:, :, lo:hi] = s[2] / norm3
 
-    with _one_blas_thread():
+    with nullcontext() if one_cell else _one_blas_thread():
         if workers == 1:
             fill(0)
         else:

@@ -217,6 +217,13 @@ class TestEstimateCommand:
         # a non-finite prior parameter (was a NaN oracle column)
         ["estimate", "--input", "{inp}", "--method", "oracle", "--prior", "normal:1,inf"],
     ]]
+    # finite inputs whose raw estimate is not finite (each was a NaN column at exit 0):
+    # sigma^2 = 1e320 overflows in the Tweedie step, and the normal prior's posterior mean
+    + [(argv, "NonFiniteValue") for argv in [
+        ["estimate", "--input", "{huge_sigma}", "--method", "tf", "--hx", "0.5"],
+        ["estimate", "--input", "{huge_sigma}", "--method", "nest", "--hx", "0.5", "--hsigma", "0.5"],
+        ["estimate", "--input", "{far_oracle}", "--method", "oracle", "--prior", "normal:0,1"],
+    ]]
     # family inputs outside the domain, non-finite ones included, refused by the family's own checks
     + [(["expfam", "--lf1", "0", *argv], "DomainError") for argv in [
         ["--family", "binomial", "--n-trials", "5", "--x", "inf"],
@@ -237,6 +244,7 @@ class TestEstimateCommand:
          "hsigma-with-scaled", "both-flags-unused", "prior-with-naive", "k-groups-with-naive",
          "zero-truncate-nest", "zero-truncate-naive",
          "negative-truncate", "nan-truncate", "select-k-above-n", "tiny-hsigma", "tiny-hx", "infinite-prior-tau",
+         "tf-sigma-squared-overflow", "nest-sigma-squared-overflow", "oracle-mean-overflow",
          "binomial-inf-x", "binomial-nan-x", "gamma-inf-alpha", "beta-inf-beta", "gamma-inf-x",
          "beta-x-above-one", "gamma-carrier-overflow", "beta-carrier-overflow",
          "gamma-mean-overflow", "beta-mean-overflow"],
@@ -244,7 +252,10 @@ class TestEstimateCommand:
 def test_value_errors_exit_1_with_one_json_line(tmp_path, capsys, argv, error):
     inp, out = tmp_path / "in.csv", tmp_path / "out.csv"
     write_sample_csv(inp, [0.0, 1.0, 2.0], [1.0, 0.5, 0.8])
-    rc = main([a.format(inp=inp) for a in argv] + ["--output", str(out)])
+    files = {"inp": inp, "huge_sigma": tmp_path / "huge-sigma.csv", "far_oracle": tmp_path / "far-oracle.csv"}
+    write_sample_csv(files["huge_sigma"], [1.0, 2.0, 3.0], [1.0, 1e160, 1.0])
+    write_sample_csv(files["far_oracle"], [24.05, -4552.0], [1e300, 0.0188])
+    rc = main([a.format(**files) for a in argv] + ["--output", str(out)])
     assert rc == 1
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
@@ -382,11 +393,12 @@ def test_negative_seed_exits_2_before_reading_input(tmp_path, method):
     assert not (tmp_path / "o.csv").exists()
 
 
-def estimate_near_float_limit(tmp_path, capsys, method_args):
-    """Run `estimate` on a CSV with one x = 1e308; assert exit 1, one JSON
-    line, no RuntimeWarning and no output file; return the JSON payload."""
+def estimate_near_float_limit(tmp_path, capsys, method_args, x=(1.0, 1e308, 2.0), sigma=(1.0, 0.5, 1.0)):
+    """Run `estimate` on a CSV near the float limits (by default one
+    x = 1e308); assert exit 1, one JSON line, no RuntimeWarning and no
+    output file; return the JSON payload."""
     inp, out = tmp_path / "in.csv", tmp_path / "out.csv"
-    write_sample_csv(inp, [1.0, 1e308, 2.0], [1.0, 0.5, 1.0], ids=["a", "b", "c"])
+    write_sample_csv(inp, x, sigma, ids=["a", "b", "c"])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rc = main(["estimate", "--input", str(inp), "--output", str(out), *method_args])
@@ -412,6 +424,17 @@ def test_non_finite_kernel_sums_exit_1(tmp_path, capsys, method_args, error):
     # differences with x = 1e308 overflow inside the kernel sums: tuning marks
     # every cell degenerate, and a fixed-bandwidth fit refuses the NaN triple
     assert estimate_near_float_limit(tmp_path, capsys, method_args)["error"] == error
+
+
+@pytest.mark.parametrize("method_args,error", [
+    (["--method", "nest"], "AllCellsDegenerate"),
+    (["--method", "nest", "--hx", "0.5", "--hsigma", "0.5"], "NonFiniteValue"),
+], ids=["nest-tuned", "nest-fixed"])
+def test_tiny_sigma_exits_1_without_warning(tmp_path, capsys, method_args, error):
+    # 1 / sigma^2 overflows at sigma = 1e-160: the kernel's sigma powers are
+    # taken under its errstate, and the inf they carry is refused downstream
+    payload = estimate_near_float_limit(tmp_path, capsys, method_args, x=(1.0, 2.0, 3.0), sigma=(1.0, 1e-160, 1.0))
+    assert payload["error"] == error
 
 
 @pytest.mark.parametrize("given,missing", [("--hx", "--hsigma"), ("--hsigma", "--hx")])

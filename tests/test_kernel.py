@@ -13,6 +13,7 @@ from scipy.integrate import quad
 import nesteb.kernel
 from nesteb.data import Bandwidths, kfold_split, validate_sample
 from nesteb.errors import DegenerateWeights, NonFiniteValue
+from nesteb.estimators import TF, EstimatorSpec, KGroups, Naive, Nest, Scaled, estimate
 from nesteb.kernel import (
     KernelContext,
     density_grid,
@@ -342,6 +343,10 @@ def grid_case(name):
     if name == "three-value-sigma":
         s = rng.choice([0.5, 1.0, 2.0], n)
         return x, s, x, s, (0.3, 0.6, 1.0), (0.2, 0.5, 0.9), key
+    if name == "one-cell-keyed":
+        # one cell: summed by NumPy, not by a gemm (the one-cell rule)
+        s = rng.uniform(0.4, 2.0, n)
+        return x, s, x, s, (0.6,), (0.5,), key
     # more training points than one chunk of the training-index sum
     xt, st = rng.normal(size=9000), rng.uniform(0.4, 2.0, 9000)
     return x[:3], st[:3], xt, st, (0.3, 0.9), (0.2, 0.6), None
@@ -385,7 +390,7 @@ def block_budget_bytes():
 
 class TestDensityGrid:
     CASES = ["heteroscedastic-3x3", "unit-sigma-pooled", "homoscedastic-nest", "weight-underflow",
-             "two-value-sigma", "three-value-sigma", "long-training-index"]
+             "two-value-sigma", "three-value-sigma", "one-cell-keyed", "long-training-index"]
 
     @pytest.mark.parametrize("case", CASES)
     def test_matches_reference_sums(self, case):
@@ -593,3 +598,59 @@ class TestF2Free:
             f, f1, f2 = in_sample_triple(ctx, f2=False)
         assert (err.value.column, err.value.index) == ("f2", 0)
         assert f2 is None and np.isfinite(f).all() and np.isfinite(f1).all()
+
+
+class TestOneCell:
+    """One cell (nx = ns = 1): each query row is summed by NumPy, with no gemm
+    and no BLAS pin."""
+
+    def sample(self, n=300):
+        rng = np.random.default_rng(13)
+        return validate_sample(rng.normal(size=n), rng.uniform(0.4, 2.0, n))
+
+    def test_fits_never_contract_or_pin(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("a one-cell call reached the gemm path")
+
+        s = self.sample()
+        key, jack = kfold_split(s.n, 5, 0), np.arange(s.n)
+        monkeypatch.setattr(nesteb.kernel, "_contract", refuse)
+        monkeypatch.setattr(nesteb.kernel, "_one_blas_thread", refuse)
+        for keys in ((None, None), (key, key), (jack, jack)):
+            for f2 in (True, False):
+                density_grid(s.x, s.sigma, s.x, s.sigma, [0.5], [0.3], *keys, f2=f2)
+                density_grid(s.x, np.ones(s.n), s.x, np.ones(s.n), [0.5], [1.0], *keys, f2=f2)
+        in_sample_triple(KernelContext(s, Bandwidths(0.5, 0.3)), queries=(s.x[:7], s.sigma[:7]))
+        bw = Bandwidths(0.5, 0.3)
+        for rule in (Naive(), Nest(bw), Nest(bw, jackknife=True), TF(0.4), Scaled(0.4), KGroups(2, (0.3, 0.5))):
+            assert np.isfinite(estimate(EstimatorSpec(rule), s)).all()
+
+    @pytest.mark.parametrize("case", ["one-cell-keyed", "long-training-index"])
+    def test_same_bytes_without_the_bundled_blas(self, monkeypatch, case):
+        xq, sq, xt, st, hxs, hss, key = grid_case(case)
+        pinned = density_grid(xq, sq, xt, st, hxs[:1], hss[:1], key, key)
+        monkeypatch.setattr(nesteb.kernel, "_openblas_threads", lambda: None)
+        got = density_grid(xq, sq, xt, st, hxs[:1], hss[:1], key, key)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in pinned]
+
+    def test_sums_within_4_ulps_of_fsum(self):
+        # the kernel's own terms, built as the module docstring's rows t E / s,
+        # t E dx / s^3 and t E (u^2 - 1) / s^3; the pairwise row sums stay
+        # within 4 ulps of the exact sum's absolute-term scale (f1, f2 cross 0)
+        s = self.sample()
+        x, sig, hx, hs = s.x, s.sigma, 0.4, 0.3
+        key = kfold_split(s.n, 5, 0)
+        f, f1, f2, wsum = density_grid(x, sig, x, sig, [hx], [hs], key, key)
+        inv_s = 1.0 / sig
+        inv_s2 = inv_s * inv_s
+        inv_s3 = inv_s2 * inv_s
+        inv_h2 = 1.0 / (hx * hx)
+        t = np.exp((sig[:, None] - sig) ** 2 * (-0.5 / (hs * hs))) * (key[:, None] != key)
+        dx = x[:, None] - x
+        e = np.exp(dx * dx * (-0.5 * inv_s2) * inv_h2) * t
+        rows = (e * inv_s, e * (dx * inv_s3), (dx * inv_s3 * dx * inv_s2 * inv_h2 - inv_s3) * e)
+        norm = SQRT_2PI * wsum[0]
+        for got, terms, scale in zip((f, f1, f2), rows, (hx * norm, -(hx**3) * norm, hx**3 * norm)):
+            exact = np.array([math.fsum(r) for r in terms]) / scale
+            size = np.array([math.fsum(np.abs(r)) for r in terms]) / np.abs(scale)
+            assert np.all(np.abs(got[0, 0] - exact) <= 4 * np.spacing(size))
