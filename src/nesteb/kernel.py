@@ -47,12 +47,11 @@ call's shape, by two rules:
   training index (a pairwise sum). So such a call neither pins OpenBLAS
   nor takes ``_PIN_LOCK``, and its bits do not depend on the BLAS library.
 - Grid rule: every other call (the SURE surfaces, the pooled 10 x 1 tunes
-  included) runs one batched ``np.matmul`` per chunk of ``_SUM_COLS`` = 256
-  training columns, which gives every (h_sigma, h_x, component) sum, and
-  adds the chunk sums in index order. Each query row is its own
-  (ns x 256) by (256 x c nx) product, run on one BLAS thread (the BLAS rule
-  below). With one h_sigma (ns = 1) NumPy sends each product to gemv, and
-  otherwise to gemm.
+  included) runs one batched ``np.matmul``, which gives every
+  (h_sigma, h_x, component) sum. Each query row is its own (ns x n) by
+  (n x c nx) product over the whole training index, run on one BLAS thread
+  (the BLAS rule below). With one h_sigma (ns = 1) NumPy sends each product
+  to gemv, and otherwise to gemm.
 
 Under either rule a query's values depend on its own row only: output is
 bitwise independent of the block partition of the queries, of
@@ -99,10 +98,9 @@ BLAS rule: the gemms and gemvs of a grid call run with the OpenBLAS
 bundled with NumPy pinned to one thread (its
 ``scipy_openblas_set_num_threads64_``, called through ctypes), and the
 previous count is restored afterwards. So every gemm takes
-OpenBLAS's single-thread path, whatever ``OPENBLAS_NUM_THREADS`` says. A
-fixed chunk width alone is not a rule: OpenBLAS threads a gemm once m n k
-passes a cutoff, and on a SkylakeX core unpinned gemms rounded differently
-under one and two threads at every width tried, 256 to 4096 columns. The
+OpenBLAS's single-thread path, whatever ``OPENBLAS_NUM_THREADS`` says:
+OpenBLAS threads a gemm once m n k passes a cutoff, and on a SkylakeX core
+unpinned gemms rounded differently under one and two threads. The
 pin is a process-wide setting, taken once per call around the whole
 fan-out; ``_PIN_LOCK`` therefore serializes concurrent grid calls from
 user threads (one-cell calls take neither). Under a NumPy that carries no
@@ -142,11 +140,6 @@ _BLOCK_ELEMS = 3 << 19
 # or the budget holds fewer rows): the CPUs this process may run on. Pool
 # workers lower it to their share (simulation._map_reps).
 _THREADS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-# Columns per gemm in the training-index sum (the gemm's k dimension). A
-# constant: the rounding of each sum then depends on n alone, not on the row
-# block or the grid. 256 and 512 measured alike; 128 was slower.
-_SUM_COLS = 256
 
 # Serializes pinning, so that concurrent callers cannot restore each other's
 # thread count in the wrong order. Held for a whole density_grid call.
@@ -208,13 +201,9 @@ def _one_blas_thread():
 
 def _contract(w: np.ndarray, k: np.ndarray) -> np.ndarray:
     """s[r, j, c] = sum over training index t of w[j, r, t] * k[c, r, t]: one
-    gemm per query row r and chunk of _SUM_COLS columns, the chunk sums added
-    in index order. The caller pins BLAS to one thread."""
-    wr, kr = w.transpose(1, 0, 2), k.transpose(1, 2, 0)
-    s = np.matmul(wr[..., :_SUM_COLS], kr[:, :_SUM_COLS])
-    for lo in range(_SUM_COLS, w.shape[-1], _SUM_COLS):
-        s += np.matmul(wr[..., lo : lo + _SUM_COLS], kr[:, lo : lo + _SUM_COLS])
-    return s
+    product per query row r over the whole training index. The caller pins
+    BLAS to one thread."""
+    return np.matmul(w.transpose(1, 0, 2), k.transpose(1, 2, 0))
 
 
 def density_grid(

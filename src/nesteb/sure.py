@@ -98,7 +98,6 @@ class SureReport:
     selection: np.ndarray          # same shape
     degenerate: np.ndarray         # same shape, bool
     argmin: Bandwidths
-    per_point: np.ndarray | None = None
 
     @property
     def on_edge(self) -> tuple[bool, bool]:
@@ -136,23 +135,25 @@ def _search(xd, sd, sigma_risk, hx_values, hs_values, fold_of, bracket_power: in
     on fold complements; the one grid search behind every tuner.
 
     xd/sd are the density-fit coordinates (sd is all ones for pooled KDEs);
-    sigma_risk enters the risk terms. Returns (per_point, surface, selection
-    scores, degenerate, chosen cell (i, j)), the first of shape (nx, ns, n)
-    and the next three (nx, ns).
+    sigma_risk enters the risk terms. Returns (surface, selection scores,
+    degenerate, chosen cell (i, j)), the first three of shape (nx, ns).
+    Per-point values that overflow make a cell's score inf or NaN, without
+    a warning, and so mark the cell degenerate.
     """
     if selection not in _SELECTION_RULES:
         raise ValueError(f"selection must be one of {_SELECTION_RULES}, got {selection!r}")
     n = xd.shape[0]
     f_raw, f1, f2, wsum = density_grid(xd, sd, xd, sd, hx_values, hs_values, fold_of, fold_of)
-    pp = _sure_values(np.maximum(f_raw, FLOOR), f1, f2, sigma_risk, bracket_power)
-    surface = pp.sum(axis=-1)
-    if selection == "argmin" or n < 2:
-        scores = surface.copy()
-    else:
-        scores = surface + pp.std(axis=-1, ddof=1) * np.sqrt(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pp = _sure_values(np.maximum(f_raw, FLOOR), f1, f2, sigma_risk, bracket_power)
+        surface = pp.sum(axis=-1)
+        if selection == "argmin" or n < 2:
+            scores = surface.copy()
+        else:
+            scores = surface + pp.std(axis=-1, ddof=1) * np.sqrt(n)
     floored = np.count_nonzero(f_raw < FLOOR, axis=-1)
     degenerate = (wsum == 0.0).any(axis=1) | (floored > _FLOOR_FRACTION * n) | ~np.isfinite(scores)
-    return pp, surface, scores, degenerate, _argmin_cell(scores, degenerate)
+    return surface, scores, degenerate, _argmin_cell(scores, degenerate)
 
 
 def tune(sample: HeteroSample, grid: SureGrid, selection: str = "penalized") -> SureReport:
@@ -162,7 +163,7 @@ def tune(sample: HeteroSample, grid: SureGrid, selection: str = "penalized") -> 
     ``selection="penalized"`` (default) minimizes S(h) + SE{S(h)};
     ``selection="argmin"`` minimizes the raw S(h)."""
     fold_of = kfold_split(sample.n, fold_count(sample.n, grid.k), grid.seed)
-    pp, surface, scores, degenerate, (i, j) = _search(
+    surface, scores, degenerate, (i, j) = _search(
         sample.x, sample.sigma, sample.sigma,
         grid.h_x_values, grid.h_sigma_values, fold_of, 4, selection,
     )
@@ -173,7 +174,6 @@ def tune(sample: HeteroSample, grid: SureGrid, selection: str = "penalized") -> 
         scores,
         degenerate,
         Bandwidths(grid.h_x_values[i], grid.h_sigma_values[j]),
-        per_point=pp[i, j].copy(),
     )
 
 
@@ -205,7 +205,7 @@ def tune_pooled(
     (xd, sigma_risk) is validated as a :class:`HeteroSample`."""
     sample = HeteroSample(xd, sigma_risk)
     hv = check_bandwidths("h_values", h_values)
-    _, surface, scores, degenerate, (best, _) = _search(
+    surface, scores, degenerate, (best, _) = _search(
         sample.x, np.ones_like(sample.x), sample.sigma, hv, [1.0], fold_of, bracket_power, selection
     )
     return PooledSureReport(hv, surface[:, 0], scores[:, 0], degenerate[:, 0], hv[best])

@@ -224,6 +224,12 @@ class TestEstimateCommand:
         ["estimate", "--input", "{huge_sigma}", "--method", "nest", "--hx", "0.5", "--hsigma", "0.5"],
         ["estimate", "--input", "{far_oracle}", "--method", "oracle", "--prior", "normal:0,1"],
     ]]
+    # tuned pooled rules on the same file: sigma^2 and sigma^power overflow in every
+    # cell's per-point SURE values (each printed RuntimeWarnings before this)
+    + [(argv, "AllCellsDegenerate") for argv in [
+        ["estimate", "--input", "{huge_sigma}", "--method", "tf"],
+        ["estimate", "--input", "{huge_sigma}", "--method", "scaled"],
+    ]]
     # family inputs outside the domain, non-finite ones included, refused by the family's own checks
     + [(["expfam", "--lf1", "0", *argv], "DomainError") for argv in [
         ["--family", "binomial", "--n-trials", "5", "--x", "inf"],
@@ -245,6 +251,7 @@ class TestEstimateCommand:
          "zero-truncate-nest", "zero-truncate-naive",
          "negative-truncate", "nan-truncate", "select-k-above-n", "tiny-hsigma", "tiny-hx", "infinite-prior-tau",
          "tf-sigma-squared-overflow", "nest-sigma-squared-overflow", "oracle-mean-overflow",
+         "tf-tuned-sigma-overflow", "scaled-tuned-sigma-overflow",
          "binomial-inf-x", "binomial-nan-x", "gamma-inf-alpha", "beta-inf-beta", "gamma-inf-x",
          "beta-x-above-one", "gamma-carrier-overflow", "beta-carrier-overflow",
          "gamma-mean-overflow", "beta-mean-overflow"],

@@ -347,7 +347,7 @@ def grid_case(name):
         # one cell: summed by NumPy, not by a gemm (the one-cell rule)
         s = rng.uniform(0.4, 2.0, n)
         return x, s, x, s, (0.6,), (0.5,), key
-    # more training points than one chunk of the training-index sum
+    # a long training index: 9000 points summed for each of three queries
     xt, st = rng.normal(size=9000), rng.uniform(0.4, 2.0, 9000)
     return x[:3], st[:3], xt, st, (0.3, 0.9), (0.2, 0.6), None
 
@@ -432,8 +432,8 @@ class TestDensityGrid:
     def test_blas_thread_count_does_not_change_output(self):
         # 40 queries against n = 5000 on a 16 x 10 grid, where a per-row
         # OpenBLAS gemm rounds differently under two threads; n = 10000 on
-        # one cell; 20 x 20 at n = 3000, where 4096-column chunks broke;
-        # 60 x 60 at n = 2000, where unpinned 256-column gemms broke; and the
+        # one cell; 20 x 20 at n = 3000 and 60 x 60 at n = 2000, grids whose
+        # gemms rounded differently under two threads when unpinned; and the
         # pooled 10 x 1 grid (sigma = 1) at n = 5000
         code = (
             "import hashlib, numpy as np\n"
@@ -453,6 +453,18 @@ class TestDensityGrid:
         )
         one, two = run_under_blas_threads(code)
         assert len(one) == 5 and one == two
+
+    @pytest.mark.parametrize("ns, cnx, n", [(10, 30, 9000), (1, 30, 5000), (60, 180, 2000)])
+    def test_grid_sum_is_one_product_per_row(self, ns, cnx, n):
+        # the grid rule: each query row is one (ns x n) by (n x c nx) product
+        # over the whole training index, taken from the block's strided planes
+        buf = np.random.default_rng(n).uniform(size=(ns + cnx, 4, n))
+        w, k = buf[:ns, :3], buf[ns:, :3]
+        with nesteb.kernel._one_blas_thread():
+            got = nesteb.kernel._contract(w, k)
+            for r in range(3):
+                want = np.matmul(np.ascontiguousarray(w[:, r]), np.ascontiguousarray(k[:, r]).T)
+                assert got[r].tobytes() == want.tobytes()
 
     def test_gemms_run_on_one_blas_thread(self):
         # the thread-count rule's mechanism: pinned inside, restored after

@@ -135,9 +135,8 @@ class TestTune:
         assert rep.argmin == Bandwidths(0.5, 0.3)
         ref = per_fold_reference(s, Bandwidths(0.5, 0.3), kfold_split(25, 5, seed=11))
         assert rep.surface[0, 0] == pytest.approx(ref.sum(), rel=1e-11)
-        np.testing.assert_allclose(rep.per_point, ref, rtol=1e-11)
-        assert rep.per_point.shape == (25,)
-        assert rep.per_point.sum() == pytest.approx(rep.surface[0, 0])
+        # the penalized score adds the per-point values' SE to their sum
+        assert rep.selection[0, 0] == pytest.approx(ref.sum() + ref.std(ddof=1) * math.sqrt(25), rel=1e-11)
 
     def test_tune_deterministic(self):
         s = random_sample(n=50, seed=5)
@@ -234,7 +233,6 @@ class TestTune:
         small = tune(s, grid)
         np.testing.assert_array_equal(full.surface, small.surface)
         np.testing.assert_array_equal(full.selection, small.selection)
-        np.testing.assert_array_equal(full.per_point, small.per_point)
 
     def test_argmin_holds_python_floats(self):
         s = random_sample(n=40, seed=7)
