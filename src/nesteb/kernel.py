@@ -36,12 +36,12 @@ Per row block of b queries, the weights t for every h_sigma form one
 (ns, b, n) array and the c kernel rows for every h_x one (c nx, b, n)
 array (c = 3, or 2 without f2), one contiguous (b, n) plane per h_sigma and
 per (h_x, component). How the training index is then summed depends on the
-call's shape, by two rules:
+call's shape, by the first two rules below; the third fixes its order:
 
 - One-cell rule: a call with one cell (nx = ns = 1: every final fit, query
   evaluation and Monte Carlo SURE check) runs no BLAS routine. Right after
-  the exp, E is multiplied by the one weight plane (not where that plane is
-  all ones: unit sigma without keys), the rows t E / sigma,
+  the exp, E is multiplied by the one weight plane (unit sigma without
+  keys builds none and takes n as the normalizer), the rows t E / sigma,
   t E (x - x_j) / sigma^3 and t E (u^2 - 1) / sigma^3 are built from that
   product, and each row is reduced by NumPy's ``sum`` over the whole
   training index (a pairwise sum). So such a call neither pins OpenBLAS
@@ -52,10 +52,18 @@ call's shape, by two rules:
   (n x c nx) product over the whole training index, run on one BLAS thread
   (the BLAS rule below). With one h_sigma (ns = 1) NumPy sends each product
   to gemv, and otherwise to gemm.
+- Order rule: one ``np.lexsort`` first sorts the training points and their
+  keys by sigma_j's binary exponent (``np.frexp``), then x_j, then sigma_j;
+  queries keep their order. NumPy's SIMD exp is slow on a whole vector if
+  one lane underflows; in this order a row's underflowing terms sit in runs
+  at the two ends of each binade (where h_x sigma_j varies under 2x), and
+  2^k scaling keeps the order. Exact duplicate (x, sigma) points keep index
+  order, so under keys a duplicate's masked zero can change slots.
 
-Under either rule a query's values depend on its own row only: output is
+Under these rules a query's values depend on its own row only: output is
 bitwise independent of the block partition of the queries, of
-``_BLOCK_ELEMS``, of the kernel threads and of the BLAS thread count. It is
+``_BLOCK_ELEMS``, of the kernel threads, of the BLAS thread count and of
+the order of the training points (keyed duplicates aside). It is
 not independent of the grid: a cell's bits depend on the grid's shape, as
 gemv, gemm and NumPy's sum round differently. With fold keys at n = 1000,
 about half of the f, f1 and f2 values of the 100 cells of a 10 x 10 grid
@@ -230,6 +238,8 @@ def density_grid(
     built and f2 is None.
     """
     m, n = xq.shape[0], xt.shape[0]
+    order = np.lexsort((st, xt, np.frexp(st)[1]))          # the order rule
+    xt, st, tkey = xt[order], st[order], None if tkey is None else tkey[order]
     hx = np.asarray(hx_values, dtype=float)
     nx, ns = hx.size, len(hs_values)
     if not f2 and nx * ns != 1:
@@ -274,11 +284,11 @@ def density_grid(
             a, p1, p2 = buf[ns + c * nx :, : hi - lo]
             if unit:
                 # every weight plane is the fold mask; dx and dx^2 carry the rows
-                if qkey is None:
-                    w.fill(1.0)
-                else:
+                if qkey is not None:
                     np.not_equal(qkey[lo:hi, None], tkey, out=w[0])
                     w[1:] = w[0]
+                elif not one_cell:                       # one cell reads no plane of ones
+                    w.fill(1.0)
                 np.subtract(xq[lo:hi, None], xt, out=a)  # dx
                 np.multiply(a, a, out=p2)                # dx^2
                 q, d1 = p2, a
@@ -313,7 +323,7 @@ def density_grid(
                     k2 *= e                              # E (u^2 - 1) / s^3
                 if not unit:
                     e *= inv_s                           # E / s
-            ws = w.sum(axis=-1)
+            ws = w.sum(axis=-1) if weighted or not one_cell else float(n)
             wsum[:, lo:hi] = ws
             if one_cell:
                 s = k.sum(axis=-1).reshape(c, 1, 1, hi - lo)

@@ -139,6 +139,24 @@ class TestEstimateCommand:
         table = run_mse_study(sc, [EstimatorSpec(Nest(Bandwidths(0.5, 0.2)))])
         assert float(np.mean((got - s.mu_true) ** 2)) == table.per_rep["nest"][0]
 
+    def test_row_order_changes_no_byte(self, tmp_path):
+        # the kernel sums the training points in an order of its own, so a
+        # shuffled file gives every estimate the same bits: sorted by id,
+        # the output lines are equal
+        rng = np.random.default_rng(11)
+        x, sigma = rng.normal(size=300) * 2, rng.uniform(0.2, 1.5, 300)
+        ids = [f"r{i:03d}" for i in range(300)]
+        outs = []
+        for name, order in (("in", np.arange(300)), ("shuffled", rng.permutation(300))):
+            inp, out = tmp_path / f"{name}.csv", tmp_path / f"{name}.out.csv"
+            write_sample_csv(inp, x[order], sigma[order], [ids[i] for i in order])
+            rc = main(["estimate", "--input", str(inp), "--output", str(out), "--method", "nest",
+                       "--method", "tf", "--method", "scaled", "--hx", "0.5", "--hsigma", "0.5"])
+            assert rc == 0
+            head, *rows = out.read_bytes().splitlines()
+            outs.append((head, sorted(rows)))
+        assert outs[0] == outs[1]
+
     def test_output_bytes_are_17g_of_returned_arrays(self, tmp_path):
         rng = np.random.default_rng(10)
         x, sigma = rng.normal(size=50) * 3, rng.uniform(0.1, 1.5, 50)

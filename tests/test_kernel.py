@@ -264,7 +264,8 @@ class TestKernelProperties:
         perm = rng.permutation(50)
         a = triple_at(KernelContext(validate_sample(xs, sg), bw), 0.2, 1.0)
         b = triple_at(KernelContext(validate_sample(xs[perm], sg[perm]), bw), 0.2, 1.0)
-        np.testing.assert_allclose(a, b, rtol=1e-12)
+        # the order rule: the training points are summed in one fixed order
+        assert a == b
 
     def test_homoscedastic_reduction_to_pooled_kde(self):
         rng = np.random.default_rng(7)
@@ -413,6 +414,33 @@ class TestDensityGrid:
         monkeypatch.setattr(nesteb.kernel, "_BLOCK_ELEMS", 1)
         for a, b in zip(one_block, density_grid(xq, sq, xt, st, hxs, hss, key, key)):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("keyed", [False, True])
+    @pytest.mark.parametrize("case", CASES)
+    def test_training_order_changes_no_bit(self, case, keyed):
+        # the order rule: the training points are summed in (sigma binade,
+        # x, sigma) order whatever order they come in, so permuting them (and
+        # their keys along with them) changes no byte; cases without fold
+        # keys are keyed as a jackknife
+        xq, sq, xt, st, hxs, hss, key = grid_case(case)
+        qkey, tkey = None, None
+        if keyed:
+            qkey, tkey = (key, key) if key is not None else (np.arange(len(xq)), np.arange(len(xt)))
+        perm = np.random.default_rng(len(xt)).permutation(len(xt))
+        base = density_grid(xq, sq, xt, st, hxs, hss, qkey, tkey)
+        moved = density_grid(xq, sq, xt[perm], st[perm], hxs, hss, qkey, None if tkey is None else tkey[perm])
+        assert [a.tobytes() for a in moved] == [a.tobytes() for a in base]
+
+    @pytest.mark.parametrize("hxs, hss", [((0.5,), (0.3,)), ((0.3, 0.6), (0.2, 0.5))])
+    def test_ties_in_x_within_a_binade_are_ordered_by_sigma(self, hxs, hss):
+        # equal x in one binade leaves distinct points tied until sigma
+        # breaks the tie; exact duplicates carry equal terms without keys
+        rng = np.random.default_rng(22)
+        x, s = rng.integers(0, 3, 60).astype(float), rng.choice([1.0, 1.25, 1.5, 1.75, 2.5], 60)
+        perm = rng.permutation(60)
+        base = density_grid(x, s, x, s, hxs, hss)
+        moved = density_grid(x, s, x[perm], s[perm], hxs, hss)
+        assert [a.tobytes() for a in moved] == [a.tobytes() for a in base]
 
     @pytest.mark.parametrize("keyed", [False, True])
     @pytest.mark.parametrize("n", [7, 300, 1000])
@@ -636,6 +664,20 @@ class TestOneCell:
         bw = Bandwidths(0.5, 0.3)
         for rule in (Naive(), Nest(bw), Nest(bw, jackknife=True), TF(0.4), Scaled(0.4), KGroups(2, (0.3, 0.5))):
             assert np.isfinite(estimate(EstimatorSpec(rule), s)).all()
+
+    @pytest.mark.parametrize("f2", [True, False])
+    @pytest.mark.parametrize("n", [7, 300, 5000])
+    def test_keyless_unit_sigma_is_the_weighted_path(self, n, f2):
+        # a keyless unit-sigma cell (every TF and Scaled fit) builds no plane
+        # of ones and takes n as its normalizer; keys that never match take
+        # the weighted path, where multiplying by 1.0 and summing ones are
+        # exact, so both give the same bytes
+        x, one = np.random.default_rng(n).normal(size=n), np.ones(n)
+        keyless = density_grid(x, one, x, one, [0.4], [1.0], f2=f2)
+        never = density_grid(x, one, x, one, [0.4], [1.0], np.arange(n) + n, np.arange(n), f2)
+        assert [None if a is None else a.tobytes() for a in keyless] == \
+            [None if a is None else a.tobytes() for a in never]
+        assert (keyless[3] == n).all()
 
     @pytest.mark.parametrize("case", ["one-cell-keyed", "long-training-index"])
     def test_same_bytes_without_the_bundled_blas(self, monkeypatch, case):
