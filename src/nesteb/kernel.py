@@ -36,7 +36,8 @@ Per row block of b queries, the weights t for every h_sigma form one
 (ns, b, n) array and the c kernel rows for every h_x one (c nx, b, n)
 array (c = 3, or 2 without f2), one contiguous (b, n) plane per h_sigma and
 per (h_x, component). How the training index is then summed depends on the
-call's shape, by the first two rules below; the third fixes its order:
+call's shape, by the first two rules below; the third fixes its order and
+the fourth its terms:
 
 - One-cell rule: a call with one cell (nx = ns = 1: every final fit, query
   evaluation and Monte Carlo SURE check) runs no BLAS routine. Right after
@@ -54,11 +55,29 @@ call's shape, by the first two rules below; the third fixes its order:
   to gemv, and otherwise to gemm.
 - Order rule: one ``np.lexsort`` first sorts the training points and their
   keys by sigma_j's binary exponent (``np.frexp``), then x_j, then sigma_j;
-  queries keep their order. NumPy's SIMD exp is slow on a whole vector if
-  one lane underflows; in this order a row's underflowing terms sit in runs
-  at the two ends of each binade (where h_x sigma_j varies under 2x), and
-  2^k scaling keeps the order. Exact duplicate (x, sigma) points keep index
-  order, so under keys a duplicate's masked zero can change slots.
+  queries keep their order. It fixes each row's summation order, and 2^k
+  scaling keeps it. Exact duplicate (x, sigma) points keep index order, so
+  under keys a duplicate's masked zero can change slots.
+- Truncation rule: each kernel term is E = exp(max(x, -700)) - e^-700, where
+  x = -u^2 / 2 is the exponent the per-h_x loop forms (``_CUT``,
+  ``_E_CUT``). So E is exactly 0 at or below the cutoff, bitwise exp(x)
+  wherever x > -662.5 (there e^-700 is under half an ulp of exp(x)), and
+  smaller by e^-700 in between. Why -700: e^-700 is a normal float, 2^46
+  times the smallest one, and NumPy's SIMD exp stays on its fast path above
+  about -707.5 (below, about 15x slower per lane); so no lane takes the slow
+  path, and E is 0 or a normal float (but for x within 2.3e-4 above the
+  cutoff), on which a gemm ran 70x faster than on subnormals. The shift
+  keeps a far point's term exactly 0: a bare clamp would give x_j = 1e300
+  the term e^-700 * 1e300 in f1. A term below e^-700 changes no bit of a sum
+  that also holds a term of normal size, so only a row with no term above
+  about e^-663 can move. The two passes (the max, the subtraction) run for
+  an h_x only if the call's widest exponent, -D^2 / (2 sigma_min^2 h_x^2)
+  with D the widest |x_q - x_t| and sigma_min the smallest training sigma,
+  is at most -660; above that both are exact no-ops, so the skip changes no
+  bit and a query's values still depend on its own row only. NaN exponents
+  stay NaN, an f2 factor that overflows still meets E = 0 as 0 * inf = NaN,
+  and the sigma-weight exps are not truncated: their exact zeros decide
+  DegenerateWeights.
 
 Under these rules a query's values depend on its own row only: output is
 bitwise independent of the block partition of the queries, of
@@ -156,6 +175,11 @@ _PIN_LOCK = threading.Lock()
 # Lower bound on every density f that enters a score ratio f1/f or a SURE term.
 FLOOR = 1e-12
 
+# The truncation rule's cutoff on a kernel exponent, and exp of it (exactly
+# what the loop's exp gives at the cutoff, so a clamped term is exactly 0).
+_CUT = -700.0
+_E_CUT = float(np.exp(_CUT))
+
 
 @dataclass(frozen=True)
 class KernelContext:
@@ -252,10 +276,14 @@ def density_grid(
     unit = bool(np.all(st == 1.0) and np.all(sq == 1.0))   # the unit-sigma rule
     one_cell = nx * ns == 1                                 # the one-cell rule: row sums, no gemm
     weighted = not (unit and qkey is None)                  # a weight plane that is not all ones
-    with np.errstate(over="ignore"):                        # sigma powers may leave the float range
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):   # may leave the float range
         inv_s = 1.0 / st
         inv_s2 = inv_s * inv_s
         inv_s3 = inv_s2 * inv_s
+        # the truncation rule's skip: per h_x, can -D^2 / (2 sigma_min^2 h_x^2) reach -660?
+        span = max(xq.max() - xt.min(), xt.max() - xq.min()) if m and n else 0.0
+        smin = st.min() if n else 1.0
+        cut = (-span * span / (2.0 * smin * smin * hx * hx) <= -660.0).tolist()
     escale, s3 = (-0.5, 1.0) if unit else (1.0, inv_s3)     # at sigma = 1, q = dx^2 lacks the -1/2
     hcol = hx[:, None, None]
     row = (ns + c * nx + 3) * max(n, 1)   # block-matrix elements per query row
@@ -312,7 +340,11 @@ def density_grid(
                 e, k1 = k[c * i], k[c * i + 1]
                 inv_h2 = 1.0 / (h * h)
                 np.multiply(q, escale * inv_h2, out=e)
+                if cut[i]:
+                    np.maximum(e, _CUT, out=e)           # the truncation rule
                 np.exp(e, out=e)                         # E = exp(-u^2 / 2)
+                if cut[i]:
+                    e -= _E_CUT
                 if one_cell and weighted:
                     e *= w[0]                            # t E: the rows carry the weights
                 np.multiply(e, d1, out=k1)               # E dx / s^3

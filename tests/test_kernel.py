@@ -20,6 +20,8 @@ from nesteb.kernel import (
     in_sample_triple,
     pooled_context,
 )
+from nesteb.priors import TwoPointPrior
+from nesteb.simulation import run_mse_study, scenario_from_ratio, table_specs
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -708,3 +710,62 @@ class TestOneCell:
             exact = np.array([math.fsum(r) for r in terms]) / scale
             size = np.array([math.fsum(np.abs(r)) for r in terms]) / np.abs(scale)
             assert np.all(np.abs(got[0, 0] - exact) <= 4 * np.spacing(size))
+
+
+class TestTruncation:
+    """The truncation rule: E = exp(max(x, -700)) - e^-700 for x = -u^2 / 2,
+    with the two passes skipped for an h_x where no exponent reaches -660."""
+
+    # (sigma, h_x values): each makes h_x sigma = 1 in the first cell, on the
+    # unit-sigma and the sigma-factor setups, one cell and grid
+    PATHS = [(1.0, (1.0,)), (1.0, (1.0, 3.0)), (0.5, (2.0,)), (0.5, (2.0, 6.0))]
+
+    @pytest.mark.parametrize("half_u2, want", [
+        (710.0, lambda x: 0.0),                          # exp alone: a subnormal 4.5e-309
+        (680.0, lambda x: np.exp(x) - np.exp(-700.0)),   # smaller by e^-700
+        (650.0, lambda x: np.exp(x)),                    # e^-700 under half an ulp
+    ])
+    @pytest.mark.parametrize("sigma, hxs", PATHS)
+    def test_one_term_near_the_cutoff(self, sigma, hxs, half_u2, want):
+        # the first query's only unmasked term has u^2 / 2 = half_u2; alone,
+        # the call skips the passes only at 650, and a far second query turns
+        # them on for every h_x without changing the first row
+        xt, s = np.array([0.0, math.sqrt(2 * half_u2)]), np.full(2, sigma)
+        e = want(-0.5 * xt[1] * xt[1])
+        for xq in (np.array([0.0]), np.array([0.0, 1e3])):
+            f, f1, f2, wsum = density_grid(xq, np.full(xq.size, sigma), xt, s, hxs, (1.0,),
+                                           2 * np.arange(xq.size), np.array([0, 1]))
+            assert wsum[0, 0] == 1.0 and f[0, 0, 0] == e / SQRT_2PI
+            assert (f1[0, 0, 0] == 0.0) == (f2[0, 0, 0] == 0.0) == (e == 0.0)
+            assert not f[0, 0, 1:].any()
+
+    @pytest.mark.parametrize("keyed", [False, True])
+    @pytest.mark.parametrize("case", TestDensityGrid.CASES)
+    def test_a_far_query_changes_no_other_row(self, case, keyed):
+        # the far query turns the passes on for every h_x; where they were
+        # skipped, every exponent is above -660 and both passes change no bit
+        xq, sq, xt, st, hxs, hss, key = grid_case(case)
+        qkey, tkey = None, None
+        if keyed:
+            qkey, tkey = (key, key) if key is not None else (np.arange(len(xq)), np.arange(len(xt)))
+        far = xt.max() + 40 * st.max() * max(hxs)
+        xf, sf = np.append(xq, far), np.append(sq, sq[0])
+        base = density_grid(xq, sq, xt, st, hxs, hss, qkey, tkey)
+        got = density_grid(xf, sf, xt, st, hxs, hss, None if qkey is None else np.append(qkey, -1), tkey)
+        assert [a[..., :-1].tobytes() for a in got] == [a.tobytes() for a in base]
+        assert not got[0][..., -1].any()
+
+    def test_no_subnormal_reaches_the_gemm(self, monkeypatch):
+        # criterion 3's two-point cell (the mse-cell workload's data): every
+        # tune's weight planes and kernel rows are normal floats or exact 0
+        contract, seen = nesteb.kernel._contract, []
+
+        def spy(w, k):
+            seen.append(sum(int(np.count_nonzero((a != 0) & (np.abs(a) < np.finfo(float).tiny))) for a in (w, k)))
+            return contract(w, k)
+
+        monkeypatch.setattr(nesteb.kernel, "_contract", spy)
+        prior = TwoPointPrior(0.5, 0.0, 3.0)
+        scenario = scenario_from_ratio(prior, 9.2 / 10.2, n=1000, reps=1, seed=0, label="twopoint-9.2")
+        run_mse_study(scenario, table_specs(prior, 1000, include_kgroups=(2,)), threads=1)
+        assert seen and sum(seen) == 0

@@ -1,7 +1,8 @@
 """Property tests of estimate() at fixed bandwidths: equivariances of the
-Tweedie rules, and the stated refusal rule on hostile inputs; and of the
-tuned pipeline: power-of-two scale invariance of the SURE tuners and of the
-estimates at the bandwidths they pick."""
+Tweedie rules, and the stated refusal rule on hostile inputs; of the
+kernel's truncation rule on hostile inputs; and of the tuned pipeline:
+power-of-two scale invariance of the SURE tuners and of the estimates at
+the bandwidths they pick."""
 
 import numpy as np
 import pytest
@@ -134,6 +135,22 @@ def test_hostile_inputs_give_finite_estimates_or_refuse(data, method):
     except NestError:
         return
     assert np.isfinite(mu).all()
+
+
+@PROPERTY
+@given(data=hostile_samples(), hxs=st.lists(st.floats(0.1, 1.0), min_size=1, max_size=3),
+       hss=st.lists(st.floats(1e-2, 10.0), min_size=1, max_size=2), keyed=st.booleans())
+def test_a_far_query_changes_no_other_row(data, hxs, hss, keyed):
+    # the kernel's truncation rule: a query far from every training point
+    # turns the cutoff passes on for every h_x, and on a row where they
+    # were skipped every exponent is above -660, where they change no bit
+    x, sigma = data
+    key = np.arange(x.size) if keyed else None
+    far = 2 * np.abs(x).max() + 40 * sigma.max() * max(hxs)
+    base = density_grid(x, sigma, x, sigma, hxs, hss, key, key)
+    got = density_grid(np.append(x, far), np.append(sigma, sigma[0]), x, sigma, hxs, hss,
+                       None if key is None else np.append(key, -1), key)
+    assert [a[..., :-1].tobytes() for a in got] == [a.tobytes() for a in base]
 
 
 # Under (2^k x, 2^k sigma) every kernel step scales exactly, barring
