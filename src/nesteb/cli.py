@@ -40,6 +40,7 @@ from .expfam import Beta, Binomial, FamilyPoint, Gamma, NegBinomial, ScoreEstima
 from .io import fmt_value, read_csv, write_csv_atomic
 from .priors import NormalPrior, SparseMixPrior, TwoPointPrior
 from .simulation import (
+    _BIAS_SETTINGS,
     kernel_threads,
     resolve_spec,
     run_bias_experiment,
@@ -394,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("bias", parents=[seeded, pooled, folded], help="tail-selection bias experiment")
-    p.add_argument("--setting", choices=["single-center", "two-center"], required=True)
+    p.add_argument("--setting", choices=_BIAS_SETTINGS, required=True)
     p.add_argument("--reps", type=int_at_least(1), default=200)
     p.add_argument("--select-k", type=int_at_least(1), default=20, dest="select_k")
     p.add_argument("--n", type=int_at_least(1), default=5000)

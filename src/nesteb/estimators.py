@@ -107,8 +107,19 @@ class Scaled(_Rule):
     h: float | None = None
     name: ClassVar[str] = "scaled"
 
+    @staticmethod
+    def coordinates(sample: HeteroSample) -> np.ndarray:
+        """z = x / sigma, where the rule fits and tunes its pooled KDE;
+        NonFiniteValue in column 'x' at the first z that overflows."""
+        with np.errstate(over="ignore"):
+            z = sample.x / sample.sigma
+        bad = np.flatnonzero(~np.isfinite(z))
+        if bad.size:
+            raise NonFiniteValue("x", int(bad[0]))
+        return z
+
     def apply(self, sample: HeteroSample) -> np.ndarray:
-        z = sample.x / sample.sigma
+        z = self.coordinates(sample)
         f, f1, _ = in_sample_triple(pooled_context(z, _resolved(self.h, "Scaled bandwidth")), f2=False)
         return sample.sigma * (z + f1 / f)
 

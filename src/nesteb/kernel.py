@@ -74,10 +74,12 @@ the fourth its terms:
   an h_x only if the call's widest exponent, -D^2 / (2 sigma_min^2 h_x^2)
   with D the widest |x_q - x_t| and sigma_min the smallest training sigma,
   is at most -660; above that both are exact no-ops, so the skip changes no
-  bit and a query's values still depend on its own row only. NaN exponents
-  stay NaN, an f2 factor that overflows still meets E = 0 as 0 * inf = NaN,
-  and the sigma-weight exps are not truncated: their exact zeros decide
-  DegenerateWeights.
+  bit and a query's values still depend on its own row only. f2's factor
+  (u^2 - 1) / sigma^3 is read from the clamped x as u^2 = -2 x, finite
+  wherever 1/sigma^3 is, so a term with E = 0 adds exactly 0 to f2. The one
+  exception left is f1's: where dx / sigma^3 overflows beside E = 0 (x near
+  +-1.7e308) the term is 0 * inf = NaN. NaN exponents stay NaN, and the
+  sigma-weight exps are not truncated: their zeros decide DegenerateWeights.
 
 Under these rules a query's values depend on its own row only: output is
 bitwise independent of the block partition of the queries, of
@@ -89,12 +91,11 @@ about half of the f, f1 and f2 values of the 100 cells of a 10 x 10 grid
 differed from the same cell computed alone, by up to 4e-11 relative.
 
 f2-free rule: a final fit needs f and f1 only (the Tweedie score f1/f), so
-``f2=False`` builds no f2 row: the fill skips the three f2 passes per h_x
-and (sigma not 1) the dx^2/sigma^5 plane, and f2 comes back as None. It is
-allowed on one cell only (nx = ns = 1), where each row is summed on its
+``f2=False`` skips the three f2 passes per h_x and returns f2 as None. It
+is allowed on one cell only (nx = ns = 1), where each row is summed on its
 own, so f and f1 are bitwise those of the full call; on a larger grid the
-product without the f2 column rounds differently (by up to 5e-14 relative
-on 3 x 1 and 3 x 2 grids at n = 1000), so such a call raises ValueError.
+product without the f2 column rounds differently (up to 5e-14 relative on
+3 x 1 and 3 x 2 grids at n = 1000), so such a call raises ValueError.
 
 Unit-sigma rule: sigma = 1 skips the sigma factors. When every training and
 query sigma is exactly 1 (checked once per call), as for the pooled rules
@@ -102,7 +103,7 @@ query sigma is exactly 1 (checked once per call), as for the pooled rules
 homoscedastic NEST at sigma = 1, each weight plane is the fold mask (1.0
 without keys) and the same per-h_x loop takes its rows from dx and dx^2:
 
-    E = exp(dx^2 * (-0.5 / h_x^2)),   E dx,   (dx^2 / h_x^2 - 1) E
+    x = dx^2 * (-0.5 / h_x^2),   E = exp(x),   E dx,   (-2 x - 1) E
 
 The bits equal those with the sigma factors: multiplying by 1/sigma = 1.0
 and exp(-0.0) = 1.0 are exact; scaling by -0.5 is exact, so
@@ -135,8 +136,8 @@ such library (another BLAS) the gemms run unpinned, and a grid's output
 then depends on that BLAS's threading; a one-cell call's does not.
 
 The rows per block are chosen so that all matrices of all blocks in flight
-together, the weights, the kernel rows and three (b, n) scratch matrices,
-that is (ns + c nx + 3) n elements per query, hold at most ``_BLOCK_ELEMS``
+together, the weights, the kernel rows and two (b, n) scratch matrices,
+that is (ns + c nx + 2) n elements per query, hold at most ``_BLOCK_ELEMS``
 = 3 * 2^19 elements (12 MB of float64).
 """
 
@@ -284,21 +285,22 @@ def density_grid(
         span = max(xq.max() - xt.min(), xt.max() - xq.min()) if m and n else 0.0
         smin = st.min() if n else 1.0
         cut = (-span * span / (2.0 * smin * smin * hx * hx) <= -660.0).tolist()
-    escale, s3 = (-0.5, 1.0) if unit else (1.0, inv_s3)     # at sigma = 1, q = dx^2 lacks the -1/2
+        escale, s3 = (-0.5, 1.0) if unit else (1.0, inv_s3)     # at sigma = 1, q = dx^2 lacks the -1/2
+        m2 = -2.0 * s3                                          # f2's factor x m2 - s3 = (u^2 - 1) / s^3
     hcol = hx[:, None, None]
-    row = (ns + c * nx + 3) * max(n, 1)   # block-matrix elements per query row
+    row = (ns + c * nx + 2) * max(n, 1)   # block-matrix elements per query row
     fit = max(1, _BLOCK_ELEMS // row)     # rows the budget holds (at least one)
     # at most one worker per row the budget holds, so all blocks in flight
     # fit it; with two or more workers m > fit, so each gets a block or more
     workers = max(1, min(_THREADS, fit, -(-m // fit)))
     step = max(1, min(m, fit // workers))
     # per worker: masked weight numerators (one plane per h_sigma), kernel
-    # rows (one per (h_x, component)) and three scratch planes. The
+    # rows (one per (h_x, component)) and two scratch planes. The
     # allocation is always the whole budget (untouched pages cost no memory),
     # so malloc sees one size and reuses it: sizes that varied by call kept
     # freed buffers resident under glibc's moving mmap threshold, 12 MB more
     # peak RSS on an MSE replication.
-    shape = (workers, ns + c * nx + 3, step, n)
+    shape = (workers, ns + c * nx + 2, step, n)
     bufs = np.empty(max(math.prod(shape), _BLOCK_ELEMS))[: math.prod(shape)].reshape(shape)
 
     # worker i takes blocks i, i + W, i + 2W, ...; the calling thread is worker 0
@@ -309,7 +311,7 @@ def density_grid(
         for lo in range(worker * step, m, workers * step):
             hi = min(m, lo + step)
             w, k = buf[:ns, : hi - lo], buf[ns : ns + c * nx, : hi - lo]
-            a, p1, p2 = buf[ns + c * nx :, : hi - lo]
+            a, p = buf[ns + c * nx :, : hi - lo]
             if unit:
                 # every weight plane is the fold mask; dx and dx^2 carry the rows
                 if qkey is not None:
@@ -318,8 +320,8 @@ def density_grid(
                 elif not one_cell:                       # one cell reads no plane of ones
                     w.fill(1.0)
                 np.subtract(xq[lo:hi, None], xt, out=a)  # dx
-                np.multiply(a, a, out=p2)                # dx^2
-                q, d1 = p2, a
+                np.multiply(a, a, out=p)                 # dx^2
+                q, d1 = p, a
             else:
                 np.subtract(sq[lo:hi, None], st, out=a)
                 a *= a
@@ -328,20 +330,20 @@ def density_grid(
                 if qkey is not None:
                     w *= qkey[lo:hi, None] != tkey
                 np.subtract(xq[lo:hi, None], xt, out=a)  # dx
-                np.multiply(a, inv_s3, out=p1)           # dx / s^3
-                if f2:
-                    np.multiply(p1, a, out=p2)
-                    p2 *= inv_s2                         # dx^2 / s^5
+                np.multiply(a, inv_s3, out=p)            # dx / s^3
                 a *= a
                 a *= -0.5 * inv_s2                       # -dx^2 / (2 s^2)
-                q, d1 = a, p1
+                q, d1 = a, p
             # q: the exponent before 1/h_x^2; d1: the factor of E in row 1
             for i, h in enumerate(hx):
                 e, k1 = k[c * i], k[c * i + 1]
-                inv_h2 = 1.0 / (h * h)
-                np.multiply(q, escale * inv_h2, out=e)
+                np.multiply(q, escale * (1.0 / (h * h)), out=e)
                 if cut[i]:
                     np.maximum(e, _CUT, out=e)           # the truncation rule
+                if f2:
+                    k2 = k[c * i + 2]
+                    np.multiply(e, m2, out=k2)           # u^2 / s^3 from the clamped exponent
+                    k2 -= s3
                 np.exp(e, out=e)                         # E = exp(-u^2 / 2)
                 if cut[i]:
                     e -= _E_CUT
@@ -349,9 +351,6 @@ def density_grid(
                     e *= w[0]                            # t E: the rows carry the weights
                 np.multiply(e, d1, out=k1)               # E dx / s^3
                 if f2:
-                    k2 = k[c * i + 2]
-                    np.multiply(p2, inv_h2, out=k2)
-                    k2 -= s3
                     k2 *= e                              # E (u^2 - 1) / s^3
                 if not unit:
                     e *= inv_s                           # E / s

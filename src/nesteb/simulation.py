@@ -228,7 +228,7 @@ def _pooled_h(xd, sample: HeteroSample, folds_k: int, seed: int, bracket_power: 
 _TUNERS = {
     Nest: ("bw", lambda m, s, k, seed, sel: tune(s, default_grid(s, k=k, seed=seed), sel).argmin),
     TF: ("h", lambda m, s, k, seed, sel: _pooled_h(s.x, s, k, seed, 4, sel)),
-    Scaled: ("h", lambda m, s, k, seed, sel: _pooled_h(s.x / s.sigma, s, k, seed, 2, sel)),
+    Scaled: ("h", lambda m, s, k, seed, sel: _pooled_h(Scaled.coordinates(s), s, k, seed, 2, sel)),
     KGroups: ("h_per_group", lambda m, s, k, seed, sel: tune_kgroups(s, m.k, k, seed, sel)),
 }
 

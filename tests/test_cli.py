@@ -241,6 +241,10 @@ class TestEstimateCommand:
         ["estimate", "--input", "{huge_sigma}", "--method", "tf", "--hx", "0.5"],
         ["estimate", "--input", "{huge_sigma}", "--method", "nest", "--hx", "0.5", "--hsigma", "0.5"],
         ["estimate", "--input", "{far_oracle}", "--method", "oracle", "--prior", "normal:0,1"],
+        # z = x / sigma = 1e310 overflows, tuned or not, and is refused in column x
+        # (tuned, it was a RuntimeWarning, then a ValueError on the pooled grid's sd)
+        ["estimate", "--input", "{far_z}", "--method", "scaled"],
+        ["estimate", "--input", "{far_z}", "--method", "scaled", "--hx", "0.5"],
     ]]
     # tuned pooled rules on the same file: sigma^2 and sigma^power overflow in every
     # cell's per-point SURE values (each printed RuntimeWarnings before this)
@@ -269,6 +273,7 @@ class TestEstimateCommand:
          "zero-truncate-nest", "zero-truncate-naive",
          "negative-truncate", "nan-truncate", "select-k-above-n", "tiny-hsigma", "tiny-hx", "infinite-prior-tau",
          "tf-sigma-squared-overflow", "nest-sigma-squared-overflow", "oracle-mean-overflow",
+         "scaled-tuned-z-overflow", "scaled-fixed-z-overflow",
          "tf-tuned-sigma-overflow", "scaled-tuned-sigma-overflow",
          "binomial-inf-x", "binomial-nan-x", "gamma-inf-alpha", "beta-inf-beta", "gamma-inf-x",
          "beta-x-above-one", "gamma-carrier-overflow", "beta-carrier-overflow",
@@ -277,9 +282,11 @@ class TestEstimateCommand:
 def test_value_errors_exit_1_with_one_json_line(tmp_path, capsys, argv, error):
     inp, out = tmp_path / "in.csv", tmp_path / "out.csv"
     write_sample_csv(inp, [0.0, 1.0, 2.0], [1.0, 0.5, 0.8])
-    files = {"inp": inp, "huge_sigma": tmp_path / "huge-sigma.csv", "far_oracle": tmp_path / "far-oracle.csv"}
+    files = {"inp": inp, "huge_sigma": tmp_path / "huge-sigma.csv", "far_oracle": tmp_path / "far-oracle.csv",
+             "far_z": tmp_path / "far-z.csv"}
     write_sample_csv(files["huge_sigma"], [1.0, 2.0, 3.0], [1.0, 1e160, 1.0])
     write_sample_csv(files["far_oracle"], [24.05, -4552.0], [1e300, 0.0188])
+    write_sample_csv(files["far_z"], [1e10, 2.0, 3.0], [1e-300, 1.0, 1.0])
     rc = main([a.format(**files) for a in argv] + ["--output", str(out)])
     assert rc == 1
     lines = capsys.readouterr().err.strip().splitlines()

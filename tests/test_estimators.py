@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nesteb.data import Bandwidths, validate_sample
-from nesteb.errors import BadGroupCount, NonFiniteValue
+from nesteb.errors import BadGroupCount
 from nesteb.estimators import (
     EstimatorSpec,
     KGroups,
@@ -247,18 +247,17 @@ class TestEstimateDispatch:
         np.testing.assert_allclose(got, [4.2], atol=1e-14)
 
     def test_far_point_fits_without_f2(self):
-        # dx^2 overflows against x = 1e300, so the f2 row holds 0 * inf = NaN;
-        # the fits build no f2 row and return Tweedie's value, where the far
-        # point's kernel is exactly 0: x + 4 e / (1 + e), e = exp(-2), at h = 0.5
+        # dx^2 overflows against x = 1e300; the fits build no f2 row and
+        # return Tweedie's value, where the far point's kernel is exactly 0:
+        # x + 4 e / (1 + e), e = exp(-2), at h = 0.5
         s = validate_sample([1.0, 1e300, 2.0], [1.0, 1.0, 1.0])
         lift = 4 * math.exp(-2.0) / (1 + math.exp(-2.0))
         for mu in (Nest(Bandwidths(0.5, 0.5)).apply(s), TF(0.5).apply(s), Scaled(0.5).apply(s)):
             assert mu[1] == 1e300
             np.testing.assert_allclose(mu[[0, 2]], [1 + lift, 2 - lift], rtol=1e-14)   # 1.4768..., 1.5232...
-        # the f2 row itself still refuses the input
-        with pytest.raises(NonFiniteValue) as err:
-            in_sample_triple(KernelContext(s, Bandwidths(0.5, 0.5)))
-        assert (err.value.column, err.value.index) == ("f2", 0)
+        # the f2 row reads u^2 from the clamped exponent: the far term adds 0
+        f, f1, f2 = in_sample_triple(KernelContext(s, Bandwidths(0.5, 0.5)))
+        assert np.isfinite(f2).all()
 
     def test_oracle_beats_everyone_at_scale(self):
         # oracle risk is the floor for every rule, up to Monte Carlo noise

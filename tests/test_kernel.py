@@ -11,7 +11,7 @@ import pytest
 from scipy.integrate import quad
 
 import nesteb.kernel
-from nesteb.data import Bandwidths, kfold_split, validate_sample
+from nesteb.data import H_MIN, Bandwidths, kfold_split, validate_sample
 from nesteb.errors import DegenerateWeights, NonFiniteValue
 from nesteb.estimators import TF, EstimatorSpec, KGroups, Naive, Nest, Scaled, estimate
 from nesteb.kernel import (
@@ -537,7 +537,7 @@ class TestKernelThreads:
         monkeypatch.setattr(nesteb.kernel, "_THREADS", 1)
         full = density_grid(xq, sq, xt, st, hxs, hss, key, key)
         head = density_grid(xq[:2], sq[:2], xt, st, hxs, hss, None if key is None else key[:2], key)
-        row = (len(hss) + 3 * len(hxs) + 3) * len(xt)
+        row = (len(hss) + 3 * len(hxs) + 2) * len(xt)
         monkeypatch.setattr(nesteb.kernel, "_BLOCK_ELEMS", block_rows * row)
         for threads in (1, 2, 3):
             monkeypatch.setattr(nesteb.kernel, "_THREADS", threads)
@@ -565,7 +565,7 @@ class TestKernelThreads:
         xq, sq, xt, st, hxs, hss, key = grid_case("heteroscedastic-3x3")
         monkeypatch.setattr(nesteb.kernel, "_contract", spy)
         monkeypatch.setattr(nesteb.kernel, "_THREADS", 2)
-        monkeypatch.setattr(nesteb.kernel, "_BLOCK_ELEMS", 2 * (3 + 9 + 3) * len(xt))  # one row per block
+        monkeypatch.setattr(nesteb.kernel, "_BLOCK_ELEMS", 2 * (3 + 9 + 2) * len(xt))  # one row per block
         set_(2)
         try:
             density_grid(xq, sq, xt, st, hxs, hss, key, key)
@@ -600,7 +600,7 @@ class TestF2Free:
         monkeypatch.setattr(nesteb.kernel, "_THREADS", 1)
         full = {(hx, hs, i): density_grid(xq, sq, xt, st, [hx], [hs], *k)
                 for hx in hxs for hs in hss for i, k in enumerate(keys)}
-        monkeypatch.setattr(nesteb.kernel, "_BLOCK_ELEMS", block_rows * (1 + 2 + 3) * len(xt))
+        monkeypatch.setattr(nesteb.kernel, "_BLOCK_ELEMS", block_rows * (1 + 2 + 2) * len(xt))
         for threads in (1, 2, 3):
             monkeypatch.setattr(nesteb.kernel, "_THREADS", threads)
             for (hx, hs, i), (f, f1, _, wsum) in full.items():
@@ -625,14 +625,15 @@ class TestF2Free:
         assert (g.tobytes(), g1.tobytes()) == (f.tobytes(), f1.tobytes())
 
     def test_peak_memory_follows_block_budget(self):
-        # one cell: the budget holds (1 + 2 + 3) n elements per row
+        # one cell: the budget holds (1 + 2 + 2) n elements per row
         assert peak_beyond_outputs((0.5,), (0.3,), f2=False) <= block_budget_bytes()
 
     def test_only_computed_columns_are_checked(self):
-        # against x = 1e300 only the f2 row overflows (0 * inf); with f2 the
-        # triple is refused there, without it f and f1 come back finite
-        s = validate_sample([1.0, 1e300, 2.0], [1.0, 0.5, 1.0])
-        ctx = KernelContext(s, Bandwidths(0.5, 0.5))
+        # at h_x = H_MIN and sigma = 0.1 only the f2 sum overflows: its
+        # 1 / (h_x sigma)^3 does; f1's sum is 0 and f stays near 3e102. With f2
+        # the triple is refused there, without it f and f1 come back finite
+        s = validate_sample([-1.0, 0.0, 1.0], [0.1] * 3)
+        ctx = KernelContext(s, Bandwidths(H_MIN, 1.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteValue) as err:
@@ -738,6 +739,17 @@ class TestTruncation:
             assert wsum[0, 0] == 1.0 and f[0, 0, 0] == e / SQRT_2PI
             assert (f1[0, 0, 0] == 0.0) == (f2[0, 0, 0] == 0.0) == (e == 0.0)
             assert not f[0, 0, 1:].any()
+
+    @pytest.mark.parametrize("sigma, hxs", PATHS)
+    def test_a_term_whose_dx2_overflows_adds_0_to_f2(self, sigma, hxs):
+        # against x_j = 1e200 dx^2 overflows and the exponent is clamped to
+        # -700; f2's factor reads u^2 = 1400 from it, so the term is exactly
+        # 0, as against x_j = 1e100, where dx^2 is finite
+        xq, near = np.array([0.0, 0.3]), np.array([-0.4, 0.0, 0.5])
+        got = [density_grid(xq, np.full(2, sigma), np.append(near, far), np.full(4, sigma), hxs, (1.0,))
+               for far in (1e100, 1e200)]
+        assert np.isfinite(got[1][2]).all()
+        assert [a.tobytes() for a in got[1]] == [a.tobytes() for a in got[0]]
 
     @pytest.mark.parametrize("keyed", [False, True])
     @pytest.mark.parametrize("case", TestDensityGrid.CASES)

@@ -213,16 +213,27 @@ class TestTune:
             tune(s, grid)
 
     def test_non_finite_cells_marked_degenerate(self):
-        # every squared difference with x = 1e200 overflows, so every cell's
-        # score is NaN; no cell may be selected, by tune or by tune_pooled
+        # against x = +-1.7e308 the differences dx / s^3 overflow beside
+        # E = 0, so every cell's score is NaN; no cell may be selected, by
+        # tune or by tune_pooled
         rng = np.random.default_rng(12)
-        x = rng.normal(size=300)
-        x[17] = 1e200
-        s = validate_sample(x, rng.uniform(0.5, 2.0, 300))
+        draws = rng.normal(size=300)
+        sigma = rng.uniform(0.5, 2.0, 300)
+        x = draws.copy()
+        x[17:19] = 1.7e308, -1.7e308
+        s = validate_sample(x, sigma)
         with pytest.raises(AllCellsDegenerate):
             tune(s, default_grid(s))
         with pytest.raises(AllCellsDegenerate):
             tune_pooled(x, s.sigma, (0.5, 1.0), kfold_split(300, 10, 0))
+        # x = 1e200 overflows only dx^2, which no kernel row reads: every
+        # term against it is exactly 0 and no cell is degenerate
+        x = draws.copy()
+        x[17] = 1e200
+        s = validate_sample(x, sigma)
+        rep = tune(s, default_grid(s))
+        assert not rep.degenerate.any() and rep.argmin.h_x == 0.3
+        assert not tune_pooled(x, s.sigma, (0.5, 1.0), kfold_split(300, 10, 0)).degenerate.any()
 
     def test_blocking_does_not_change_results(self, monkeypatch):
         # two h_sigma values: the per-h_sigma weight cache spans many blocks
