@@ -194,10 +194,12 @@ def cmd_tune(args) -> int:
         seed=args.seed,
     )
     report = tune(sample, grid)
+    # a degenerate cell's S may be inf or NaN: it is written as an empty field
+    surface = [[float(v) if math.isfinite(v) else "" for v in row] for row in report.surface]
     write_csv_atomic(
         args.output,
         ["h_x", "h_sigma", "S"],
-        ((hx, hs, float(report.surface[i, j]))
+        ((hx, hs, surface[i][j])
          for i, hx in enumerate(report.h_x_values) for j, hs in enumerate(report.h_sigma_values)),
     )
     am = report.argmin

@@ -16,8 +16,9 @@ and -0.5/h^2 are finite and nonzero.
 
 The kernel normalizing constant cancels inside w_j, so weights are computed
 from bare exponentials; a weight normalizer that underflows to exactly zero
-raises DegenerateWeights rather than extrapolating. Sums that overflow (x
-differences near the float64 limit) come out inf or NaN without a warning;
+raises DegenerateWeights rather than extrapolating. Sums that overflow (a
+term past the float range, such as f2's 1/(h_x sigma)^3 at the smallest
+bandwidths) come out inf or NaN without a warning;
 :func:`in_sample_triple` refuses those in the columns it computed and the SURE
 tuners mark them degenerate.
 
@@ -32,12 +33,10 @@ check). With u_j = (x - x_j)/h_xj, E_j = exp(-u_j^2 / 2), the unnormalized
     f1 = -S1 / (sqrt(2 pi) h_x^3 T),   S1 = sum_j t_j E_j (x - x_j) / sigma_j^3
     f2 = S2 / (sqrt(2 pi) h_x^3 T),    S2 = sum_j t_j E_j (u_j^2 - 1) / sigma_j^3
 
-Per row block of b queries, the weights t for every h_sigma form one
-(ns, b, n) array and the c kernel rows for every h_x one (c nx, b, n)
-array (c = 3, or 2 without f2), one contiguous (b, n) plane per h_sigma and
-per (h_x, component). How the training index is then summed depends on the
-call's shape, by the first two rules below; the third fixes its order and
-the fourth its terms:
+Queries are taken in row blocks. With v_j = (x - x_j)^2 / sigma_j^2 =
+u_j^2 h_x^2, the part of the exponent that does not depend on h_x, the
+training index is summed by the first two rules below, depending on the
+call's shape; the third fixes its order and the last three its terms:
 
 - One-cell rule: a call with one cell (nx = ns = 1: every final fit, query
   evaluation and Monte Carlo SURE check) runs no BLAS routine. Right after
@@ -48,16 +47,37 @@ the fourth its terms:
   training index (a pairwise sum). So such a call neither pins OpenBLAS
   nor takes ``_PIN_LOCK``, and its bits do not depend on the BLAS library.
 - Grid rule: every other call (the SURE surfaces, the pooled 10 x 1 tunes
-  included) runs one batched ``np.matmul``, which gives every
-  (h_sigma, h_x, component) sum. Each query row is its own (ns x n) by
-  (n x c nx) product over the whole training index, run on one BLAS thread
-  (the BLAS rule below). With one h_sigma (ns = 1) NumPy sends each product
-  to gemv, and otherwise to gemm.
+  included) writes one plane per h_x, E = exp(max(v (-0.5 / h_x^2), -700))
+  - e^-700 (the truncation rule), and moves every other factor to four
+  weight rows per h_sigma, built once per block:
+
+      t / sigma,   t (x - x_j) / sigma^3,   t v~ / sigma^3,   t / sigma^3
+
+  with v~ = min(v, 1400 h_max^2), h_max the largest h_x. Beyond that value
+  every h_x's E is exactly 0, so the clamp changes no nonzero term; it
+  keeps the third row finite wherever 1400 h_max^2 / sigma^3 is, also
+  where (x - x_j)^2 overflows. One batched ``np.matmul`` then gives S0, S1,
+  S_v and S3 for every (h_x, h_sigma): each query row is its own
+  (4 ns x n) by (n x nx) product over the whole training index, run on one
+  BLAS thread (the BLAS rule below). As v / (sigma^3 h_x^2) = u^2 / sigma^3,
+  f2's sum is S2 = S_v / h_x^2 - S3, and a row with no term has
+  S_v = S3 = +0, so S2 = +0. The clamp runs only if the truncation rule's
+  passes run for h_max; otherwise no v passes 1400 h_max^2, and it would be
+  an exact no-op. f2 is then a difference of two sums, each larger than
+  it: on a grid of 3 queries against n = 9000 points the sums were about
+  30 times the largest f2, and f2 moved by 1.4e-14 of it when this rule
+  came in (f and f1 by at most 6e-16).
 - Order rule: one ``np.lexsort`` first sorts the training points and their
   keys by sigma_j's binary exponent (``np.frexp``), then x_j, then sigma_j;
   queries keep their order. It fixes each row's summation order, and 2^k
   scaling keeps it. Exact duplicate (x, sigma) points keep index order, so
   under keys a duplicate's masked zero can change slots.
+- Mask rule: a key mask sets the masked lanes' (sigma - sigma_j)^2 to +inf
+  before the weight exp, so their weight is exp(-inf) = +0, bitwise what
+  multiplying the exp by 0.0 gives. Where an h_sigma's square overflows,
+  -0.5 / h_sigma^2 is -0 and inf * -0 would be NaN, so such a call
+  multiplies the weights by the mask instead. (At sigma = 1 every weight
+  plane is the mask itself: the unit-sigma rule.)
 - Truncation rule: each kernel term is E = exp(max(x, -700)) - e^-700, where
   x = -u^2 / 2 is the exponent the per-h_x loop forms (``_CUT``,
   ``_E_CUT``). So E is exactly 0 at or below the cutoff, bitwise exp(x)
@@ -74,42 +94,54 @@ the fourth its terms:
   an h_x only if the call's widest exponent, -D^2 / (2 sigma_min^2 h_x^2)
   with D the widest |x_q - x_t| and sigma_min the smallest training sigma,
   is at most -660; above that both are exact no-ops, so the skip changes no
-  bit and a query's values still depend on its own row only. f2's factor
-  (u^2 - 1) / sigma^3 is read from the clamped x as u^2 = -2 x, finite
-  wherever 1/sigma^3 is, so a term with E = 0 adds exactly 0 to f2. The one
-  exception left is f1's: where dx / sigma^3 overflows beside E = 0 (x near
-  +-1.7e308) the term is 0 * inf = NaN. NaN exponents stay NaN, and the
-  sigma-weight exps are not truncated: their zeros decide DegenerateWeights.
+  bit and a query's values still depend on its own row only. On one cell,
+  f2's factor (u^2 - 1) / sigma^3 is read from the clamped x as u^2 = -2 x,
+  finite wherever 1/sigma^3 is; on a grid it comes from v~. NaN exponents
+  stay NaN, and the sigma-weight exps are not truncated: their zeros decide
+  DegenerateWeights.
+- Zero-term rule: a term whose E is 0 adds exactly 0 (a zero of either
+  sign) to f, f1 and f2, wherever the weight rows above are finite. f's
+  factor is t / sigma and f2's is read from the clamped exponent. f1's,
+  (x - x_j) / sigma^3, can overflow beside E = 0 (x near +-1.7e308, or a
+  tiny sigma_j), and 0 * inf is NaN; so where E is 0 at every h_x that
+  factor is set to 0 first. That pass runs only when D / sigma_min^3
+  overflows, a per-call scalar test like the truncation skip, and only
+  with the truncation passes for h_max; otherwise no such factor
+  overflows beside E = 0, and an ordinary call keeps every pass and bit.
 
 Under these rules a query's values depend on its own row only: output is
 bitwise independent of the block partition of the queries, of
 ``_BLOCK_ELEMS``, of the kernel threads, of the BLAS thread count and of
 the order of the training points (keyed duplicates aside). It is
 not independent of the grid: a cell's bits depend on the grid's shape, as
-gemv, gemm and NumPy's sum round differently. With fold keys at n = 1000,
-about half of the f, f1 and f2 values of the 100 cells of a 10 x 10 grid
-differed from the same cell computed alone, by up to 4e-11 relative.
+products of other shapes and NumPy's sum round differently. With fold keys
+at n = 1000, about two thirds of the f, f1 and f2 values of the 100 cells
+of a 10 x 10 grid differed from the same cell computed alone, by up to
+2e-10 relative (f1 and f2 near their zero crossings).
 
 f2-free rule: a final fit needs f and f1 only (the Tweedie score f1/f), so
 ``f2=False`` skips the three f2 passes per h_x and returns f2 as None. It
 is allowed on one cell only (nx = ns = 1), where each row is summed on its
-own, so f and f1 are bitwise those of the full call; on a larger grid the
-product without the f2 column rounds differently (up to 5e-14 relative on
-3 x 1 and 3 x 2 grids at n = 1000), so such a call raises ValueError.
+own, so f and f1 are bitwise those of the full call; on a grid f2's weight
+rows are rows of the one product, and a product of another shape may round
+differently, so such a call raises ValueError.
 
 Unit-sigma rule: sigma = 1 skips the sigma factors. When every training and
 query sigma is exactly 1 (checked once per call), as for the pooled rules
 (TF, Scaled and k-Groups, one-dimensional KDEs realized with sigma = 1) and
 homoscedastic NEST at sigma = 1, each weight plane is the fold mask (1.0
-without keys) and the same per-h_x loop takes its rows from dx and dx^2:
+without keys), and the exponent and the rows come from dx and dx^2:
 
-    x = dx^2 * (-0.5 / h_x^2),   E = exp(x),   E dx,   (-2 x - 1) E
+    x = dx^2 * (-0.5 / h_x^2),   E = exp(x)   (both setups)
+    E dx,   (-2 x - 1) E                        (one cell)
+    t,   t dx,   t min(dx^2, 1400 h_max^2),   t  (grid)
 
 The bits equal those with the sigma factors: multiplying by 1/sigma = 1.0
-and exp(-0.0) = 1.0 are exact; scaling by -0.5 is exact, so
-dx^2 (-0.5 / h_x^2) rounds as (-0.5 dx^2) (1 / h_x^2) does, except where a
-factor or the result is subnormal, and there E = exp(+-tiny) = 1.0 either
-way; and the weight normalizers are sums of zeros and ones, exact integers.
+and exp(-0.0) = 1.0 are exact; a grid forms v (-0.5 / h_x^2) on both
+setups, and on one cell scaling by -0.5 is exact, so dx^2 (-0.5 / h_x^2)
+rounds as (-0.5 dx^2) (1 / h_x^2) does, except where a factor or the
+result is subnormal, and there E = exp(+-tiny) = 1.0 either way; and the
+weight normalizers are sums of zeros and ones, exact integers.
 
 Thread rule: the row blocks are spread over W kernel threads, W = the
 smallest of ``_THREADS`` (the CPUs in the process's affinity mask), the
@@ -122,7 +154,7 @@ is bitwise the same under any thread count. ``_BLOCK_ELEMS`` is the budget
 of all workers together; the caller allocates every worker's block matrices
 as one array before the fan-out.
 
-BLAS rule: the gemms and gemvs of a grid call run with the OpenBLAS
+BLAS rule: the gemms of a grid call run with the OpenBLAS
 bundled with NumPy pinned to one thread (its
 ``scipy_openblas_set_num_threads64_``, called through ctypes), and the
 previous count is restored afterwards. So every gemm takes
@@ -136,9 +168,11 @@ such library (another BLAS) the gemms run unpinned, and a grid's output
 then depends on that BLAS's threading; a one-cell call's does not.
 
 The rows per block are chosen so that all matrices of all blocks in flight
-together, the weights, the kernel rows and two (b, n) scratch matrices,
-that is (ns + c nx + 2) n elements per query, hold at most ``_BLOCK_ELEMS``
-= 3 * 2^19 elements (12 MB of float64).
+together hold at most ``_BLOCK_ELEMS`` = 3 * 2^19 elements (12 MB of
+float64): on one cell the weights, the c kernel rows (c = 3, or 2 without
+f2) and two (b, n) scratch matrices, (1 + c + 2) n elements per query; on a
+grid the 4 ns weight rows, the nx E planes and two scratch matrices,
+(4 ns + nx + 2) n elements per query.
 """
 
 from __future__ import annotations
@@ -269,7 +303,7 @@ def density_grid(
     nx, ns = hx.size, len(hs_values)
     if not f2 and nx * ns != 1:
         raise ValueError(f"f2=False needs a one-cell grid, got {nx} h_x by {ns} h_sigma")
-    c = 3 if f2 else 2                    # kernel rows per h_x
+    c = 3 if f2 else 2                    # kernel rows of a one-cell call
     f, f1 = np.empty((nx, ns, m)), np.empty((nx, ns, m))
     f2_raw = np.empty((nx, ns, m)) if f2 else None
     wsum = np.empty((ns, m))
@@ -277,6 +311,10 @@ def density_grid(
     unit = bool(np.all(st == 1.0) and np.all(sq == 1.0))   # the unit-sigma rule
     one_cell = nx * ns == 1                                 # the one-cell rule: row sums, no gemm
     weighted = not (unit and qkey is None)                  # a weight plane that is not all ones
+    # the mask rule; an h_sigma whose square overflows has -0.5 / h^2 = -0 and
+    # inf * -0 = NaN, so there the mask stays a factor
+    inf_mask = qkey is not None and not unit and bool((wscale < 0.0).all())
+    imax = int(np.argmax(hx)) if nx else 0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):   # may leave the float range
         inv_s = 1.0 / st
         inv_s2 = inv_s * inv_s
@@ -285,22 +323,32 @@ def density_grid(
         span = max(xq.max() - xt.min(), xt.max() - xq.min()) if m and n else 0.0
         smin = st.min() if n else 1.0
         cut = (-span * span / (2.0 * smin * smin * hx * hx) <= -660.0).tolist()
-        escale, s3 = (-0.5, 1.0) if unit else (1.0, inv_s3)     # at sigma = 1, q = dx^2 lacks the -1/2
-        m2 = -2.0 * s3                                          # f2's factor x m2 - s3 = (u^2 - 1) / s^3
+        # the zero-term rule's skip: can some dx / sigma^3 overflow?
+        wide = bool(span / smin**3 > np.finfo(float).max)
+        # the exponent is q * escale / h_x^2: q = -dx^2 / (2 s^2) on one cell
+        # with sigma factors, else q = v = dx^2 / s^2 (dx^2 at sigma = 1)
+        escale = 1.0 if one_cell and not unit else -0.5
+        s3 = 1.0 if unit else inv_s3
+        m2 = -2.0 * s3                    # one cell: f2's factor x m2 - s3 = (u^2 - 1) / s^3
+        # the grid rule's clamp on v, beyond which every h_x's E is 0
+        vmax = -2.0 * _CUT * (hx[imax] * hx[imax]) if nx else 0.0
+    clamp = nx > 0 and cut[imax]          # can any v pass vmax?
     hcol = hx[:, None, None]
-    row = (ns + c * nx + 2) * max(n, 1)   # block-matrix elements per query row
+    # block planes per query row: on one cell the weights, c kernel rows and
+    # two scratch planes; on a grid 4 weight rows per h_sigma, one E plane per
+    # h_x and two scratch planes
+    planes = 1 + c + 2 if one_cell else 4 * ns + nx + 2
+    row = planes * max(n, 1)              # block-matrix elements per query row
     fit = max(1, _BLOCK_ELEMS // row)     # rows the budget holds (at least one)
     # at most one worker per row the budget holds, so all blocks in flight
     # fit it; with two or more workers m > fit, so each gets a block or more
     workers = max(1, min(_THREADS, fit, -(-m // fit)))
     step = max(1, min(m, fit // workers))
-    # per worker: masked weight numerators (one plane per h_sigma), kernel
-    # rows (one per (h_x, component)) and two scratch planes. The
-    # allocation is always the whole budget (untouched pages cost no memory),
-    # so malloc sees one size and reuses it: sizes that varied by call kept
-    # freed buffers resident under glibc's moving mmap threshold, 12 MB more
-    # peak RSS on an MSE replication.
-    shape = (workers, ns + c * nx + 2, step, n)
+    # The allocation is always the whole budget (untouched pages cost no
+    # memory), so malloc sees one size and reuses it: sizes that varied by
+    # call kept freed buffers resident under glibc's moving mmap threshold,
+    # 12 MB more peak RSS on an MSE replication.
+    shape = (workers, planes, step, n)
     bufs = np.empty(max(math.prod(shape), _BLOCK_ELEMS))[: math.prod(shape)].reshape(shape)
 
     # worker i takes blocks i, i + W, i + 2W, ...; the calling thread is worker 0
@@ -310,62 +358,85 @@ def density_grid(
         buf = bufs[worker]
         for lo in range(worker * step, m, workers * step):
             hi = min(m, lo + step)
-            w, k = buf[:ns, : hi - lo], buf[ns : ns + c * nx, : hi - lo]
-            a, p = buf[ns + c * nx :, : hi - lo]
+            a, p = buf[-2:, : hi - lo]
+            if one_cell:
+                t, k = buf[:1, : hi - lo], buf[1 : 1 + c, : hi - lo]
+                e, k2 = k[:1], k[2] if f2 else None
+            else:
+                r, e = buf[: 4 * ns, : hi - lo], buf[4 * ns : 4 * ns + nx, : hi - lo]
+                t = r[3 * ns :]
+            # t: the masked weight numerators, one plane per h_sigma
             if unit:
-                # every weight plane is the fold mask; dx and dx^2 carry the rows
+                # every weight plane is the fold mask
                 if qkey is not None:
-                    np.not_equal(qkey[lo:hi, None], tkey, out=w[0])
-                    w[1:] = w[0]
+                    np.not_equal(qkey[lo:hi, None], tkey, out=t[0])
+                    t[1:] = t[0]
                 elif not one_cell:                       # one cell reads no plane of ones
-                    w.fill(1.0)
-                np.subtract(xq[lo:hi, None], xt, out=a)  # dx
-                np.multiply(a, a, out=p)                 # dx^2
-                q, d1 = p, a
+                    t.fill(1.0)
             else:
                 np.subtract(sq[lo:hi, None], st, out=a)
                 a *= a
-                np.multiply(a, wscale, out=w)
-                np.exp(w, out=w)
-                if qkey is not None:
-                    w *= qkey[lo:hi, None] != tkey
-                np.subtract(xq[lo:hi, None], xt, out=a)  # dx
+                if inf_mask:
+                    np.copyto(a, np.inf, where=qkey[lo:hi, None] == tkey)
+                np.multiply(a, wscale, out=t)
+                np.exp(t, out=t)
+                if qkey is not None and not inf_mask:
+                    t *= qkey[lo:hi, None] != tkey
+            ws = t.sum(axis=-1) if weighted else float(n)
+            wsum[:, lo:hi] = ws
+            np.subtract(xq[lo:hi, None], xt, out=a)      # dx
+            if one_cell and not unit:
                 np.multiply(a, inv_s3, out=p)            # dx / s^3
                 a *= a
                 a *= -0.5 * inv_s2                       # -dx^2 / (2 s^2)
                 q, d1 = a, p
-            # q: the exponent before 1/h_x^2; d1: the factor of E in row 1
-            for i, h in enumerate(hx):
-                e, k1 = k[c * i], k[c * i + 1]
-                np.multiply(q, escale * (1.0 / (h * h)), out=e)
-                if cut[i]:
-                    np.maximum(e, _CUT, out=e)           # the truncation rule
-                if f2:
-                    k2 = k[c * i + 2]
-                    np.multiply(e, m2, out=k2)           # u^2 / s^3 from the clamped exponent
-                    k2 -= s3
-                np.exp(e, out=e)                         # E = exp(-u^2 / 2)
-                if cut[i]:
-                    e -= _E_CUT
-                if one_cell and weighted:
-                    e *= w[0]                            # t E: the rows carry the weights
-                np.multiply(e, d1, out=k1)               # E dx / s^3
-                if f2:
-                    k2 *= e                              # E (u^2 - 1) / s^3
+            else:
+                np.multiply(a, a, out=p)                 # dx^2
                 if not unit:
-                    e *= inv_s                           # E / s
-            ws = w.sum(axis=-1) if weighted or not one_cell else float(n)
-            wsum[:, lo:hi] = ws
+                    p *= inv_s2                          # v = dx^2 / s^2
+                q, d1 = p, a
+            # d1: the factor of E in f1 (on a grid, of t E / s^3)
+            for i, h in enumerate(hx):
+                ei = e[i]
+                np.multiply(q, escale * (1.0 / (h * h)), out=ei)
+                if cut[i]:
+                    np.maximum(ei, _CUT, out=ei)         # the truncation rule
+                if one_cell and f2:
+                    np.multiply(ei, m2, out=k2)          # u^2 / s^3 from the clamped exponent
+                    k2 -= s3
+                np.exp(ei, out=ei)                       # E = exp(-u^2 / 2)
+                if cut[i]:
+                    ei -= _E_CUT
+            if clamp and wide:
+                np.copyto(d1, 0.0, where=e[imax] == 0.0)  # the zero-term rule: every E is 0 there
             if one_cell:
+                e = e[0]
+                if weighted:
+                    e *= t[0]                            # t E: the rows carry the weights
+                np.multiply(e, d1, out=k[1])             # t E dx / s^3
+                if f2:
+                    k2 *= e                              # t E (u^2 - 1) / s^3
+                if not unit:
+                    e *= inv_s                           # t E / s
                 s = k.sum(axis=-1).reshape(c, 1, 1, hi - lo)
             else:
-                s = _contract(w, k).reshape(hi - lo, ns, nx, c).transpose(3, 2, 1, 0)
+                # the weight rows t / s, t dx / s^3, t v~ / s^3 and t / s^3
+                if clamp:
+                    np.minimum(q, vmax, out=q)           # v~
+                if unit:
+                    r[:ns] = t
+                else:
+                    np.multiply(t, inv_s, out=r[:ns])
+                    t *= inv_s3
+                np.multiply(t, d1, out=r[ns : 2 * ns])
+                np.multiply(t, q, out=r[2 * ns : 3 * ns])
+                s = _contract(r, e).reshape(hi - lo, 4, ns, nx).transpose(1, 3, 2, 0)
             norm = SQRT_2PI * ws
             f[:, :, lo:hi] = s[0] / (hcol * norm)
             norm3 = hcol**3 * norm
             f1[:, :, lo:hi] = -s[1] / norm3
             if f2:
-                f2_raw[:, :, lo:hi] = s[2] / norm3
+                f2_raw[:, :, lo:hi] = (s[2] if one_cell else s[2] / (hcol * hcol) - s[3]) / norm3
 
     with nullcontext() if one_cell else _one_blas_thread():
         if workers == 1:

@@ -448,14 +448,28 @@ def test_non_finite_grid_scale_exits_1_before_tuning(tmp_path, capsys):
     assert payload["error"] == "ValueError" and "sd = inf" in payload["detail"]
 
 
-@pytest.mark.parametrize("method_args,error", [
-    (["--method", "nest"], "AllCellsDegenerate"),
-    (["--method", "nest", "--hx", "0.5", "--hsigma", "0.5"], "NonFiniteValue"),
+@pytest.mark.parametrize("method_args,data,error", [
+    (["--method", "nest"], {}, "AllCellsDegenerate"),
+    (["--method", "nest", "--hx", "1e-60", "--hsigma", "1"],
+     {"x": (0.0, 1e-160, 3e-160), "sigma": (1e-100,) * 3}, "NonFiniteValue"),
 ], ids=["nest-tuned", "nest-fixed"])
-def test_non_finite_kernel_sums_exit_1(tmp_path, capsys, method_args, error):
-    # differences with x = 1e308 overflow inside the kernel sums: tuning marks
-    # every cell degenerate, and a fixed-bandwidth fit refuses the NaN triple
-    assert estimate_near_float_limit(tmp_path, capsys, method_args)["error"] == error
+def test_non_finite_kernel_sums_exit_1(tmp_path, capsys, method_args, data, error):
+    # tuned, every cell is degenerate: x = 1e308's held-out density floors;
+    # at h_x sigma = 1e-160 f1's sum overflows, and the fit refuses the triple
+    assert estimate_near_float_limit(tmp_path, capsys, method_args, **data)["error"] == error
+
+
+def test_far_point_fits_at_fixed_bandwidths(tmp_path):
+    # every term against x = 1e308 is exactly 0, also where dx / sigma^3
+    # overflows (1e308 / 0.5^3), so NEST and TF fit the file
+    inp, out = tmp_path / "in.csv", tmp_path / "out.csv"
+    write_sample_csv(inp, [1.0, 1e308, 2.0], [1.0, 0.5, 1.0], ids=["a", "b", "c"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["estimate", "--input", str(inp), "--output", str(out),
+                   "--method", "nest", "--method", "tf", "--hx", "0.5", "--hsigma", "0.5"])
+    assert rc == 0
+    assert all(math.isfinite(float(v)) for r in read_rows(out) for k, v in r.items() if k != "id")
 
 
 @pytest.mark.parametrize("method_args,error", [
@@ -542,6 +556,18 @@ class TestTuneCommand:
         # safeguarded selection may differ from the raw-surface minimum)
         by_cell = {(float(r["h_x"]), float(r["h_sigma"])): float(r["S"]) for r in rows}
         assert smin == by_cell[(hx, hs)]
+
+    def test_degenerate_cell_writes_an_empty_field(self, tmp_path):
+        # at h_sigma = 0.01 the sigma = 3 point's weights underflow: its cell's
+        # S is NaN and is written as an empty field, beside the finite cell
+        inp, out = tmp_path / "in.csv", tmp_path / "surface.csv"
+        write_sample_csv(inp, [0.0, 1.0, 2.0, 3.0], [1.0, 1.0, 3.0, 1.0], ids=list("abcd"))
+        rc = main(["tune", "--input", str(inp), "--output", str(out), "--folds", "2",
+                   "--grid-hx", "0.5", "--grid-hsigma", "0.01,1"])
+        assert rc == 0
+        assert "nan" not in out.read_text().lower()
+        rows = read_rows(out)
+        assert [r["S"] == "" for r in rows] == [True, False] and math.isfinite(float(rows[1]["S"]))
 
 
 class TestSimulateCommand:

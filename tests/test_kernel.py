@@ -189,13 +189,26 @@ class TestQueryBatch:
         assert (err.value.column, err.value.index) == (column, index)
 
     def test_non_finite_sums_raise_at_first_index(self):
-        # x differences near the float64 limit overflow: E dx / s^3 is 0 * inf
-        s = validate_sample([1.0, 1e308, 2.0], [1.0, 0.5, 1.0])
+        # h_x sigma = 1e-160: f stays near 1e160, but f1's 1 / (h_x sigma)^2
+        # takes a term of normal size past the float range
+        s = validate_sample([0.0, 1e-160, 3e-160], [1e-100] * 3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteValue) as err:
-                in_sample_triple(KernelContext(s, Bandwidths(0.5, 0.5)))
+                in_sample_triple(KernelContext(s, Bandwidths(1e-60, 1.0)))
         assert (err.value.column, err.value.index) == ("f1", 0)
+
+    def test_a_zero_term_adds_0_where_dx_over_sigma3_overflows(self):
+        # against x = 1e300 the sigma = 1e-3 point's dx / sigma^3 overflows
+        # beside E = 0; the term adds exactly 0 to f1, on one cell and on a grid
+        s = validate_sample([0.0, 1e300, 1.0], [1e-3, 1.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f, f1, f2 = in_sample_triple(KernelContext(s, Bandwidths(0.5, 0.5)))
+            grid = density_grid(s.x, s.sigma, s.x, s.sigma, (0.3, 0.5), (0.5, 1.0))
+        assert np.isfinite([f, f1, f2]).all() and f1[1] == 0.0
+        assert all(np.isfinite(a).all() for a in grid)
+        assert not grid[1][..., 1].any()
 
 
 class TestBlockPartition:
@@ -346,6 +359,12 @@ def grid_case(name):
     if name == "three-value-sigma":
         s = rng.choice([0.5, 1.0, 2.0], n)
         return x, s, x, s, (0.3, 0.6, 1.0), (0.2, 0.5, 0.9), key
+    if name == "far-point":
+        # one point so far out that every h_x's term against it is exactly 0:
+        # the grid rule's clamp runs
+        s = rng.uniform(0.4, 2.0, n)
+        x = np.append(x[:-1], 200.0)
+        return x, s, x, s, (0.3, 0.6, 1.0), (0.2, 0.5, 0.9), key
     if name == "one-cell-keyed":
         # one cell: summed by NumPy, not by a gemm (the one-cell rule)
         s = rng.uniform(0.4, 2.0, n)
@@ -393,7 +412,7 @@ def block_budget_bytes():
 
 class TestDensityGrid:
     CASES = ["heteroscedastic-3x3", "unit-sigma-pooled", "homoscedastic-nest", "weight-underflow",
-             "two-value-sigma", "three-value-sigma", "one-cell-keyed", "long-training-index"]
+             "two-value-sigma", "three-value-sigma", "far-point", "one-cell-keyed", "long-training-index"]
 
     @pytest.mark.parametrize("case", CASES)
     def test_matches_reference_sums(self, case):
@@ -459,6 +478,15 @@ class TestDensityGrid:
         for g, u, scale in zip(general, unit, (0.5, 0.25, 0.125, 1.0)):
             assert g.tobytes() == (u * scale).tobytes()
 
+    def test_an_h_sigma_whose_square_overflows_keeps_the_mask(self):
+        # the mask rule: at h_sigma = 1e160, -0.5 / h_sigma^2 is -0 and a
+        # masked +inf would make the weight NaN, so the mask stays a factor;
+        # every weight is exactly 1 at 1e150 and 1e160 alike
+        xq, sq, xt, st, hxs, _, key = grid_case("heteroscedastic-3x3")
+        near, far = (density_grid(xq, sq, xt, st, hxs, (h,), key, key) for h in (1e150, 1e160))
+        assert [a.tobytes() for a in far] == [a.tobytes() for a in near]
+        assert np.isfinite(far[0]).all()
+
     def test_blas_thread_count_does_not_change_output(self):
         # 40 queries against n = 5000 on a 16 x 10 grid, where a per-row
         # OpenBLAS gemm rounds differently under two threads; n = 10000 on
@@ -484,12 +512,13 @@ class TestDensityGrid:
         one, two = run_under_blas_threads(code)
         assert len(one) == 5 and one == two
 
-    @pytest.mark.parametrize("ns, cnx, n", [(10, 30, 9000), (1, 30, 5000), (60, 180, 2000)])
-    def test_grid_sum_is_one_product_per_row(self, ns, cnx, n):
-        # the grid rule: each query row is one (ns x n) by (n x c nx) product
-        # over the whole training index, taken from the block's strided planes
-        buf = np.random.default_rng(n).uniform(size=(ns + cnx, 4, n))
-        w, k = buf[:ns, :3], buf[ns:, :3]
+    @pytest.mark.parametrize("ns, nx, n", [(10, 30, 9000), (1, 30, 5000), (60, 180, 2000)])
+    def test_grid_sum_is_one_product_per_row(self, ns, nx, n):
+        # the grid rule: each query row is one (4 ns x n) by (n x nx) product
+        # of its weight rows and E planes over the whole training index, taken
+        # from the block's strided planes
+        buf = np.random.default_rng(n).uniform(size=(4 * ns + nx, 4, n))
+        w, k = buf[: 4 * ns, :3], buf[4 * ns :, :3]
         with nesteb.kernel._one_blas_thread():
             got = nesteb.kernel._contract(w, k)
             for r in range(3):
@@ -537,7 +566,8 @@ class TestKernelThreads:
         monkeypatch.setattr(nesteb.kernel, "_THREADS", 1)
         full = density_grid(xq, sq, xt, st, hxs, hss, key, key)
         head = density_grid(xq[:2], sq[:2], xt, st, hxs, hss, None if key is None else key[:2], key)
-        row = (len(hss) + 3 * len(hxs) + 2) * len(xt)
+        one_cell = len(hxs) * len(hss) == 1
+        row = ((1 + 3 + 2) if one_cell else (4 * len(hss) + len(hxs) + 2)) * len(xt)
         monkeypatch.setattr(nesteb.kernel, "_BLOCK_ELEMS", block_rows * row)
         for threads in (1, 2, 3):
             monkeypatch.setattr(nesteb.kernel, "_THREADS", threads)
@@ -565,7 +595,7 @@ class TestKernelThreads:
         xq, sq, xt, st, hxs, hss, key = grid_case("heteroscedastic-3x3")
         monkeypatch.setattr(nesteb.kernel, "_contract", spy)
         monkeypatch.setattr(nesteb.kernel, "_THREADS", 2)
-        monkeypatch.setattr(nesteb.kernel, "_BLOCK_ELEMS", 2 * (3 + 9 + 2) * len(xt))  # one row per block
+        monkeypatch.setattr(nesteb.kernel, "_BLOCK_ELEMS", 2 * (4 * 3 + 3 + 2) * len(xt))  # one row per block
         set_(2)
         try:
             density_grid(xq, sq, xt, st, hxs, hss, key, key)
@@ -578,8 +608,9 @@ class TestKernelThreads:
 
     @pytest.mark.parametrize("threads", [2, 64])
     def test_peak_memory_follows_block_budget_on_threads(self, monkeypatch, threads):
-        # at 64 threads the budget holds 18 of these rows: 18 workers, one row
-        # each; the same bound as on one thread: the budget covers all workers
+        # at 64 threads the budget holds 15 of these rows, (4 ns + nx + 2) n
+        # elements each: 15 workers, one row each; the same bound as on one
+        # thread: the budget covers all workers
         monkeypatch.setattr(nesteb.kernel, "_THREADS", threads)
         grid = tuple(0.1 * k for k in range(1, 11))
         assert peak_beyond_outputs(grid, grid) <= block_budget_bytes()

@@ -213,27 +213,29 @@ class TestTune:
             tune(s, grid)
 
     def test_non_finite_cells_marked_degenerate(self):
-        # against x = +-1.7e308 the differences dx / s^3 overflow beside
-        # E = 0, so every cell's score is NaN; no cell may be selected, by
-        # tune or by tune_pooled
+        # at sigma = 1e-160 the kernel's 1 / sigma^3 overflows, so every NEST
+        # cell's sums are NaN; at a risk sigma of 1e160 every pooled cell's
+        # SURE values overflow; no cell may be selected, by tune or by
+        # tune_pooled
         rng = np.random.default_rng(12)
         draws = rng.normal(size=300)
         sigma = rng.uniform(0.5, 2.0, 300)
-        x = draws.copy()
-        x[17:19] = 1.7e308, -1.7e308
-        s = validate_sample(x, sigma)
+        tiny, huge = sigma.copy(), sigma.copy()
+        tiny[17], huge[17] = 1e-160, 1e160
+        s = validate_sample(draws, tiny)
         with pytest.raises(AllCellsDegenerate):
             tune(s, default_grid(s))
         with pytest.raises(AllCellsDegenerate):
-            tune_pooled(x, s.sigma, (0.5, 1.0), kfold_split(300, 10, 0))
-        # x = 1e200 overflows only dx^2, which no kernel row reads: every
-        # term against it is exactly 0 and no cell is degenerate
-        x = draws.copy()
-        x[17] = 1e200
-        s = validate_sample(x, sigma)
-        rep = tune(s, default_grid(s))
-        assert not rep.degenerate.any() and rep.argmin.h_x == 0.3
-        assert not tune_pooled(x, s.sigma, (0.5, 1.0), kfold_split(300, 10, 0)).degenerate.any()
+            tune_pooled(draws, huge, (0.5, 1.0), kfold_split(300, 10, 0))
+        # x = 1e200 overflows dx^2 and x = +-1.7e308 dx / s^3 too, beside
+        # E = 0: every term against them is exactly 0 and no cell is degenerate
+        for far in ((1e200,), (1.7e308, -1.7e308)):
+            x = draws.copy()
+            x[17 : 17 + len(far)] = far
+            s = validate_sample(x, sigma)
+            rep = tune(s, default_grid(s))
+            assert not rep.degenerate.any() and rep.argmin.h_x == 0.3
+            assert not tune_pooled(x, s.sigma, (0.5, 1.0), kfold_split(300, 10, 0)).degenerate.any()
 
     def test_blocking_does_not_change_results(self, monkeypatch):
         # two h_sigma values: the per-h_sigma weight cache spans many blocks
