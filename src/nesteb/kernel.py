@@ -33,25 +33,33 @@ check). With u_j = (x - x_j)/h_xj, E_j = exp(-u_j^2 / 2), the unnormalized
     f1 = -S1 / (sqrt(2 pi) h_x^3 T),   S1 = sum_j t_j E_j (x - x_j) / sigma_j^3
     f2 = S2 / (sqrt(2 pi) h_x^3 T),    S2 = sum_j t_j E_j (u_j^2 - 1) / sigma_j^3
 
-Queries are taken in row blocks. With v_j = (x - x_j)^2 / sigma_j^2 =
-u_j^2 h_x^2, the part of the exponent that does not depend on h_x, the
-training index is summed by the first two rules below, depending on the
-call's shape; the third fixes its order and the last three its terms:
+Queries are taken in row blocks. Every call forms, once per block, the
+planes dx = x - x_j and v = dx^2 / sigma_j^2 = u_j^2 h_x^2 (the part of the
+exponent that does not depend on h_x), and per h_x the exponent
+v (-0.5 / h_x^2) = -u_j^2 / 2, written x in the rules below. The training
+index is then summed by the first two rules below, depending on the call's
+shape; the third fixes its order and the last three its terms:
 
 - One-cell rule: a call with one cell (nx = ns = 1: every final fit, query
   evaluation and Monte Carlo SURE check) runs no BLAS routine. Right after
   the exp, E is multiplied by the one weight plane (unit sigma without
-  keys builds none and takes n as the normalizer), the rows t E / sigma,
-  t E (x - x_j) / sigma^3 and t E (u^2 - 1) / sigma^3 are built from that
-  product, and each row is reduced by NumPy's ``sum`` over the whole
-  training index (a pairwise sum). So such a call neither pins OpenBLAS
-  nor takes ``_PIN_LOCK``, and its bits do not depend on the BLAS library.
+  keys builds none and takes n as the normalizer), and the rows
+
+      t E,   t E dx,   t E (-2 x - 1)
+
+  are built from that product, with x the clamped exponent (the truncation
+  rule). Off sigma = 1 the first row is then multiplied by 1/sigma and the
+  other two by 1/sigma^3, which gives t E / sigma, t E dx / sigma^3 and
+  t E (u^2 - 1) / sigma^3. Each row is reduced by NumPy's ``sum`` over the
+  whole training index (a pairwise sum). So such a call neither pins
+  OpenBLAS nor takes ``_PIN_LOCK``, and its bits do not depend on the BLAS
+  library.
 - Grid rule: every other call (the SURE surfaces, the pooled 10 x 1 tunes
   included) writes one plane per h_x, E = exp(max(v (-0.5 / h_x^2), -700))
   - e^-700 (the truncation rule), and moves every other factor to four
   weight rows per h_sigma, built once per block:
 
-      t / sigma,   t (x - x_j) / sigma^3,   t v~ / sigma^3,   t / sigma^3
+      t / sigma,   t dx / sigma^3,   t v~ / sigma^3,   t / sigma^3
 
   with v~ = min(v, 1400 h_max^2), h_max the largest h_x. Beyond that value
   every h_x's E is exactly 0, so the clamp changes no nonzero term; it
@@ -64,9 +72,8 @@ call's shape; the third fixes its order and the last three its terms:
   S_v = S3 = +0, so S2 = +0. The clamp runs only if the truncation rule's
   passes run for h_max; otherwise no v passes 1400 h_max^2, and it would be
   an exact no-op. f2 is then a difference of two sums, each larger than
-  it: on a grid of 3 queries against n = 9000 points the sums were about
-  30 times the largest f2, and f2 moved by 1.4e-14 of it when this rule
-  came in (f and f1 by at most 6e-16).
+  it, and carries their rounding error: on a grid of 3 queries against
+  n = 9000 points the sums were about 30 times the largest f2.
 - Order rule: one ``np.lexsort`` first sorts the training points and their
   keys by sigma_j's binary exponent (``np.frexp``), then x_j, then sigma_j;
   queries keep their order. It fixes each row's summation order, and 2^k
@@ -95,19 +102,22 @@ call's shape; the third fixes its order and the last three its terms:
   with D the widest |x_q - x_t| and sigma_min the smallest training sigma,
   is at most -660; above that both are exact no-ops, so the skip changes no
   bit and a query's values still depend on its own row only. On one cell,
-  f2's factor (u^2 - 1) / sigma^3 is read from the clamped x as u^2 = -2 x,
-  finite wherever 1/sigma^3 is; on a grid it comes from v~. NaN exponents
+  f2's row t E (-2 x - 1) reads u^2 = -2 x from the clamped x, so it is
+  finite before its 1/sigma^3; on a grid u^2 comes from v~. NaN exponents
   stay NaN, and the sigma-weight exps are not truncated: their zeros decide
   DegenerateWeights.
 - Zero-term rule: a term whose E is 0 adds exactly 0 (a zero of either
-  sign) to f, f1 and f2, wherever the weight rows above are finite. f's
-  factor is t / sigma and f2's is read from the clamped exponent. f1's,
-  (x - x_j) / sigma^3, can overflow beside E = 0 (x near +-1.7e308, or a
-  tiny sigma_j), and 0 * inf is NaN; so where E is 0 at every h_x that
-  factor is set to 0 first. That pass runs only when D / sigma_min^3
-  overflows, a per-call scalar test like the truncation skip, and only
-  with the truncation passes for h_max; otherwise no such factor
-  overflows beside E = 0, and an ordinary call keeps every pass and bit.
+  sign) to f, f1 and f2, wherever 1/sigma_j^3 is finite. f's factor is
+  t / sigma, and f2's is read from the clamped exponent (one cell) or from
+  v~ (grid). f1's is the dx plane, and 0 * inf is NaN where dx overflows
+  beside E = 0 (x near +-1.7e308) or, on a grid, where t dx / sigma^3 does
+  (a tiny sigma_j). So where E is 0 at every h_x the dx plane is set to 0
+  first, on every call; a one-cell call multiplies its row t E dx by
+  1/sigma^3 only after that. The pass runs only when
+  D / sigma_min^3 overflows, a per-call scalar test like the truncation
+  skip, and only with the truncation passes for h_max; otherwise no such
+  factor overflows beside E = 0, and an ordinary call keeps every pass and
+  bit.
 
 Under these rules a query's values depend on its own row only: output is
 bitwise independent of the block partition of the queries, of
@@ -130,18 +140,17 @@ Unit-sigma rule: sigma = 1 skips the sigma factors. When every training and
 query sigma is exactly 1 (checked once per call), as for the pooled rules
 (TF, Scaled and k-Groups, one-dimensional KDEs realized with sigma = 1) and
 homoscedastic NEST at sigma = 1, each weight plane is the fold mask (1.0
-without keys), and the exponent and the rows come from dx and dx^2:
+without keys), v is dx^2, and the rows are built without the sigma
+factors:
 
-    x = dx^2 * (-0.5 / h_x^2),   E = exp(x)   (both setups)
-    E dx,   (-2 x - 1) E                        (one cell)
-    t,   t dx,   t min(dx^2, 1400 h_max^2),   t  (grid)
+    x = dx^2 * (-0.5 / h_x^2),   E = exp(x)
+    t E,   t E dx,   t E (-2 x - 1)                  (one cell, not scaled)
+    t,   t dx,   t min(dx^2, 1400 h_max^2),   t      (grid)
 
-The bits equal those with the sigma factors: multiplying by 1/sigma = 1.0
-and exp(-0.0) = 1.0 are exact; a grid forms v (-0.5 / h_x^2) on both
-setups, and on one cell scaling by -0.5 is exact, so dx^2 (-0.5 / h_x^2)
-rounds as (-0.5 dx^2) (1 / h_x^2) does, except where a factor or the
-result is subnormal, and there E = exp(+-tiny) = 1.0 either way; and the
-weight normalizers are sums of zeros and ones, exact integers.
+Both setups form the same exponent and rows, so sigma = 1 only skips
+multiplications by 1/sigma^k = 1.0 and exp(-0.0) = 1.0, which are exact, and
+the weight normalizers are sums of zeros and ones, exact integers: the bits
+equal those with the sigma factors.
 
 Thread rule: the row blocks are spread over W kernel threads, W = the
 smallest of ``_THREADS`` (the CPUs in the process's affinity mask), the
@@ -314,7 +323,7 @@ def density_grid(
     # the mask rule; an h_sigma whose square overflows has -0.5 / h^2 = -0 and
     # inf * -0 = NaN, so there the mask stays a factor
     inf_mask = qkey is not None and not unit and bool((wscale < 0.0).all())
-    imax = int(np.argmax(hx)) if nx else 0
+    imax = int(np.argmax(hx))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):   # may leave the float range
         inv_s = 1.0 / st
         inv_s2 = inv_s * inv_s
@@ -325,14 +334,9 @@ def density_grid(
         cut = (-span * span / (2.0 * smin * smin * hx * hx) <= -660.0).tolist()
         # the zero-term rule's skip: can some dx / sigma^3 overflow?
         wide = bool(span / smin**3 > np.finfo(float).max)
-        # the exponent is q * escale / h_x^2: q = -dx^2 / (2 s^2) on one cell
-        # with sigma factors, else q = v = dx^2 / s^2 (dx^2 at sigma = 1)
-        escale = 1.0 if one_cell and not unit else -0.5
-        s3 = 1.0 if unit else inv_s3
-        m2 = -2.0 * s3                    # one cell: f2's factor x m2 - s3 = (u^2 - 1) / s^3
         # the grid rule's clamp on v, beyond which every h_x's E is 0
-        vmax = -2.0 * _CUT * (hx[imax] * hx[imax]) if nx else 0.0
-    clamp = nx > 0 and cut[imax]          # can any v pass vmax?
+        vmax = -2.0 * _CUT * (hx[imax] * hx[imax])
+    clamp = cut[imax]                     # can any v pass vmax?
     hcol = hx[:, None, None]
     # block planes per query row: on one cell the weights, c kernel rows and
     # two scratch planes; on a grid 4 weight rows per h_sigma, one E plane per
@@ -358,7 +362,7 @@ def density_grid(
         buf = bufs[worker]
         for lo in range(worker * step, m, workers * step):
             hi = min(m, lo + step)
-            a, p = buf[-2:, : hi - lo]
+            dx, v = buf[-2:, : hi - lo]
             if one_cell:
                 t, k = buf[:1, : hi - lo], buf[1 : 1 + c, : hi - lo]
                 e, k2 = k[:1], k[2] if f2 else None
@@ -374,62 +378,54 @@ def density_grid(
                 elif not one_cell:                       # one cell reads no plane of ones
                     t.fill(1.0)
             else:
-                np.subtract(sq[lo:hi, None], st, out=a)
-                a *= a
+                np.subtract(sq[lo:hi, None], st, out=v)  # v holds (sigma - sigma_j)^2 here
+                v *= v
                 if inf_mask:
-                    np.copyto(a, np.inf, where=qkey[lo:hi, None] == tkey)
-                np.multiply(a, wscale, out=t)
+                    np.copyto(v, np.inf, where=qkey[lo:hi, None] == tkey)
+                np.multiply(v, wscale, out=t)
                 np.exp(t, out=t)
                 if qkey is not None and not inf_mask:
                     t *= qkey[lo:hi, None] != tkey
             ws = t.sum(axis=-1) if weighted else float(n)
             wsum[:, lo:hi] = ws
-            np.subtract(xq[lo:hi, None], xt, out=a)      # dx
-            if one_cell and not unit:
-                np.multiply(a, inv_s3, out=p)            # dx / s^3
-                a *= a
-                a *= -0.5 * inv_s2                       # -dx^2 / (2 s^2)
-                q, d1 = a, p
-            else:
-                np.multiply(a, a, out=p)                 # dx^2
-                if not unit:
-                    p *= inv_s2                          # v = dx^2 / s^2
-                q, d1 = p, a
-            # d1: the factor of E in f1 (on a grid, of t E / s^3)
-            for i, h in enumerate(hx):
-                ei = e[i]
-                np.multiply(q, escale * (1.0 / (h * h)), out=ei)
+            np.subtract(xq[lo:hi, None], xt, out=dx)
+            np.multiply(dx, dx, out=v)
+            if not unit:
+                v *= inv_s2                              # v = dx^2 / s^2
+            for i, (h, ei) in enumerate(zip(hx, e)):
+                np.multiply(v, -0.5 * (1.0 / (h * h)), out=ei)
                 if cut[i]:
                     np.maximum(ei, _CUT, out=ei)         # the truncation rule
                 if one_cell and f2:
-                    np.multiply(ei, m2, out=k2)          # u^2 / s^3 from the clamped exponent
-                    k2 -= s3
+                    np.multiply(ei, -2.0, out=k2)        # u^2 from the clamped exponent
+                    k2 -= 1.0
                 np.exp(ei, out=ei)                       # E = exp(-u^2 / 2)
                 if cut[i]:
                     ei -= _E_CUT
             if clamp and wide:
-                np.copyto(d1, 0.0, where=e[imax] == 0.0)  # the zero-term rule: every E is 0 there
+                np.copyto(dx, 0.0, where=e[imax] == 0.0)  # the zero-term rule: every E is 0 there
             if one_cell:
                 e = e[0]
                 if weighted:
                     e *= t[0]                            # t E: the rows carry the weights
-                np.multiply(e, d1, out=k[1])             # t E dx / s^3
+                np.multiply(e, dx, out=k[1])             # t E dx
                 if f2:
-                    k2 *= e                              # t E (u^2 - 1) / s^3
+                    k2 *= e                              # t E (u^2 - 1)
                 if not unit:
+                    k[1:] *= inv_s3                      # t E dx / s^3, t E (u^2 - 1) / s^3
                     e *= inv_s                           # t E / s
                 s = k.sum(axis=-1).reshape(c, 1, 1, hi - lo)
             else:
                 # the weight rows t / s, t dx / s^3, t v~ / s^3 and t / s^3
                 if clamp:
-                    np.minimum(q, vmax, out=q)           # v~
+                    np.minimum(v, vmax, out=v)           # v~
                 if unit:
                     r[:ns] = t
                 else:
                     np.multiply(t, inv_s, out=r[:ns])
                     t *= inv_s3
-                np.multiply(t, d1, out=r[ns : 2 * ns])
-                np.multiply(t, q, out=r[2 * ns : 3 * ns])
+                np.multiply(t, dx, out=r[ns : 2 * ns])
+                np.multiply(t, v, out=r[2 * ns : 3 * ns])
                 s = _contract(r, e).reshape(hi - lo, 4, ns, nx).transpose(1, 3, 2, 0)
             norm = SQRT_2PI * ws
             f[:, :, lo:hi] = s[0] / (hcol * norm)

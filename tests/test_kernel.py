@@ -469,14 +469,16 @@ class TestDensityGrid:
         # sigma = 2 runs the fill with the sigma factors and (x / 2, sigma = 1)
         # without them; powers of two scale exactly, so f, f1 and f2 at
         # sigma = 2 are 1/2, 1/4 and 1/8 of those at sigma = 1 bitwise, and
-        # wsum is equal
+        # wsum is equal: on a grid, and on one cell, with and without f2
         x = np.random.default_rng(n).normal(size=n)
         key = kfold_split(n, 5, 0) if keyed else None
         two, one = np.full(n, 2.0), np.ones(n)
-        general = density_grid(x, two, x, two, (0.2, 0.7), (0.3, 1.0), key, key)
-        unit = density_grid(x / 2, one, x / 2, one, (0.2, 0.7), (0.3, 1.0), key, key)
-        for g, u, scale in zip(general, unit, (0.5, 0.25, 0.125, 1.0)):
-            assert g.tobytes() == (u * scale).tobytes()
+        for hxs, hss, f2 in [((0.2, 0.7), (0.3, 1.0), True), ((0.4,), (0.3,), True),
+                             ((0.4,), (0.3,), False), ((0.05,), (0.3,), True), ((0.05,), (0.3,), False)]:
+            general = density_grid(x, two, x, two, hxs, hss, key, key, f2)
+            unit = density_grid(x / 2, one, x / 2, one, hxs, hss, key, key, f2)
+            for g, u, scale in zip(general, unit, (0.5, 0.25, 0.125, 1.0)):
+                assert (None if g is None else g.tobytes()) == (None if u is None else (u * scale).tobytes())
 
     def test_an_h_sigma_whose_square_overflows_keeps_the_mask(self):
         # the mask rule: at h_sigma = 1e160, -0.5 / h_sigma^2 is -0 and a
@@ -722,21 +724,21 @@ class TestOneCell:
         assert [a.tobytes() for a in got] == [a.tobytes() for a in pinned]
 
     def test_sums_within_4_ulps_of_fsum(self):
-        # the kernel's own terms, built as the module docstring's rows t E / s,
-        # t E dx / s^3 and t E (u^2 - 1) / s^3; the pairwise row sums stay
-        # within 4 ulps of the exact sum's absolute-term scale (f1, f2 cross 0)
+        # the kernel's own terms, built as the module docstring's rows t E,
+        # t E dx and t E (-2 x - 1) and then scaled: (t E) / s, (t E dx) / s^3
+        # and (t E (u^2 - 1)) / s^3; the pairwise row sums stay within 4 ulps
+        # of the exact sum's absolute-term scale (f1, f2 cross 0)
         s = self.sample()
         x, sig, hx, hs = s.x, s.sigma, 0.4, 0.3
         key = kfold_split(s.n, 5, 0)
         f, f1, f2, wsum = density_grid(x, sig, x, sig, [hx], [hs], key, key)
         inv_s = 1.0 / sig
-        inv_s2 = inv_s * inv_s
-        inv_s3 = inv_s2 * inv_s
-        inv_h2 = 1.0 / (hx * hx)
+        inv_s3 = inv_s * inv_s * inv_s
         t = np.exp((sig[:, None] - sig) ** 2 * (-0.5 / (hs * hs))) * (key[:, None] != key)
         dx = x[:, None] - x
-        e = np.exp(dx * dx * (-0.5 * inv_s2) * inv_h2) * t
-        rows = (e * inv_s, e * (dx * inv_s3), (dx * inv_s3 * dx * inv_s2 * inv_h2 - inv_s3) * e)
+        expo = dx * dx * (inv_s * inv_s) * (-0.5 * (1.0 / (hx * hx)))   # x = -u^2 / 2
+        e = np.exp(expo) * t
+        rows = (e * inv_s, e * dx * inv_s3, (-2.0 * expo - 1.0) * e * inv_s3)
         norm = SQRT_2PI * wsum[0]
         for got, terms, scale in zip((f, f1, f2), rows, (hx * norm, -(hx**3) * norm, hx**3 * norm)):
             exact = np.array([math.fsum(r) for r in terms]) / scale

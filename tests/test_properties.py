@@ -2,8 +2,8 @@
 Tweedie rules, and the stated refusal rule on hostile inputs; of the
 kernel's truncation rule on hostile inputs; of the tuned pipeline:
 power-of-two scale invariance of the SURE tuners and of the estimates at
-the bandwidths they pick; and of `nesteb estimate`'s exit contract on
-hostile CSVs."""
+the bandwidths they pick; and of the exit contracts of `nesteb estimate`
+and `nesteb tune` on hostile CSVs."""
 
 import contextlib
 import csv
@@ -283,17 +283,38 @@ def test_tune_kgroups_scale_invariant_where_the_floor_moves():
     assert hb == tuple(256 * h for h in ha)
 
 
-# CSV fields for the estimate-contract fuzzer: subnormals, the float range's
-# edges, values whose squares and fourth powers overflow or underflow, and
-# spellings that float() accepts; x may also be negative or not finite, and
-# sigma zero or negative (both refused)
+# CSV fields for the estimate- and tune-contract fuzzers: subnormals, the
+# float range's edges, values whose squares and fourth powers overflow or
+# underflow, and spellings that float() accepts; x may also be negative or
+# not finite, and sigma zero or negative (both refused)
 HOSTILE_SIGMA = ["1", "3", "0.5", "5e-324", "2.2e-308", "1e308", "1e160", "1e-160", " 1", "1_0", "+1", "0", "-1"]
 HOSTILE_X = HOSTILE_SIGMA + ["-2.5", "-1e308", "1.7976931348623157e308", "-1e160", "nan", "-inf"]
+HOSTILE_ROWS = st.lists(st.tuples(st.sampled_from(HOSTILE_X), st.sampled_from(HOSTILE_SIGMA)),
+                        min_size=1, max_size=6)
+# bandwidths for `tune --grid-hx/--grid-hsigma`: 1e-110 is below H_MIN, and
+# 1e160's square overflows
+HOSTILE_GRID = ["0.05", "0.5", "1", "3", "1e160", "1e-110"]
+
+
+def run_on_rows(argv, rows, tmp):
+    """(exit code, output path, stdout) of main(argv) on a CSV of the rows;
+    a RuntimeWarning fails the caller, and exit 1 must print one JSON line."""
+    inp, out = os.path.join(tmp, "in.csv"), os.path.join(tmp, "out.csv")
+    with open(inp, "w", encoding="utf-8") as fh:
+        fh.write("id,x,sigma\n" + "".join(f"r{i},{x},{s}\n" for i, (x, s) in enumerate(rows)))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(argv + ["--input", inp, "--output", out])
+    if rc != 0:
+        assert rc == 1
+        lines = stderr.getvalue().splitlines()
+        assert len(lines) == 1 and set(json.loads(lines[0])) == {"error", "detail"}
+    return rc, out, stdout.getvalue()
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(rows=st.lists(st.tuples(st.sampled_from(HOSTILE_X), st.sampled_from(HOSTILE_SIGMA)),
-                     min_size=1, max_size=6),
+@given(rows=HOSTILE_ROWS,
        methods=st.lists(st.sampled_from(["nest", "tf", "scaled", "kgroups", "naive", "oracle"]),
                         min_size=1, max_size=3, unique=True),
        fixed=st.booleans(), truncate=st.booleans(), stabilize=st.booleans())
@@ -309,20 +330,31 @@ def test_estimate_exits_0_with_finite_output_or_1_with_one_json_line(rows, metho
     if "oracle" in methods:
         argv += ["--prior", "normal:0,1"]
     argv += ["--truncate"] * truncate + ["--stabilize-sign"] * stabilize
-    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        inp, out = os.path.join(tmp, "in.csv"), os.path.join(tmp, "out.csv")
-        with open(inp, "w", encoding="utf-8") as fh:
-            fh.write("id,x,sigma\n" + "".join(f"r{i},{x},{s}\n" for i, (x, s) in enumerate(rows)))
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            rc = main(argv + ["--input", inp, "--output", out])
+    with tempfile.TemporaryDirectory() as tmp:
+        rc, out, _ = run_on_rows(argv, rows, tmp)
         if rc == 0:
             with open(out, encoding="utf-8") as fh:
                 table = list(csv.DictReader(fh))
             assert len(table) == len(rows)
             assert all(math.isfinite(float(r[m])) for r in table for m in methods)
-        else:
-            assert rc == 1
-            lines = err.getvalue().splitlines()
-            assert len(lines) == 1 and set(json.loads(lines[0])) == {"error", "detail"}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(rows=HOSTILE_ROWS, folds=st.integers(2, 3),
+       grid_hx=st.none() | st.lists(st.sampled_from(HOSTILE_GRID), min_size=1, max_size=3, unique=True),
+       grid_hsigma=st.none() | st.lists(st.sampled_from(HOSTILE_GRID), min_size=1, max_size=3, unique=True))
+def test_tune_exits_0_with_finite_output_or_1_with_one_json_line(rows, folds, grid_hx, grid_hsigma):
+    # as for estimate; on exit 0 the argmin line is finite and every surface
+    # cell finite or empty (a degenerate cell)
+    argv = ["tune", "--folds", str(folds)]
+    for flag, values in (("--grid-hx", grid_hx), ("--grid-hsigma", grid_hsigma)):
+        if values:
+            argv += [flag, ",".join(sorted(values, key=float))]
+    with tempfile.TemporaryDirectory() as tmp:
+        rc, out, stdout = run_on_rows(argv, rows, tmp)
+        if rc == 0:
+            name, *argmin = stdout.strip().split(",")
+            assert name == "argmin" and len(argmin) == 3 and all(math.isfinite(float(v)) for v in argmin)
+            with open(out, encoding="utf-8") as fh:
+                cells = [r["S"] for r in csv.DictReader(fh)]
+            assert cells and all(c == "" or math.isfinite(float(c)) for c in cells)
