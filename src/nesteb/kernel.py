@@ -35,7 +35,7 @@ check). With u_j = (x - x_j)/h_xj, E_j = exp(-u_j^2 / 2), the unnormalized
 
 Queries are taken in row blocks. Every call forms, once per block, the
 planes dx = x - x_j and v = dx^2 / sigma_j^2 = u_j^2 h_x^2 (the part of the
-exponent that does not depend on h_x), and per h_x the exponent
+exponent that does not depend on h_x), and the exponent of every h_x,
 v (-0.5 / h_x^2) = -u_j^2 / 2, written x in the rules below. The training
 index is then summed by the first two rules below, depending on the call's
 shape; the third fixes its order and the last three its terms:
@@ -57,7 +57,8 @@ shape; the third fixes its order and the last three its terms:
 - Grid rule: every other call (the SURE surfaces, the pooled 10 x 1 tunes
   included) writes one plane per h_x, E = exp(max(v (-0.5 / h_x^2), -700))
   - e^-700 (the truncation rule), and moves every other factor to four
-  weight rows per h_sigma, built once per block:
+  weight rows per h_sigma, built once per block; one call per op (as on one
+  cell) writes every h_x plane of the block's (nx, b, n) E block:
 
       t / sigma,   t dx / sigma^3,   t v~ / sigma^3,   t / sigma^3
 
@@ -79,14 +80,14 @@ shape; the third fixes its order and the last three its terms:
   queries keep their order. It fixes each row's summation order, and 2^k
   scaling keeps it. Exact duplicate (x, sigma) points keep index order, so
   under keys a duplicate's masked zero can change slots.
-- Mask rule: a key mask sets the masked lanes' (sigma - sigma_j)^2 to +inf
-  before the weight exp, so their weight is exp(-inf) = +0, bitwise what
-  multiplying the exp by 0.0 gives. Where an h_sigma's square overflows,
-  -0.5 / h_sigma^2 is -0 and inf * -0 would be NaN, so such a call
-  multiplies the weights by the mask instead. (At sigma = 1 every weight
-  plane is the mask itself: the unit-sigma rule.)
+- Mask rule: the weights are exponentiated first, then multiplied by the
+  0/1 key mask (built in the dx plane, which is free at that point). A
+  masked weight is exp(x) * 0.0 = +0 = exp(-inf) for any x that is not NaN
+  (x <= 0, so exp(x) is finite), and no exp lane is fed -inf, on which
+  NumPy's exp leaves its fast path. (At sigma = 1 every weight plane is
+  the mask itself: the unit-sigma rule.)
 - Truncation rule: each kernel term is E = exp(max(x, -700)) - e^-700, where
-  x = -u^2 / 2 is the exponent the per-h_x loop forms (``_CUT``,
+  x = -u^2 / 2 is the exponent the fill forms (``_CUT``,
   ``_E_CUT``). So E is exactly 0 at or below the cutoff, bitwise exp(x)
   wherever x > -662.5 (there e^-700 is under half an ulp of exp(x)), and
   smaller by e^-700 in between. Why -700: e^-700 is a normal float, 2^46
@@ -97,11 +98,13 @@ shape; the third fixes its order and the last three its terms:
   keeps a far point's term exactly 0: a bare clamp would give x_j = 1e300
   the term e^-700 * 1e300 in f1. A term below e^-700 changes no bit of a sum
   that also holds a term of normal size, so only a row with no term above
-  about e^-663 can move. The two passes (the max, the subtraction) run for
-  an h_x only if the call's widest exponent, -D^2 / (2 sigma_min^2 h_x^2)
-  with D the widest |x_q - x_t| and sigma_min the smallest training sigma,
-  is at most -660; above that both are exact no-ops, so the skip changes no
-  bit and a query's values still depend on its own row only. On one cell,
+  about e^-663 can move. The two passes (the max, the subtraction) run on
+  e[:ncut], the E planes up to the last h_x that needs them: one whose
+  widest exponent, -D^2 / (2 sigma_min^2 h_x^2) with D the widest
+  |x_q - x_t| and sigma_min the smallest training sigma, is at most -660.
+  Every exponent of any other h_x is above -660, where both passes are exact
+  no-ops, so neither the prefix nor the skip changes a bit, and a query's
+  values still depend on its own row only. On one cell,
   f2's row t E (-2 x - 1) reads u^2 = -2 x from the clamped x, so it is
   finite before its 1/sigma^3; on a grid u^2 comes from v~. NaN exponents
   stay NaN, and the sigma-weight exps are not truncated: their zeros decide
@@ -130,7 +133,7 @@ of a 10 x 10 grid differed from the same cell computed alone, by up to
 2e-10 relative (f1 and f2 near their zero crossings).
 
 f2-free rule: a final fit needs f and f1 only (the Tweedie score f1/f), so
-``f2=False`` skips the three f2 passes per h_x and returns f2 as None. It
+``f2=False`` skips the f2 row's three passes and returns f2 as None. It
 is allowed on one cell only (nx = ns = 1), where each row is summed on its
 own, so f and f1 are bitwise those of the full call; on a grid f2's weight
 rows are rows of the one product, and a product of another shape may round
@@ -156,12 +159,13 @@ Thread rule: the row blocks are spread over W kernel threads, W = the
 smallest of ``_THREADS`` (the CPUs in the process's affinity mask), the
 number of query rows the budget holds and the number of blocks the call
 needs at the full budget; a call of one block runs inline and starts no
-thread. Worker i takes blocks i, i + W, i + 2W, ... NumPy's exp,
-elementwise ufuncs, sums and matmul release the GIL, so the threads run in
-parallel. Rows are independent, so output does not depend on W either: it
-is bitwise the same under any thread count. ``_BLOCK_ELEMS`` is the budget
-of all workers together; the caller allocates every worker's block matrices
-as one array before the fan-out.
+thread. Worker i takes blocks i, i + W, i + 2W, ... NumPy's exp, elementwise
+ufuncs, sums and matmul release the GIL, so the threads run in parallel;
+each call takes the GIL back on return, so a block makes the same number of
+calls whatever nx is (one per op over all h_x). Rows are independent, so
+output does not depend on W either: it is bitwise the same under any thread
+count. ``_BLOCK_ELEMS`` is the budget of all workers together; the caller
+allocates every worker's block matrices as one array before the fan-out.
 
 BLAS rule: the gemms of a grid call run with the OpenBLAS
 bundled with NumPy pinned to one thread (its
@@ -220,7 +224,7 @@ _PIN_LOCK = threading.Lock()
 FLOOR = 1e-12
 
 # The truncation rule's cutoff on a kernel exponent, and exp of it (exactly
-# what the loop's exp gives at the cutoff, so a clamped term is exactly 0).
+# what the fill's exp gives at the cutoff, so a clamped term is exactly 0).
 _CUT = -700.0
 _E_CUT = float(np.exp(_CUT))
 
@@ -320,10 +324,8 @@ def density_grid(
     unit = bool(np.all(st == 1.0) and np.all(sq == 1.0))   # the unit-sigma rule
     one_cell = nx * ns == 1                                 # the one-cell rule: row sums, no gemm
     weighted = not (unit and qkey is None)                  # a weight plane that is not all ones
-    # the mask rule; an h_sigma whose square overflows has -0.5 / h^2 = -0 and
-    # inf * -0 = NaN, so there the mask stays a factor
-    inf_mask = qkey is not None and not unit and bool((wscale < 0.0).all())
     imax = int(np.argmax(hx))
+    hcol = hx[:, None, None]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):   # may leave the float range
         inv_s = 1.0 / st
         inv_s2 = inv_s * inv_s
@@ -331,13 +333,14 @@ def density_grid(
         # the truncation rule's skip: per h_x, can -D^2 / (2 sigma_min^2 h_x^2) reach -660?
         span = max(xq.max() - xt.min(), xt.max() - xq.min()) if m and n else 0.0
         smin = st.min() if n else 1.0
-        cut = (-span * span / (2.0 * smin * smin * hx * hx) <= -660.0).tolist()
+        cut = -span * span / (2.0 * smin * smin * hx * hx) <= -660.0
         # the zero-term rule's skip: can some dx / sigma^3 overflow?
         wide = bool(span / smin**3 > np.finfo(float).max)
         # the grid rule's clamp on v, beyond which every h_x's E is 0
         vmax = -2.0 * _CUT * (hx[imax] * hx[imax])
-    clamp = cut[imax]                     # can any v pass vmax?
-    hcol = hx[:, None, None]
+        xscale = -0.5 * (1.0 / (hcol * hcol))                # the exponent's factor per h_x
+    clamp = bool(cut[imax])               # can any v pass vmax?
+    ncut = int(np.flatnonzero(cut).max(initial=-1)) + 1     # the passes run on e[:ncut]
     # block planes per query row: on one cell the weights, c kernel rows and
     # two scratch planes; on a grid 4 weight rows per h_sigma, one E plane per
     # h_x and two scratch planes
@@ -380,28 +383,25 @@ def density_grid(
             else:
                 np.subtract(sq[lo:hi, None], st, out=v)  # v holds (sigma - sigma_j)^2 here
                 v *= v
-                if inf_mask:
-                    np.copyto(v, np.inf, where=qkey[lo:hi, None] == tkey)
                 np.multiply(v, wscale, out=t)
                 np.exp(t, out=t)
-                if qkey is not None and not inf_mask:
-                    t *= qkey[lo:hi, None] != tkey
+                if qkey is not None:
+                    np.not_equal(qkey[lo:hi, None], tkey, out=dx)   # the mask rule, in the free dx plane
+                    t *= dx
             ws = t.sum(axis=-1) if weighted else float(n)
             wsum[:, lo:hi] = ws
             np.subtract(xq[lo:hi, None], xt, out=dx)
             np.multiply(dx, dx, out=v)
             if not unit:
                 v *= inv_s2                              # v = dx^2 / s^2
-            for i, (h, ei) in enumerate(zip(hx, e)):
-                np.multiply(v, -0.5 * (1.0 / (h * h)), out=ei)
-                if cut[i]:
-                    np.maximum(ei, _CUT, out=ei)         # the truncation rule
-                if one_cell and f2:
-                    np.multiply(ei, -2.0, out=k2)        # u^2 from the clamped exponent
-                    k2 -= 1.0
-                np.exp(ei, out=ei)                       # E = exp(-u^2 / 2)
-                if cut[i]:
-                    ei -= _E_CUT
+            np.multiply(v, xscale, out=e)                # every h_x's exponent at once
+            ec = e[:ncut]
+            np.maximum(ec, _CUT, out=ec)                 # the truncation rule
+            if one_cell and f2:
+                np.multiply(e[0], -2.0, out=k2)          # u^2 from the clamped exponent
+                k2 -= 1.0
+            np.exp(e, out=e)                             # E = exp(-u^2 / 2)
+            ec -= _E_CUT
             if clamp and wide:
                 np.copyto(dx, 0.0, where=e[imax] == 0.0)  # the zero-term rule: every E is 0 there
             if one_cell:

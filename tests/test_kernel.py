@@ -11,7 +11,7 @@ import pytest
 from scipy.integrate import quad
 
 import nesteb.kernel
-from nesteb.data import H_MIN, Bandwidths, kfold_split, validate_sample
+from nesteb.data import H_MIN, Bandwidths, derive_seed, kfold_split, validate_sample
 from nesteb.errors import DegenerateWeights, NonFiniteValue
 from nesteb.estimators import TF, EstimatorSpec, KGroups, Naive, Nest, Scaled, estimate
 from nesteb.kernel import (
@@ -21,7 +21,8 @@ from nesteb.kernel import (
     pooled_context,
 )
 from nesteb.priors import TwoPointPrior
-from nesteb.simulation import run_mse_study, scenario_from_ratio, table_specs
+from nesteb.simulation import draw_scenario, run_mse_study, scenario_from_ratio, table_specs
+from nesteb.sure import default_grid
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -365,6 +366,14 @@ def grid_case(name):
         s = rng.uniform(0.4, 2.0, n)
         x = np.append(x[:-1], 200.0)
         return x, s, x, s, (0.3, 0.6, 1.0), (0.2, 0.5, 0.9), key
+    if name == "unsorted-hx":
+        # only h_x = 0.1 needs the truncation passes, so they run on e[:2] and
+        # are exact no-ops on h_x = 1.0, before it
+        s = rng.uniform(0.4, 2.0, n)
+        hxs = (1.0, 0.1, 0.6)
+        span = np.ptp(x)
+        assert [-span * span / (2 * s.min() ** 2 * h * h) <= -660.0 for h in hxs] == [False, True, False]
+        return x, s, x, s, hxs, (0.2, 0.5, 0.9), key
     if name == "one-cell-keyed":
         # one cell: summed by NumPy, not by a gemm (the one-cell rule)
         s = rng.uniform(0.4, 2.0, n)
@@ -404,15 +413,16 @@ def peak_beyond_outputs(hx, hs, f2=True):
 
 
 def block_budget_bytes():
-    # the block matrices hold at most _BLOCK_ELEMS float64 elements; the
-    # per-block temporaries (key mask, matmul result, per-cell quotients)
-    # get a quarter of that again
+    # the block matrices hold at most _BLOCK_ELEMS float64 elements (the key
+    # mask is written into one of them); the per-block temporaries (matmul
+    # result, per-cell quotients) get a quarter of that again
     return 8 * nesteb.kernel._BLOCK_ELEMS * 1.25
 
 
 class TestDensityGrid:
     CASES = ["heteroscedastic-3x3", "unit-sigma-pooled", "homoscedastic-nest", "weight-underflow",
-             "two-value-sigma", "three-value-sigma", "far-point", "one-cell-keyed", "long-training-index"]
+             "two-value-sigma", "three-value-sigma", "far-point", "unsorted-hx", "one-cell-keyed",
+             "long-training-index"]
 
     @pytest.mark.parametrize("case", CASES)
     def test_matches_reference_sums(self, case):
@@ -481,9 +491,9 @@ class TestDensityGrid:
                 assert (None if g is None else g.tobytes()) == (None if u is None else (u * scale).tobytes())
 
     def test_an_h_sigma_whose_square_overflows_keeps_the_mask(self):
-        # the mask rule: at h_sigma = 1e160, -0.5 / h_sigma^2 is -0 and a
-        # masked +inf would make the weight NaN, so the mask stays a factor;
-        # every weight is exactly 1 at 1e150 and 1e160 alike
+        # the mask rule: at h_sigma = 1e160, -0.5 / h_sigma^2 is -0, so every
+        # weight's exp is exp(-0) = 1 before the 0/1 mask multiplies it; every
+        # unmasked weight is exactly 1 at 1e150 and 1e160 alike
         xq, sq, xt, st, hxs, _, key = grid_case("heteroscedastic-3x3")
         near, far = (density_grid(xq, sq, xt, st, hxs, (h,), key, key) for h in (1e150, 1e160))
         assert [a.tobytes() for a in far] == [a.tobytes() for a in near]
@@ -814,3 +824,23 @@ class TestTruncation:
         scenario = scenario_from_ratio(prior, 9.2 / 10.2, n=1000, reps=1, seed=0, label="twopoint-9.2")
         run_mse_study(scenario, table_specs(prior, 1000, include_kgroups=(2,)), threads=1)
         assert seen and sum(seen) == 0
+
+    def test_no_exp_lane_leaves_the_fast_range(self, monkeypatch):
+        # NEST's tune on criterion 3's two-point cell (the mse-cell workload's
+        # seed-0 data, its fold keys): the mask zeroes the sigma weights after
+        # their exp, so no exp input lies below -707.5, where NumPy's exp
+        # leaves its fast path
+        exp, lowest = np.exp, []
+
+        def spy(a, *args, **kwargs):
+            lowest.append(float(np.min(a)))
+            return exp(a, *args, **kwargs)
+
+        scenario = scenario_from_ratio(TwoPointPrior(0.5, 0.0, 3.0), 9.2 / 10.2, n=1000, reps=1, seed=0)
+        sample = draw_scenario(scenario, 0)
+        grid = default_grid(sample, seed=derive_seed(0, 0, 1))
+        fold = kfold_split(sample.n, grid.k, grid.seed)
+        monkeypatch.setattr(np, "exp", spy)
+        density_grid(sample.x, sample.sigma, sample.x, sample.sigma, grid.h_x_values, grid.h_sigma_values,
+                     fold, fold)
+        assert lowest and min(lowest) >= -707.5
