@@ -323,6 +323,8 @@ def cmd_prep_gap(args) -> int:
         if na <= 0 or nd <= 0 or pa < 0 or pd_ < 0 or pa > na or pd_ > nd:
             raise NonsensicalCounts(
                 rid, f"pass/total counts inconsistent: pass_A={pa}, n_A={na}, pass_D={pd_}, n_D={nd}")
+        if max(na, nd) > sys.float_info.max:   # an exact comparison; pass <= n
+            raise NonsensicalCounts(rid, f"counts past the float range: n_A={na}, n_D={nd}")
         if na < 30 or nd < 30:
             filtered.append((rid, "min-testers"))
             continue

@@ -7,7 +7,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadFoldCount, BadGroupCount, LengthMismatch, NonFiniteValue, NonPositiveSigma
+from .errors import BadFoldCount, BadGroupCount, LengthMismatch, NonFiniteValue, NonPositiveSigma, OutOfDomain
+
+# The input domain of x, sigma and the bandwidths, where every power the
+# kernel forms is a finite float (the kernel docstring has the arithmetic).
+# H_MAX = 2 X_MAX is the widest |x - x_j|, above the pooled grids' sd(x).
+SIGMA_MIN, SIGMA_MAX = 2.0**-64, 2.0**64
+X_MAX = 2.0**128
+H_MIN, H_MAX = 2.0**-340, 2.0**129
 
 
 @dataclass(frozen=True)
@@ -15,10 +22,10 @@ class HeteroSample:
     """Paired observations ``(x_i, sigma_i)`` plus optional true means.
 
     Validates on construction: every column becomes a read-only 1-D float
-    copy of the input, all share length ``n >= 1``, every value is finite
-    and every ``sigma_i`` is > 0. No row is dropped silently: the first
-    offending row raises LengthMismatch, NonFiniteValue or NonPositiveSigma.
-    Instances are immutable and safe to share across threads.
+    copy of the input, all share length ``n >= 1``, every value is finite,
+    every ``sigma_i`` is > 0 and x, sigma lie in the domain above. The first
+    offending row raises LengthMismatch, NonFiniteValue, NonPositiveSigma or
+    OutOfDomain. Instances are immutable and safe to share across threads.
     """
 
     x: np.ndarray
@@ -41,6 +48,8 @@ class HeteroSample:
         nonpos = np.flatnonzero(self.sigma <= 0.0)
         if nonpos.size:
             raise NonPositiveSigma(int(nonpos[0]))
+        check_range("x", self.x, -X_MAX, X_MAX, "|x| <= X_MAX = 2^128")
+        check_range("sigma", self.sigma, SIGMA_MIN, SIGMA_MAX, "SIGMA_MIN = 2^-64 <= sigma <= SIGMA_MAX = 2^64")
 
     @property
     def n(self) -> int:
@@ -51,9 +60,17 @@ class HeteroSample:
         return HeteroSample(self.x[idx], self.sigma[idx], mu)
 
 
+def check_range(name: str, col: np.ndarray, lo: float, hi: float, rule: str) -> None:
+    """Raise OutOfDomain at the first value of the nonempty ``col`` outside [lo, hi]."""
+    if col.min() < lo or col.max() > hi:
+        i = int(np.flatnonzero((col < lo) | (col > hi))[0])
+        raise OutOfDomain(name, i, float(col[i]), rule)
+
+
 def validate_sample(x, sigma, mu_true=None) -> HeteroSample:
     """Build a :class:`HeteroSample` from raw columns; its constructor
-    validates them, raising LengthMismatch, NonFiniteValue or NonPositiveSigma."""
+    validates them, raising LengthMismatch, NonFiniteValue, NonPositiveSigma
+    or OutOfDomain."""
     return HeteroSample(x, sigma, mu_true)
 
 
@@ -71,22 +88,17 @@ def k_groups_fit(sample: HeteroSample, k: int) -> tuple[np.ndarray, ...]:
     return tuple(np.sort(b) for b in np.array_split(order, k))
 
 
-# Smallest accepted bandwidth: at it h^3 = 2^-1020, a normal float, so h^3,
-# h^2, 1/h^2 and -0.5/h^2 are finite and nonzero for every accepted h.
-H_MIN = 2.0**-340
-
-
 def check_bandwidths(name: str, values) -> tuple[float, ...]:
     """The bandwidth rule: a nonempty, strictly ascending list of finite
-    values, each >= H_MIN = 2^-340, where h^3 is a normal float. Ascending
-    grids let the SURE argmin break ties by the smallest bandwidth first.
-    Returns the values as floats; raises ValueError naming ``name``."""
+    values in [H_MIN, H_MAX] = [2^-340, 2^129]. Ascending grids let the SURE
+    argmin break ties by the smallest bandwidth first. Returns the values as
+    floats; raises ValueError naming ``name``."""
     hv = tuple(float(h) for h in values)
     if not hv:
         raise ValueError(f"{name} must be nonempty")
     for h in hv:
-        if not H_MIN <= h < np.inf:   # refuses nan too
-            raise ValueError(f"{name} must be finite and >= H_MIN = {H_MIN!r}, got {h}")
+        if not H_MIN <= h <= H_MAX:   # refuses nan too
+            raise ValueError(f"{name} must be finite, >= H_MIN = {H_MIN!r} and <= H_MAX = {H_MAX!r}, got {h}")
     if any(a >= b for a, b in zip(hv, hv[1:])):
         raise ValueError(f"{name} must be strictly ascending")
     return hv

@@ -20,6 +20,15 @@ class NonFiniteValue(NestError):
         super().__init__(f"non-finite value in column {column!r} at index {index}")
 
 
+class OutOfDomain(NestError):
+    """A finite value outside the input domain stated in ``nesteb.data``."""
+
+    def __init__(self, column: str, index: int, value: float, domain: str):
+        self.column = column
+        self.index = index
+        super().__init__(f"value {value!r} in column {column!r} at index {index} is outside the domain {domain}")
+
+
 class NonPositiveSigma(NestError):
     def __init__(self, index: int):
         self.index = index

@@ -21,7 +21,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .data import Bandwidths, HeteroSample, k_groups_fit
+from .data import X_MAX, Bandwidths, HeteroSample, check_range, k_groups_fit
 from .errors import BadGroupCount, NonFiniteValue
 from .kernel import KernelContext, in_sample_triple, pooled_context
 from .priors import PriorSpec
@@ -109,13 +109,10 @@ class Scaled(_Rule):
 
     @staticmethod
     def coordinates(sample: HeteroSample) -> np.ndarray:
-        """z = x / sigma, where the rule fits and tunes its pooled KDE;
-        NonFiniteValue in column 'x' at the first z that overflows."""
-        with np.errstate(over="ignore"):
-            z = sample.x / sample.sigma
-        bad = np.flatnonzero(~np.isfinite(z))
-        if bad.size:
-            raise NonFiniteValue("x", int(bad[0]))
+        """z = x / sigma, where the rule fits and tunes its pooled KDE, held
+        to x's bound: OutOfDomain in column 'z' at the first |z| > X_MAX."""
+        z = sample.x / sample.sigma
+        check_range("z", z, -X_MAX, X_MAX, "|z| = |x / sigma| <= X_MAX = 2^128")
         return z
 
     def apply(self, sample: HeteroSample) -> np.ndarray:
@@ -217,7 +214,7 @@ def estimate(spec: EstimatorSpec, sample: HeteroSample) -> np.ndarray:
     """Apply the configured method to every observation, then post-process.
 
     Raises NonFiniteValue naming the method and the first observation whose
-    raw estimate is not finite (for example where sigma^2 overflows)."""
+    raw estimate is not finite (for example an oracle prior's overflow)."""
     with np.errstate(over="ignore", invalid="ignore"):
         mu = spec.method.apply(sample)
     bad = np.flatnonzero(~np.isfinite(mu))

@@ -27,6 +27,7 @@ overflows.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -37,6 +38,10 @@ from .errors import DomainError, ZeroMass
 from .kernel import KernelContext, in_sample_triple
 
 EULER_GAMMA = 0.57721566490153286061
+
+# Largest Binomial n_trials, NegBinomial r and harmonic index k: a carrier
+# term is a compensated sum of up to this many terms (well under 1 s).
+MAX_COUNT = 10**6
 
 
 class Family:
@@ -51,8 +56,9 @@ class Family:
 
 
 def _check_integer(value: float, what: str) -> int:
-    if not (math.isfinite(value) and value == int(value)):
-        raise DomainError(f"{what} must be an integer, got {value}")
+    # exact comparisons: an int past the float range is refused, not converted
+    if not (abs(value) <= sys.float_info.max and value == int(value)):
+        raise DomainError(f"{what} must be an integer within the float range, got {value}")
     return int(value)
 
 
@@ -61,8 +67,8 @@ class Binomial(Family):
     n_trials: int
 
     def __post_init__(self):
-        if _check_integer(self.n_trials, "Binomial n_trials") < 1:
-            raise DomainError("Binomial needs n_trials >= 1")
+        if not 1 <= _check_integer(self.n_trials, "Binomial n_trials") <= MAX_COUNT:
+            raise DomainError(f"Binomial needs 1 <= n_trials <= MAX_COUNT = {MAX_COUNT}, got {self.n_trials}")
 
     def carrier(self, value: float) -> float:
         x = _check_integer(value, "Binomial count")
@@ -76,8 +82,8 @@ class NegBinomial(Family):
     r: int
 
     def __post_init__(self):
-        if _check_integer(self.r, "NegBinomial r") < 1:
-            raise DomainError("NegBinomial needs r >= 1")
+        if not 1 <= _check_integer(self.r, "NegBinomial r") <= MAX_COUNT:
+            raise DomainError(f"NegBinomial needs 1 <= r <= MAX_COUNT = {MAX_COUNT}, got {self.r}")
 
     def carrier(self, value: float) -> float:
         x = _check_integer(value, "NegBinomial count")
@@ -152,9 +158,10 @@ class ScoreEstimate:
 
 
 def harmonic(k: int) -> float:
-    """H(k) = sum_{j=1}^k 1/j via exact compensated summation; H(0) = 0."""
-    if k < 0:
-        raise DomainError(f"harmonic number needs k >= 0, got {k}")
+    """H(k) = sum_{j=1}^k 1/j via exact compensated summation; H(0) = 0,
+    and k outside 0..MAX_COUNT is refused."""
+    if not 0 <= k <= MAX_COUNT:
+        raise DomainError(f"harmonic number needs 0 <= k <= MAX_COUNT = {MAX_COUNT}, got {k}")
     return math.fsum(1.0 / j for j in range(1, k + 1))
 
 

@@ -10,17 +10,22 @@ Conventions (phi_h is the Gaussian kernel with bandwidth h):
     f1(x|sigma)  = sum_j w_j phi_{h_xj}(x - x_j) (x_j - x) / h_xj^2
     f2(x|sigma)  = sum_j w_j phi_{h_xj}(x - x_j) / h_xj^2 * {((x - x_j)/h_xj)^2 - 1}
 
-Bandwidth rule (``data.check_bandwidths``): every h is finite and at least
-``data.H_MIN`` = 2^-340, where h^3 is a normal float, so h^3, h^2, 1/h^2
-and -0.5/h^2 are finite and nonzero.
+Domain and bandwidth rule (``data``): a HeteroSample holds |x| <= 2^128
+and sigma in [2^-64, 2^64], and ``data.check_bandwidths`` accepts h in
+[H_MIN, H_MAX] = [2^-340, 2^129]. So 1/sigma^3 <= 2^192, |dx| <= 2^129,
+v = dx^2 / sigma^2 <= 2^386, t dx / sigma^3 <= 2^321, t v / sigma^3 <= 2^578
+and (sigma - sigma_j)^2 / h^2 <= 2^808 are finite, as are h^2, 1/h^2 and
+h^3 (a normal float at H_MIN). In the planes and rows only a kernel
+exponent can leave the float range, to -inf at the smallest h_x, and the
+truncation rule clamps it.
 
 The kernel normalizing constant cancels inside w_j, so weights are computed
 from bare exponentials; a weight normalizer that underflows to exactly zero
 raises DegenerateWeights rather than extrapolating. Sums that overflow (a
 term past the float range, such as f2's 1/(h_x sigma)^3 at the smallest
-bandwidths) come out inf or NaN without a warning;
-:func:`in_sample_triple` refuses those in the columns it computed and the SURE
-tuners mark them degenerate.
+bandwidths) come out inf or NaN without a warning; :func:`in_sample_triple`
+refuses those in the columns it computed and the SURE tuners mark them
+degenerate.
 
 Numerical contract: one routine, :func:`density_grid`, evaluates every
 pairwise sum in the package. Its two callers are the cross-fitted SURE
@@ -38,7 +43,7 @@ planes dx = x - x_j and v = dx^2 / sigma_j^2 = u_j^2 h_x^2 (the part of the
 exponent that does not depend on h_x), and the exponent of every h_x,
 v (-0.5 / h_x^2) = -u_j^2 / 2, written x in the rules below. The training
 index is then summed by the first two rules below, depending on the call's
-shape; the third fixes its order and the last three its terms:
+shape; the third fixes its order and the last two its terms:
 
 - One-cell rule: a call with one cell (nx = ns = 1: every final fit, query
   evaluation and Monte Carlo SURE check) runs no BLAS routine. Right after
@@ -60,21 +65,16 @@ shape; the third fixes its order and the last three its terms:
   weight rows per h_sigma, built once per block; one call per op (as on one
   cell) writes every h_x plane of the block's (nx, b, n) E block:
 
-      t / sigma,   t dx / sigma^3,   t v~ / sigma^3,   t / sigma^3
+      t / sigma,   t dx / sigma^3,   t v / sigma^3,   t / sigma^3
 
-  with v~ = min(v, 1400 h_max^2), h_max the largest h_x. Beyond that value
-  every h_x's E is exactly 0, so the clamp changes no nonzero term; it
-  keeps the third row finite wherever 1400 h_max^2 / sigma^3 is, also
-  where (x - x_j)^2 overflows. One batched ``np.matmul`` then gives S0, S1,
-  S_v and S3 for every (h_x, h_sigma): each query row is its own
-  (4 ns x n) by (n x nx) product over the whole training index, run on one
-  BLAS thread (the BLAS rule below). As v / (sigma^3 h_x^2) = u^2 / sigma^3,
-  f2's sum is S2 = S_v / h_x^2 - S3, and a row with no term has
-  S_v = S3 = +0, so S2 = +0. The clamp runs only if the truncation rule's
-  passes run for h_max; otherwise no v passes 1400 h_max^2, and it would be
-  an exact no-op. f2 is then a difference of two sums, each larger than
-  it, and carries their rounding error: on a grid of 3 queries against
-  n = 9000 points the sums were about 30 times the largest f2.
+  One batched ``np.matmul`` then gives S0, S1, S_v and S3 for every
+  (h_x, h_sigma): each query row is its own (4 ns x n) by (n x nx) product
+  over the whole training index, run on one BLAS thread (the BLAS rule
+  below). As v / (sigma^3 h_x^2) = u^2 / sigma^3, f2's sum is
+  S2 = S_v / h_x^2 - S3, and a row with no term has S_v = S3 = +0, so
+  S2 = +0. f2 is then a difference of two sums, each larger than it, and
+  carries their rounding error: on a grid of 3 queries against n = 9000
+  points the sums were about 30 times the largest f2.
 - Order rule: one ``np.lexsort`` first sorts the training points and their
   keys by sigma_j's binary exponent (``np.frexp``), then x_j, then sigma_j;
   queries keep their order. It fixes each row's summation order, and 2^k
@@ -82,45 +82,29 @@ shape; the third fixes its order and the last three its terms:
   under keys a duplicate's masked zero can change slots.
 - Mask rule: the weights are exponentiated first, then multiplied by the
   0/1 key mask (built in the dx plane, which is free at that point). A
-  masked weight is exp(x) * 0.0 = +0 = exp(-inf) for any x that is not NaN
-  (x <= 0, so exp(x) is finite), and no exp lane is fed -inf, on which
+  masked weight is exp(x) * 0.0 = +0 = exp(-inf), as the weight exponent
+  x <= 0 is finite in the domain, and no exp lane is fed -inf, on which
   NumPy's exp leaves its fast path. (At sigma = 1 every weight plane is
   the mask itself: the unit-sigma rule.)
-- Truncation rule: each kernel term is E = exp(max(x, -700)) - e^-700, where
-  x = -u^2 / 2 is the exponent the fill forms (``_CUT``,
-  ``_E_CUT``). So E is exactly 0 at or below the cutoff, bitwise exp(x)
+- Truncation rule: each kernel term is E = exp(max(x, -700)) - e^-700
+  (``_CUT``, ``_E_CUT``). So E is exactly 0 at or below the cutoff, and a
+  term whose E is 0 adds exactly 0 (a zero of either sign) to f, f1 and
+  f2, as every factor it meets is finite in the domain. E is bitwise exp(x)
   wherever x > -662.5 (there e^-700 is under half an ulp of exp(x)), and
   smaller by e^-700 in between. Why -700: e^-700 is a normal float, 2^46
   times the smallest one, and NumPy's SIMD exp stays on its fast path above
   about -707.5 (below, about 15x slower per lane); so no lane takes the slow
   path, and E is 0 or a normal float (but for x within 2.3e-4 above the
   cutoff), on which a gemm ran 70x faster than on subnormals. The shift
-  keeps a far point's term exactly 0: a bare clamp would give x_j = 1e300
-  the term e^-700 * 1e300 in f1. A term below e^-700 changes no bit of a sum
+  keeps a far point's term exactly 0: a bare clamp would give x_j = 2^128
+  the term e^-700 * 2^128 in f1. A term below e^-700 changes no bit of a sum
   that also holds a term of normal size, so only a row with no term above
   about e^-663 can move. The two passes (the max, the subtraction) run on
-  e[:ncut], the E planes up to the last h_x that needs them: one whose
-  widest exponent, -D^2 / (2 sigma_min^2 h_x^2) with D the widest
-  |x_q - x_t| and sigma_min the smallest training sigma, is at most -660.
-  Every exponent of any other h_x is above -660, where both passes are exact
-  no-ops, so neither the prefix nor the skip changes a bit, and a query's
-  values still depend on its own row only. On one cell,
-  f2's row t E (-2 x - 1) reads u^2 = -2 x from the clamped x, so it is
-  finite before its 1/sigma^3; on a grid u^2 comes from v~. NaN exponents
-  stay NaN, and the sigma-weight exps are not truncated: their zeros decide
-  DegenerateWeights.
-- Zero-term rule: a term whose E is 0 adds exactly 0 (a zero of either
-  sign) to f, f1 and f2, wherever 1/sigma_j^3 is finite. f's factor is
-  t / sigma, and f2's is read from the clamped exponent (one cell) or from
-  v~ (grid). f1's is the dx plane, and 0 * inf is NaN where dx overflows
-  beside E = 0 (x near +-1.7e308) or, on a grid, where t dx / sigma^3 does
-  (a tiny sigma_j). So where E is 0 at every h_x the dx plane is set to 0
-  first, on every call; a one-cell call multiplies its row t E dx by
-  1/sigma^3 only after that. The pass runs only when
-  D / sigma_min^3 overflows, a per-call scalar test like the truncation
-  skip, and only with the truncation passes for h_max; otherwise no such
-  factor overflows beside E = 0, and an ordinary call keeps every pass and
-  bit.
+  e[:ncut], the E planes up to the last h_x whose widest exponent,
+  -D^2 / (2 sigma_min^2 h_x^2) with D the widest |x_q - x_t| and sigma_min
+  the smallest training sigma, is at most -660. Above -660 both passes are
+  exact no-ops, so neither the prefix nor the skip changes a bit. The
+  sigma-weight exps are not truncated: their zeros decide DegenerateWeights.
 
 Under these rules a query's values depend on its own row only: output is
 bitwise independent of the block partition of the queries, of
@@ -148,7 +132,7 @@ factors:
 
     x = dx^2 * (-0.5 / h_x^2),   E = exp(x)
     t E,   t E dx,   t E (-2 x - 1)                  (one cell, not scaled)
-    t,   t dx,   t min(dx^2, 1400 h_max^2),   t      (grid)
+    t,   t dx,   t dx^2,   t                         (grid)
 
 Both setups form the same exponent and rows, so sigma = 1 only skips
 multiplications by 1/sigma^k = 1.0 and exp(-0.0) = 1.0, which are exact, and
@@ -167,18 +151,17 @@ output does not depend on W either: it is bitwise the same under any thread
 count. ``_BLOCK_ELEMS`` is the budget of all workers together; the caller
 allocates every worker's block matrices as one array before the fan-out.
 
-BLAS rule: the gemms of a grid call run with the OpenBLAS
-bundled with NumPy pinned to one thread (its
-``scipy_openblas_set_num_threads64_``, called through ctypes), and the
-previous count is restored afterwards. So every gemm takes
-OpenBLAS's single-thread path, whatever ``OPENBLAS_NUM_THREADS`` says:
-OpenBLAS threads a gemm once m n k passes a cutoff, and on a SkylakeX core
-unpinned gemms rounded differently under one and two threads. The
-pin is a process-wide setting, taken once per call around the whole
-fan-out; ``_PIN_LOCK`` therefore serializes concurrent grid calls from
-user threads (one-cell calls take neither). Under a NumPy that carries no
-such library (another BLAS) the gemms run unpinned, and a grid's output
-then depends on that BLAS's threading; a one-cell call's does not.
+BLAS rule: the gemms of a grid call run with the OpenBLAS bundled with NumPy
+pinned to one thread (its ``scipy_openblas_set_num_threads64_``, called
+through ctypes), and the previous count is restored afterwards. So every
+gemm takes OpenBLAS's single-thread path, whatever ``OPENBLAS_NUM_THREADS``
+says: OpenBLAS threads a gemm once m n k passes a cutoff, and on a SkylakeX
+core unpinned gemms rounded differently under one and two threads. The pin
+is a process-wide setting, taken once per call around the whole fan-out;
+``_PIN_LOCK`` therefore serializes concurrent grid calls from user threads
+(one-cell calls take neither). Under a NumPy that carries no such library
+(another BLAS) the gemms run unpinned, and a grid's output then depends on
+that BLAS's threading; a one-cell call's does not.
 
 The rows per block are chosen so that all matrices of all blocks in flight
 together hold at most ``_BLOCK_ELEMS`` = 3 * 2^19 elements (12 MB of
@@ -324,22 +307,16 @@ def density_grid(
     unit = bool(np.all(st == 1.0) and np.all(sq == 1.0))   # the unit-sigma rule
     one_cell = nx * ns == 1                                 # the one-cell rule: row sums, no gemm
     weighted = not (unit and qkey is None)                  # a weight plane that is not all ones
-    imax = int(np.argmax(hx))
     hcol = hx[:, None, None]
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):   # may leave the float range
-        inv_s = 1.0 / st
-        inv_s2 = inv_s * inv_s
-        inv_s3 = inv_s2 * inv_s
-        # the truncation rule's skip: per h_x, can -D^2 / (2 sigma_min^2 h_x^2) reach -660?
-        span = max(xq.max() - xt.min(), xt.max() - xq.min()) if m and n else 0.0
-        smin = st.min() if n else 1.0
+    xscale = -0.5 * (1.0 / (hcol * hcol))                    # the exponent's factor per h_x
+    inv_s = 1.0 / st
+    inv_s2 = inv_s * inv_s
+    inv_s3 = inv_s2 * inv_s
+    # the truncation rule's skip: per h_x, can -D^2 / (2 sigma_min^2 h_x^2) reach -660?
+    span = max(xq.max() - xt.min(), xt.max() - xq.min()) if m and n else 0.0
+    smin = st.min() if n else 1.0
+    with np.errstate(over="ignore"):      # -inf at the smallest h_x, which still cuts
         cut = -span * span / (2.0 * smin * smin * hx * hx) <= -660.0
-        # the zero-term rule's skip: can some dx / sigma^3 overflow?
-        wide = bool(span / smin**3 > np.finfo(float).max)
-        # the grid rule's clamp on v, beyond which every h_x's E is 0
-        vmax = -2.0 * _CUT * (hx[imax] * hx[imax])
-        xscale = -0.5 * (1.0 / (hcol * hcol))                # the exponent's factor per h_x
-    clamp = bool(cut[imax])               # can any v pass vmax?
     ncut = int(np.flatnonzero(cut).max(initial=-1)) + 1     # the passes run on e[:ncut]
     # block planes per query row: on one cell the weights, c kernel rows and
     # two scratch planes; on a grid 4 weight rows per h_sigma, one E plane per
@@ -402,8 +379,6 @@ def density_grid(
                 k2 -= 1.0
             np.exp(e, out=e)                             # E = exp(-u^2 / 2)
             ec -= _E_CUT
-            if clamp and wide:
-                np.copyto(dx, 0.0, where=e[imax] == 0.0)  # the zero-term rule: every E is 0 there
             if one_cell:
                 e = e[0]
                 if weighted:
@@ -416,9 +391,7 @@ def density_grid(
                     e *= inv_s                           # t E / s
                 s = k.sum(axis=-1).reshape(c, 1, 1, hi - lo)
             else:
-                # the weight rows t / s, t dx / s^3, t v~ / s^3 and t / s^3
-                if clamp:
-                    np.minimum(v, vmax, out=v)           # v~
+                # the weight rows t / s, t dx / s^3, t v / s^3 and t / s^3
                 if unit:
                     r[:ns] = t
                 else:
@@ -452,9 +425,9 @@ def in_sample_triple(ctx: KernelContext, jackknife: bool = False, queries=None, 
     At every training point, each left out of its own fit when ``jackknife``
     (the leave-self-out estimator), or at ``queries=(x, sigma)`` (no
     jackknife), which unless empty follow :class:`HeteroSample`'s rules before
-    any kernel work: LengthMismatch, NonFiniteValue naming x or sigma, then
-    NonPositiveSigma. With ``f2=False`` the f2 row is
-    not built and f2 is None; f and f1 are bitwise those of the full call.
+    any kernel work: LengthMismatch, NonFiniteValue naming x or sigma,
+    NonPositiveSigma, then OutOfDomain. With ``f2=False`` the f2 row is not
+    built and f2 is None; f and f1 are bitwise those of the full call.
     Raises DegenerateWeights listing every query whose weight normalizer
     underflowed, then NonFiniteValue naming the first query where a computed
     column (f, f1 and, unless ``f2=False``, f2) is not finite.

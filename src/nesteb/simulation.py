@@ -22,7 +22,7 @@ from typing import Union
 import numpy as np
 
 from . import kernel
-from .data import Bandwidths, HeteroSample, derive_seed, kfold_split
+from .data import SIGMA_MAX, Bandwidths, HeteroSample, derive_seed, kfold_split
 from .errors import EmptyMonteCarlo, NoFeasibleRoot, ZeroTailMass
 from .estimators import (
     EstimatorSpec,
@@ -96,7 +96,7 @@ def solve_sigma_M(prior: PriorSpec, ratio_target: float) -> float:
 
     var(X) = var(mu) + E[sigma^2] with E[sigma^2] = (lo^2 + lo*s + s^2)/3,
     so s solves s^2 + lo*s + lo^2 - 3*T = 0 with T = var(mu)(1-ratio)/ratio;
-    the positive root must exceed lo.
+    the positive root must exceed lo, and stay in the input domain.
     """
     if not (0.0 < ratio_target < 1.0):
         raise ValueError(f"ratio_target must lie in (0, 1), got {ratio_target}")
@@ -108,6 +108,8 @@ def solve_sigma_M(prior: PriorSpec, ratio_target: float) -> float:
     root = 0.5 * (-lo + math.sqrt(disc))
     if root <= lo:
         raise NoFeasibleRoot(ratio_target, lo)
+    if root > SIGMA_MAX:   # inf too
+        raise ValueError(f"ratio_target {ratio_target} puts sigma_M = {root} above SIGMA_MAX = 2^64")
     return root
 
 

@@ -213,12 +213,9 @@ def tune_pooled(
 
 def pooled_grid_for(values) -> tuple[float, ...]:
     """Data-relative pooled-KDE grid: 0.1..1.0 times the sd of the fitting
-    coordinates (fallback scale 1 for constant input). Raises ValueError when
-    the sd is not finite (it overflows for values near the float64 limit)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = float(np.std(np.asarray(values, dtype=float)))
-    if not np.isfinite(scale):
-        raise ValueError(f"pooled grid scale sd = {scale} is not finite")
+    coordinates (fallback scale 1 for constant input); in the input domain
+    the sd is at most X_MAX < H_MAX."""
+    scale = float(np.std(np.asarray(values, dtype=float)))
     if scale == 0.0:
         scale = 1.0
     return tuple(v * scale for v in unit_grid())

@@ -232,25 +232,28 @@ class TestEstimateCommand:
         ["estimate", "--input", "{inp}", "--method", "nest", "--hx", "0.5", "--hsigma", "1e-163"],
         # h_x below data.H_MIN, whose cube underflows (was NonFiniteValue in column f1)
         ["estimate", "--input", "{inp}", "--method", "tf", "--hx", "1e-110"],
+        # h_x above data.H_MAX, whose square overflows
+        ["tune", "--input", "{inp}", "--grid-hx", "1e160"],
         # a non-finite prior parameter (was a NaN oracle column)
         ["estimate", "--input", "{inp}", "--method", "oracle", "--prior", "normal:1,inf"],
     ]]
-    # finite inputs whose raw estimate is not finite (each was a NaN column at exit 0):
-    # sigma^2 = 1e320 overflows in the Tweedie step, and the normal prior's posterior mean
-    + [(argv, "NonFiniteValue") for argv in [
+    # finite sigmas outside the input domain, refused as the sample is read. Each was a
+    # NaN column at exit 0, then a refusal downstream: sigma = 1e160's sigma^2 overflowed
+    # in the Tweedie step (NonFiniteValue) and, tuned, in every cell's SURE values
+    # (AllCellsDegenerate); sigma = 1e300 overflowed the normal prior's posterior mean
+    # (NonFiniteValue); and sigma = 1e-300 made z = x / sigma = 1e310 overflow, tuned or
+    # not (NonFiniteValue in column x)
+    + [(argv, "OutOfDomain") for argv in [
         ["estimate", "--input", "{huge_sigma}", "--method", "tf", "--hx", "0.5"],
         ["estimate", "--input", "{huge_sigma}", "--method", "nest", "--hx", "0.5", "--hsigma", "0.5"],
         ["estimate", "--input", "{far_oracle}", "--method", "oracle", "--prior", "normal:0,1"],
-        # z = x / sigma = 1e310 overflows, tuned or not, and is refused in column x
-        # (tuned, it was a RuntimeWarning, then a ValueError on the pooled grid's sd)
         ["estimate", "--input", "{far_z}", "--method", "scaled"],
         ["estimate", "--input", "{far_z}", "--method", "scaled", "--hx", "0.5"],
-    ]]
-    # tuned pooled rules on the same file: sigma^2 and sigma^power overflow in every
-    # cell's per-point SURE values (each printed RuntimeWarnings before this)
-    + [(argv, "AllCellsDegenerate") for argv in [
         ["estimate", "--input", "{huge_sigma}", "--method", "tf"],
         ["estimate", "--input", "{huge_sigma}", "--method", "scaled"],
+        # x and sigma in the domain, but z = x / sigma = 1e40 beyond it: Scaled.coordinates
+        ["estimate", "--input", "{wide_z}", "--method", "scaled"],
+        ["estimate", "--input", "{wide_z}", "--method", "scaled", "--hx", "0.5"],
     ]]
     # family inputs outside the domain, non-finite ones included, refused by the family's own checks
     + [(["expfam", "--lf1", "0", *argv], "DomainError") for argv in [
@@ -266,27 +269,38 @@ class TestEstimateCommand:
         # finite carrier terms and scores whose posterior mean overflows
         ["--family", "gamma", "--alpha", "2", "--x", "1e-308", "--lf1=-1e308"],
         ["--family", "beta", "--beta", "1e308", "--x", "0.5", "--lf1", "1.7e308"],
+        # counts past the float range (an OverflowError traceback) and above MAX_COUNT
+        # (a carrier sum of 1e11 terms that did not return)
+        ["--family", "negbinomial", "--r", "1" + "0" * 400, "--x", "3"],
+        ["--family", "binomial", "--n-trials", "1" + "0" * 400, "--x", "3"],
+        ["--family", "negbinomial", "--r", "100000000000", "--x", "3"],
+        ["--family", "binomial", "--n-trials", "100000000000", "--x", "3"],
     ]],
     ids=["bad-kgroups-token", "descending-grid", "negative-hx", "ratio-above-one",
          "duplicate-method", "lone-hx-with-nest", "hx-with-kgroups", "hsigma-with-tf",
          "hsigma-with-scaled", "both-flags-unused", "prior-with-naive", "k-groups-with-naive",
          "zero-truncate-nest", "zero-truncate-naive",
-         "negative-truncate", "nan-truncate", "select-k-above-n", "tiny-hsigma", "tiny-hx", "infinite-prior-tau",
+         "negative-truncate", "nan-truncate", "select-k-above-n", "tiny-hsigma", "tiny-hx", "huge-grid-hx",
+         "infinite-prior-tau",
          "tf-sigma-squared-overflow", "nest-sigma-squared-overflow", "oracle-mean-overflow",
          "scaled-tuned-z-overflow", "scaled-fixed-z-overflow",
          "tf-tuned-sigma-overflow", "scaled-tuned-sigma-overflow",
+         "scaled-tuned-z-outside-domain", "scaled-fixed-z-outside-domain",
          "binomial-inf-x", "binomial-nan-x", "gamma-inf-alpha", "beta-inf-beta", "gamma-inf-x",
          "beta-x-above-one", "gamma-carrier-overflow", "beta-carrier-overflow",
-         "gamma-mean-overflow", "beta-mean-overflow"],
+         "gamma-mean-overflow", "beta-mean-overflow", "negbinomial-r-past-float-range",
+         "binomial-n-trials-past-float-range", "negbinomial-r-above-max-count",
+         "binomial-n-trials-above-max-count"],
 )
 def test_value_errors_exit_1_with_one_json_line(tmp_path, capsys, argv, error):
     inp, out = tmp_path / "in.csv", tmp_path / "out.csv"
     write_sample_csv(inp, [0.0, 1.0, 2.0], [1.0, 0.5, 0.8])
     files = {"inp": inp, "huge_sigma": tmp_path / "huge-sigma.csv", "far_oracle": tmp_path / "far-oracle.csv",
-             "far_z": tmp_path / "far-z.csv"}
+             "far_z": tmp_path / "far-z.csv", "wide_z": tmp_path / "wide-z.csv"}
     write_sample_csv(files["huge_sigma"], [1.0, 2.0, 3.0], [1.0, 1e160, 1.0])
     write_sample_csv(files["far_oracle"], [24.05, -4552.0], [1e300, 0.0188])
     write_sample_csv(files["far_z"], [1e10, 2.0, 3.0], [1e-300, 1.0, 1.0])
+    write_sample_csv(files["wide_z"], [1e30, 2.0, 3.0], [1e-10, 1.0, 1.0])
     rc = main([a.format(**files) for a in argv] + ["--output", str(out)])
     assert rc == 1
     lines = capsys.readouterr().err.strip().splitlines()
@@ -443,44 +457,55 @@ def estimate_near_float_limit(tmp_path, capsys, method_args, x=(1.0, 1e308, 2.0)
 
 
 def test_non_finite_grid_scale_exits_1_before_tuning(tmp_path, capsys):
-    # sd(x) overflows to inf; the pooled grid is refused before any kernel sum
+    # x = 1e308, whose sd(x) overflowed to inf (a ValueError on the pooled
+    # grid), is outside the input domain and refused as the sample is read
     payload = estimate_near_float_limit(tmp_path, capsys, ["--method", "tf"])
-    assert payload["error"] == "ValueError" and "sd = inf" in payload["detail"]
+    assert payload["error"] == "OutOfDomain" and "column 'x' at index 1" in payload["detail"]
 
 
 @pytest.mark.parametrize("method_args,data,error", [
-    (["--method", "nest"], {}, "AllCellsDegenerate"),
+    (["--method", "nest"], {}, "OutOfDomain"),
     (["--method", "nest", "--hx", "1e-60", "--hsigma", "1"],
-     {"x": (0.0, 1e-160, 3e-160), "sigma": (1e-100,) * 3}, "NonFiniteValue"),
+     {"x": (0.0, 1e-160, 3e-160), "sigma": (1e-100,) * 3}, "OutOfDomain"),
 ], ids=["nest-tuned", "nest-fixed"])
 def test_non_finite_kernel_sums_exit_1(tmp_path, capsys, method_args, data, error):
-    # tuned, every cell is degenerate: x = 1e308's held-out density floors;
-    # at h_x sigma = 1e-160 f1's sum overflows, and the fit refuses the triple
+    # x = 1e308 (every tuned cell was degenerate) and sigma = 1e-100 (at
+    # h_x sigma = 1e-160 f1's sum overflowed) are outside the input domain;
+    # inside it, f1 and the f2-free fits stay finite at every accepted h
     assert estimate_near_float_limit(tmp_path, capsys, method_args, **data)["error"] == error
 
 
-def test_far_point_fits_at_fixed_bandwidths(tmp_path):
-    # every term against x = 1e308 is exactly 0, also where dx / sigma^3
-    # overflows (1e308 / 0.5^3), so NEST and TF fit the file
+def test_far_point_fits_at_fixed_bandwidths(tmp_path, capsys):
+    # every term against x = 2^128, the domain's edge, is exactly 0, so NEST
+    # and TF fit the file; x = 1e308 is refused
+    method_args = ["--method", "nest", "--method", "tf", "--hx", "0.5", "--hsigma", "0.5"]
+    assert estimate_near_float_limit(tmp_path, capsys, method_args)["error"] == "OutOfDomain"
     inp, out = tmp_path / "in.csv", tmp_path / "out.csv"
-    write_sample_csv(inp, [1.0, 1e308, 2.0], [1.0, 0.5, 1.0], ids=["a", "b", "c"])
+    write_sample_csv(inp, [1.0, 2.0**128, 2.0], [1.0, 0.5, 1.0], ids=["a", "b", "c"])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rc = main(["estimate", "--input", str(inp), "--output", str(out),
-                   "--method", "nest", "--method", "tf", "--hx", "0.5", "--hsigma", "0.5"])
+        rc = main(["estimate", "--input", str(inp), "--output", str(out), *method_args])
     assert rc == 0
     assert all(math.isfinite(float(v)) for r in read_rows(out) for k, v in r.items() if k != "id")
 
 
 @pytest.mark.parametrize("method_args,error", [
-    (["--method", "nest"], "AllCellsDegenerate"),
-    (["--method", "nest", "--hx", "0.5", "--hsigma", "0.5"], "NonFiniteValue"),
+    (["--method", "nest"], "OutOfDomain"),
+    (["--method", "nest", "--hx", "0.5", "--hsigma", "0.5"], "OutOfDomain"),
 ], ids=["nest-tuned", "nest-fixed"])
 def test_tiny_sigma_exits_1_without_warning(tmp_path, capsys, method_args, error):
-    # 1 / sigma^2 overflows at sigma = 1e-160: the kernel's sigma powers are
-    # taken under its errstate, and the inf they carry is refused downstream
+    # 1 / sigma^2 overflowed at sigma = 1e-160 and the kernel carried the inf
+    # to a refusal downstream; now the sample is refused in column sigma
     payload = estimate_near_float_limit(tmp_path, capsys, method_args, x=(1.0, 2.0, 3.0), sigma=(1.0, 1e-160, 1.0))
-    assert payload["error"] == error
+    assert payload["error"] == error and "column 'sigma' at index 1" in payload["detail"]
+
+
+def test_a_sigma_below_the_domain_names_its_row(tmp_path, capsys):
+    # sigma = 1e-110 once made a one-cell NEST fit raise NonFiniteValue in f1
+    # at index 0, a row with sigma = 1: 0 * inf where 1 / sigma^3 overflowed
+    payload = estimate_near_float_limit(tmp_path, capsys, ["--method", "nest", "--hx", "0.5", "--hsigma", "0.5"],
+                                        x=(0.0, 1.0, 5.0), sigma=(1.0, 1.0, 1e-110))
+    assert payload["error"] == "OutOfDomain" and "column 'sigma' at index 2" in payload["detail"]
 
 
 @pytest.mark.parametrize("given,missing", [("--hx", "--hsigma"), ("--hsigma", "--hx")])
@@ -698,6 +723,18 @@ class TestPrepGapCommand:
         assert json.loads(err) == {
             "error": "NonsensicalCounts",
             "detail": "row 'bad': pass/total counts inconsistent: pass_A=50, n_A=40, pass_D=10, n_D=40"}
+
+    def test_counts_past_the_float_range_error(self, tmp_path, capsys):
+        # p_a (1 - p_a) / n_A once raised OverflowError converting n_A to a float
+        inp, out = tmp_path / "schools.csv", tmp_path / "gap.csv"
+        write_csv_atomic(str(inp), ["id", "pass_A", "n_A", "pass_D", "n_D"],
+                         [("ok", 20, 40, 10, 40), ("huge", 5 * 10**401, 10**402, 10, 40)])
+        rc = main(["prep-gap", "--input", str(inp), "--output", str(out)])
+        assert rc == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "NonsensicalCounts"
+        assert "row 'huge': counts past the float range" in json.loads(lines[0])["detail"]
+        assert not out.exists()
 
 
 def test_manifest_reports_kernel_threads(tmp_path, caplog, monkeypatch):

@@ -1,8 +1,19 @@
 import numpy as np
 import pytest
 
-from nesteb.data import H_MIN, Bandwidths, HeteroSample, derive_seed, kfold_split, validate_sample
-from nesteb.errors import BadFoldCount, LengthMismatch, NonFiniteValue, NonPositiveSigma
+from nesteb.data import (
+    H_MAX,
+    H_MIN,
+    SIGMA_MAX,
+    SIGMA_MIN,
+    X_MAX,
+    Bandwidths,
+    HeteroSample,
+    derive_seed,
+    kfold_split,
+    validate_sample,
+)
+from nesteb.errors import BadFoldCount, LengthMismatch, NonFiniteValue, NonPositiveSigma, OutOfDomain
 
 
 class TestValidateSample:
@@ -68,7 +79,10 @@ class TestHeteroSampleValidates:
         (([1.0, 2.0], [1.0, 1.0], [0.0, np.inf]), NonFiniteValue),
         (([1.0, 2.0, 3.0], [1.0, -0.5, 0.0]), NonPositiveSigma),
         (([1.0, 2.0], [1.0, 0.0]), NonPositiveSigma),
-    ], ids=["short-sigma", "short-mu", "empty", "nan-x", "inf-mu", "negative-sigma", "zero-sigma"])
+        (([1.0, -1e300], [1.0, 1.0]), OutOfDomain),
+        (([1.0, 2.0], [1e-160, 1.0]), OutOfDomain),
+    ], ids=["short-sigma", "short-mu", "empty", "nan-x", "inf-mu", "negative-sigma", "zero-sigma",
+            "far-x", "tiny-sigma"])
     def test_direct_construction_refuses_like_validate_sample(self, args, error):
         with pytest.raises(error) as direct:
             HeteroSample(*args)
@@ -96,6 +110,38 @@ def test_bandwidths_accept_h_min_and_refuse_below():
     for pair in ((BELOW_H_MIN, 1.0), (1.0, BELOW_H_MIN)):
         with pytest.raises(ValueError, match="finite"):
             Bandwidths(*pair)
+
+
+def test_bandwidths_accept_h_max_and_refuse_above():
+    above = float(np.nextafter(H_MAX, np.inf))
+    assert Bandwidths(H_MAX, H_MAX).h_x == H_MAX
+    for pair in ((above, 1.0), (1.0, above), (1e160, 1.0)):
+        with pytest.raises(ValueError, match="H_MAX"):
+            Bandwidths(*pair)
+
+
+class TestInputDomain:
+    def test_edges_accepted(self):
+        s = validate_sample([-X_MAX, X_MAX, 0.0], [SIGMA_MIN, SIGMA_MAX, 1.0])
+        assert s.x[1] == 2.0**128 and (s.sigma[0], s.sigma[1]) == (2.0**-64, 2.0**64)
+
+    @pytest.mark.parametrize("x,sigma,column,index", [
+        ([0.0, float(np.nextafter(X_MAX, np.inf))], [1.0, 1.0], "x", 1),
+        ([float(np.nextafter(-X_MAX, -np.inf)), 0.0], [1.0, 1.0], "x", 0),
+        ([0.0, 0.0, 0.0], [1.0, 1.0, float(np.nextafter(SIGMA_MIN, 0.0))], "sigma", 2),
+        ([0.0, 0.0], [float(np.nextafter(SIGMA_MAX, np.inf)), 1.0], "sigma", 0),
+        # x is checked before sigma, each at its first offending row
+        ([0.0, 1e300, 1e300], [1e-110, 1.0, 1.0], "x", 1),
+    ], ids=["above-x", "below-x", "below-sigma", "above-sigma", "x-first"])
+    def test_first_value_outside_refused_by_column_and_row(self, x, sigma, column, index):
+        with pytest.raises(OutOfDomain) as err:
+            validate_sample(x, sigma)
+        assert (err.value.column, err.value.index) == (column, index)
+        assert f"column {column!r} at index {index}" in str(err.value)
+
+    def test_mu_true_is_not_bounded(self):
+        # the true means never enter the kernel
+        assert validate_sample([0.0], [1.0], [1e300]).mu_true[0] == 1e300
 
 
 class TestKfoldSplit:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nesteb.data import Bandwidths, validate_sample
-from nesteb.errors import BadGroupCount
+from nesteb.errors import BadGroupCount, OutOfDomain
 from nesteb.estimators import (
     EstimatorSpec,
     KGroups,
@@ -247,17 +247,29 @@ class TestEstimateDispatch:
         np.testing.assert_allclose(got, [4.2], atol=1e-14)
 
     def test_far_point_fits_without_f2(self):
-        # dx^2 overflows against x = 1e300; the fits build no f2 row and
-        # return Tweedie's value, where the far point's kernel is exactly 0:
+        # x = 1e300, whose dx^2 overflowed, is outside the input domain; at
+        # its edge, x = 2^128, the fits build no f2 row and return Tweedie's
+        # value, where the far point's kernel is exactly 0:
         # x + 4 e / (1 + e), e = exp(-2), at h = 0.5
-        s = validate_sample([1.0, 1e300, 2.0], [1.0, 1.0, 1.0])
+        with pytest.raises(OutOfDomain):
+            validate_sample([1.0, 1e300, 2.0], [1.0, 1.0, 1.0])
+        s = validate_sample([1.0, 2.0**128, 2.0], [1.0, 1.0, 1.0])
         lift = 4 * math.exp(-2.0) / (1 + math.exp(-2.0))
         for mu in (Nest(Bandwidths(0.5, 0.5)).apply(s), TF(0.5).apply(s), Scaled(0.5).apply(s)):
-            assert mu[1] == 1e300
+            assert mu[1] == 2.0**128
             np.testing.assert_allclose(mu[[0, 2]], [1 + lift, 2 - lift], rtol=1e-14)   # 1.4768..., 1.5232...
         # the f2 row reads u^2 from the clamped exponent: the far term adds 0
         f, f1, f2 = in_sample_triple(KernelContext(s, Bandwidths(0.5, 0.5)))
         assert np.isfinite(f2).all()
+
+    def test_scaled_refuses_a_z_outside_the_domain(self):
+        # x and sigma in the domain can make |z| = |x / sigma| reach 2^192;
+        # the scaled rule fits and tunes in z, so z keeps x's bound 2^128
+        edge = Scaled.coordinates(validate_sample([2.0**127, 2.0, 3.0], [0.5, 1.0, 1.0]))
+        assert edge[0] == 2.0**128
+        with pytest.raises(OutOfDomain) as err:
+            Scaled.coordinates(validate_sample([2.0, -(2.0**127), 3.0], [1.0, 0.25, 1.0]))
+        assert (err.value.column, err.value.index) == ("z", 1)
 
     def test_oracle_beats_everyone_at_scale(self):
         # oracle risk is the floor for every rule, up to Monte Carlo noise

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -9,11 +10,12 @@ from scipy.special import digamma
 from scipy.stats import betabinom
 
 from nesteb.data import Bandwidths
-from nesteb.errors import DomainError, LengthMismatch, NonPositiveSigma, ZeroMass
+from nesteb.errors import DomainError, LengthMismatch, NonPositiveSigma, OutOfDomain, ZeroMass
 from nesteb.expfam import (
     Beta,
     Binomial,
     EULER_GAMMA,
+    MAX_COUNT,
     FamilyPoint,
     Gamma,
     NegBinomial,
@@ -36,6 +38,35 @@ class TestHarmonic:
     def test_matches_digamma_oracle(self, k):
         # digamma(k+1) + gamma_E = H(k); digamma used only as a test oracle
         assert abs(harmonic(k) - (digamma(k + 1) + EULER_GAMMA)) < 1e-12
+
+
+class TestCountBound:
+    # the carrier sums run term by term, so their term counts are bounded
+    def test_counts_above_max_count_refused(self):
+        for make in (Binomial, NegBinomial):
+            with pytest.raises(DomainError, match="MAX_COUNT"):
+                make(MAX_COUNT + 1)
+            with pytest.raises(DomainError, match="MAX_COUNT"):
+                make(100_000_000_000)
+        with pytest.raises(DomainError, match="MAX_COUNT"):
+            harmonic(MAX_COUNT + 1)
+
+    @pytest.mark.parametrize("make", [Binomial, NegBinomial])
+    def test_ints_past_the_float_range_refused(self, make):
+        # math.isfinite raised OverflowError on them
+        with pytest.raises(DomainError, match="float range"):
+            make(10**400)
+        if make is NegBinomial:
+            with pytest.raises(DomainError, match="float range"):
+                FamilyPoint(make(3), 10**400)
+
+    def test_max_count_is_accepted_and_returns_quickly(self):
+        start = time.perf_counter()
+        binomial = FamilyPoint(Binomial(MAX_COUNT), MAX_COUNT // 2).carrier
+        negbinomial = FamilyPoint(NegBinomial(MAX_COUNT), 3).carrier
+        assert time.perf_counter() - start < 1.0
+        assert binomial == 2.0 * harmonic(MAX_COUNT // 2) - 2.0 * EULER_GAMMA
+        assert negbinomial == pytest.approx(digamma(MAX_COUNT + 3) - digamma(4), rel=1e-12)
 
 
 class TestLhPrime:
@@ -295,11 +326,19 @@ class TestKdeProvider:
         ([1.0, -1.0, 2.0], NonPositiveSigma),
         ([1.0, 0.0, 2.0], NonPositiveSigma),
         ([1.0, 1.0], LengthMismatch),
-    ], ids=["negative-theta", "zero-theta", "short-thetas"])
+        ([1.0, 1.0, 1e-110], OutOfDomain),
+    ], ids=["negative-theta", "zero-theta", "short-thetas", "theta-below-the-domain"])
     def test_training_pairs_validated(self, thetas, error):
         # values and thetas form a HeteroSample, whose rules hold here too
         with pytest.raises(error):
             kde_lf1([1.0, 2.0, 3.0], thetas, Bandwidths(0.5, 0.5), 2.0, 1.0)
+
+    def test_a_theta_below_the_domain_is_refused_by_row(self):
+        # theta = 1e-110 once gave lf1 = -0.0, then NonFiniteValue from the
+        # kernel's 0 * inf; it is refused in column sigma at its own row
+        with pytest.raises(OutOfDomain) as err:
+            kde_lf1([0.0, 1.0, 5.0], [1.0, 1.0, 1e-110], Bandwidths(0.5, 0.5), 0.5, 1.0)
+        assert (err.value.column, err.value.index) == ("sigma", 2)
 
     def test_score_estimate_requires_finite(self):
         with pytest.raises(ValueError):

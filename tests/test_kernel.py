@@ -11,8 +11,8 @@ import pytest
 from scipy.integrate import quad
 
 import nesteb.kernel
-from nesteb.data import H_MIN, Bandwidths, derive_seed, kfold_split, validate_sample
-from nesteb.errors import DegenerateWeights, NonFiniteValue
+from nesteb.data import H_MAX, H_MIN, Bandwidths, derive_seed, kfold_split, validate_sample
+from nesteb.errors import DegenerateWeights, NonFiniteValue, OutOfDomain
 from nesteb.estimators import TF, EstimatorSpec, KGroups, Naive, Nest, Scaled, estimate
 from nesteb.kernel import (
     KernelContext,
@@ -176,33 +176,49 @@ class TestQueryBatch:
         with pytest.raises(ValueError):
             in_sample_triple(ctx, jackknife=jackknife, queries=queries)
 
-    @pytest.mark.parametrize("queries,column,index", [
-        (([0.0, np.nan], [1.0, 1.0]), "x", 1),
-        (([np.inf, 0.0], [1.0, 1.0]), "x", 0),
-        (([0.0, 0.0], [1.0, np.nan]), "sigma", 1),
-        (([0.0, 0.0], [np.inf, 1.0]), "sigma", 0),
-    ], ids=["nan-x", "inf-x", "nan-sigma", "inf-sigma"])
-    def test_non_finite_queries_refused_by_name(self, monkeypatch, queries, column, index):
+    @pytest.mark.parametrize("queries,error,column,index", [
+        (([0.0, np.nan], [1.0, 1.0]), NonFiniteValue, "x", 1),
+        (([np.inf, 0.0], [1.0, 1.0]), NonFiniteValue, "x", 0),
+        (([0.0, 0.0], [1.0, np.nan]), NonFiniteValue, "sigma", 1),
+        (([0.0, 0.0], [np.inf, 1.0]), NonFiniteValue, "sigma", 0),
+        # outside the input domain
+        (([0.0, 1e39], [1.0, 1.0]), OutOfDomain, "x", 1),
+        (([0.0, 0.0], [1e-20, 1.0]), OutOfDomain, "sigma", 0),
+        (([0.0, 0.0], [1.0, 1e20]), OutOfDomain, "sigma", 1),
+    ], ids=["nan-x", "inf-x", "nan-sigma", "inf-sigma", "far-x", "tiny-sigma", "huge-sigma"])
+    def test_non_finite_queries_refused_by_name(self, monkeypatch, queries, error, column, index):
         ctx = KernelContext(validate_sample([0.0, 1.0], [1.0, 1.0]), Bandwidths(1.0, 1.0))
         monkeypatch.setattr(nesteb.kernel, "density_grid", None)   # refused before any kernel work
-        with pytest.raises(NonFiniteValue) as err:
+        with pytest.raises(error) as err:
             in_sample_triple(ctx, queries=queries)
         assert (err.value.column, err.value.index) == (column, index)
 
     def test_non_finite_sums_raise_at_first_index(self):
-        # h_x sigma = 1e-160: f stays near 1e160, but f1's 1 / (h_x sigma)^2
-        # takes a term of normal size past the float range
-        s = validate_sample([0.0, 1e-160, 3e-160], [1e-100] * 3)
+        # sigma = 1e-100, where f1's 1 / (h_x sigma)^2 overflowed at
+        # h_x = 1e-60, is outside the input domain. At its edge, sigma = 2^-64,
+        # and h_x = 1e-90, h_x sigma = 5.4e-110: f and f1 stay finite (near
+        # 4e108 and 3e217), but f2's 1 / (h_x sigma)^3 takes a term of normal
+        # size past the float range
+        with pytest.raises(OutOfDomain):
+            validate_sample([0.0, 1e-160, 3e-160], [1e-100] * 3)
+        d = 1e-90 * 2.0**-64
+        s = validate_sample([0.0, d, 3 * d], [2.0**-64] * 3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteValue) as err:
-                in_sample_triple(KernelContext(s, Bandwidths(1e-60, 1.0)))
-        assert (err.value.column, err.value.index) == ("f1", 0)
+                in_sample_triple(KernelContext(s, Bandwidths(1e-90, 1.0)))
+            f, f1, _ = in_sample_triple(KernelContext(s, Bandwidths(1e-90, 1.0)), f2=False)
+        assert (err.value.column, err.value.index) == ("f2", 0)
+        assert np.isfinite([f, f1]).all()
 
     def test_a_zero_term_adds_0_where_dx_over_sigma3_overflows(self):
-        # against x = 1e300 the sigma = 1e-3 point's dx / sigma^3 overflows
-        # beside E = 0; the term adds exactly 0 to f1, on one cell and on a grid
-        s = validate_sample([0.0, 1e300, 1.0], [1e-3, 1.0, 1.0])
+        # x = 1e300, against which the sigma = 1e-3 point's dx / sigma^3
+        # overflowed beside E = 0, is outside the input domain. At its edges,
+        # x = 2^128 and sigma = 2^-64, dx / sigma^3 = 2^320 is finite, and the
+        # term adds exactly 0 to f1, on one cell and on a grid
+        with pytest.raises(OutOfDomain):
+            validate_sample([0.0, 1e300, 1.0], [1e-3, 1.0, 1.0])
+        s = validate_sample([0.0, 2.0**128, 1.0], [2.0**-64, 1.0, 1.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             f, f1, f2 = in_sample_triple(KernelContext(s, Bandwidths(0.5, 0.5)))
@@ -362,7 +378,7 @@ def grid_case(name):
         return x, s, x, s, (0.3, 0.6, 1.0), (0.2, 0.5, 0.9), key
     if name == "far-point":
         # one point so far out that every h_x's term against it is exactly 0:
-        # the grid rule's clamp runs
+        # the truncation passes run for every h_x
         s = rng.uniform(0.4, 2.0, n)
         x = np.append(x[:-1], 200.0)
         return x, s, x, s, (0.3, 0.6, 1.0), (0.2, 0.5, 0.9), key
@@ -491,11 +507,14 @@ class TestDensityGrid:
                 assert (None if g is None else g.tobytes()) == (None if u is None else (u * scale).tobytes())
 
     def test_an_h_sigma_whose_square_overflows_keeps_the_mask(self):
-        # the mask rule: at h_sigma = 1e160, -0.5 / h_sigma^2 is -0, so every
-        # weight's exp is exp(-0) = 1 before the 0/1 mask multiplies it; every
-        # unmasked weight is exactly 1 at 1e150 and 1e160 alike
+        # h_sigma = 1e160, whose square overflows, is above H_MAX and refused.
+        # The mask rule at the widest accepted h_sigma: every weight's exp is
+        # exp(-tiny) = 1 before the 0/1 mask multiplies it, so every unmasked
+        # weight is exactly 1 at 1e30 and at H_MAX alike
+        with pytest.raises(ValueError, match="H_MAX"):
+            Bandwidths(0.5, 1e160)
         xq, sq, xt, st, hxs, _, key = grid_case("heteroscedastic-3x3")
-        near, far = (density_grid(xq, sq, xt, st, hxs, (h,), key, key) for h in (1e150, 1e160))
+        near, far = (density_grid(xq, sq, xt, st, hxs, (h,), key, key) for h in (1e30, H_MAX))
         assert [a.tobytes() for a in far] == [a.tobytes() for a in near]
         assert np.isfinite(far[0]).all()
 
@@ -785,12 +804,15 @@ class TestTruncation:
 
     @pytest.mark.parametrize("sigma, hxs", PATHS)
     def test_a_term_whose_dx2_overflows_adds_0_to_f2(self, sigma, hxs):
-        # against x_j = 1e200 dx^2 overflows and the exponent is clamped to
-        # -700; f2's factor reads u^2 = 1400 from it, so the term is exactly
-        # 0, as against x_j = 1e100, where dx^2 is finite
+        # x_j = 1e200, whose dx^2 overflowed, is outside the input domain. At
+        # its edge, x_j = 2^128, the exponent is clamped to -700 and f2's
+        # factor (u^2 = 1400 on one cell, t v / sigma^3 on a grid) is finite,
+        # so the term is exactly 0, as against x_j = 1e100
+        with pytest.raises(OutOfDomain):
+            validate_sample([0.0, 1e200], [sigma, sigma])
         xq, near = np.array([0.0, 0.3]), np.array([-0.4, 0.0, 0.5])
         got = [density_grid(xq, np.full(2, sigma), np.append(near, far), np.full(4, sigma), hxs, (1.0,))
-               for far in (1e100, 1e200)]
+               for far in (1e100, 2.0**128)]
         assert np.isfinite(got[1][2]).all()
         assert [a.tobytes() for a in got[1]] == [a.tobytes() for a in got[0]]
 

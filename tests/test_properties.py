@@ -2,8 +2,9 @@
 Tweedie rules, and the stated refusal rule on hostile inputs; of the
 kernel's truncation rule on hostile inputs; of the tuned pipeline:
 power-of-two scale invariance of the SURE tuners and of the estimates at
-the bandwidths they pick; and of the exit contracts of `nesteb estimate`
-and `nesteb tune` on hostile CSVs."""
+the bandwidths they pick; and of the CLI's exit contract: `nesteb
+estimate` and `nesteb tune` on hostile CSVs, `simulate`, `bias` and
+`expfam` on hostile options and `prep-gap` on hostile count files."""
 
 import contextlib
 import csv
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 import nesteb.sure
 from nesteb.cli import main
-from nesteb.data import Bandwidths, kfold_split, validate_sample
+from nesteb.data import SIGMA_MAX, SIGMA_MIN, X_MAX, Bandwidths, kfold_split, validate_sample
 from nesteb.errors import NestError
 from nesteb.estimators import TF, EstimatorSpec, KGroups, Nest, Scaled, estimate
 from nesteb.kernel import FLOOR, density_grid
@@ -116,9 +117,11 @@ def test_permutation_equivariance_is_bitwise(name, data, h_x, h_sigma, seed):
 @st.composite
 def hostile_samples(draw):
     """Up to 40 points drawn from a pool of at most 5 (x, sigma) pairs, so
-    duplicates are common; sigma spans 1e-3..1e3 and |x| reaches 1e300."""
+    duplicates are common; sigma and |x| reach the input domain's edges,
+    2^-64..2^64 and 2^128."""
     pool = draw(st.lists(
-        st.tuples(st.one_of(st.floats(-10.0, 10.0), st.floats(-1e300, 1e300)), st.floats(1e-3, 1e3)),
+        st.tuples(st.one_of(st.floats(-10.0, 10.0), st.floats(-X_MAX, X_MAX)),
+                  st.one_of(st.floats(1e-3, 1e3), st.floats(SIGMA_MIN, SIGMA_MAX))),
         min_size=1, max_size=5,
     ))
     picks = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=40))
@@ -136,8 +139,11 @@ hostile_methods = st.one_of(
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(data=hostile_samples(), method=hostile_methods)
-# E dx / sigma^3 is 0 * inf against the outlier: f1 is NaN
+# E dx / sigma^3 was 0 * inf against the outlier, and f1 NaN: now refused,
+# as x = 1e300 is outside the input domain
 @example(data=(np.array([1.0, 1e300, 2.0]), np.array([1.0, 1e-3, 1.0])), method=Nest(Bandwidths(0.5, 0.5)))
+# at the domain's edges dx / sigma^3 = 2^320 beside E = 0: the term adds 0
+@example(data=(np.array([1.0, X_MAX, 2.0]), np.array([1.0, SIGMA_MIN, 1.0])), method=Nest(Bandwidths(0.5, 0.5)))
 def test_hostile_inputs_give_finite_estimates_or_refuse(data, method):
     # a NumPy RuntimeWarning fails this test too (pyproject filterwarnings)
     x, sigma = data
@@ -296,21 +302,40 @@ HOSTILE_ROWS = st.lists(st.tuples(st.sampled_from(HOSTILE_X), st.sampled_from(HO
 HOSTILE_GRID = ["0.05", "0.5", "1", "3", "1e160", "1e-110"]
 
 
-def run_on_rows(argv, rows, tmp):
-    """(exit code, output path, stdout) of main(argv) on a CSV of the rows;
-    a RuntimeWarning fails the caller, and exit 1 must print one JSON line."""
-    inp, out = os.path.join(tmp, "in.csv"), os.path.join(tmp, "out.csv")
-    with open(inp, "w", encoding="utf-8") as fh:
-        fh.write("id,x,sigma\n" + "".join(f"r{i},{x},{s}\n" for i, (x, s) in enumerate(rows)))
+def run_cli(argv):
+    """(exit code, stdout) of main(argv), held to the exit contract: exit 0,
+    exit 1 with exactly one JSON line on stderr, or exit 2 from argparse. A
+    RuntimeWarning, or any other exception out of main, fails the caller."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         warnings.simplefilter("error", RuntimeWarning)
-        rc = main(argv + ["--input", inp, "--output", out])
-    if rc != 0:
-        assert rc == 1
+        try:
+            rc = main(argv)
+        except SystemExit as usage:   # argparse
+            assert usage.code == 2
+            rc = 2
+    if rc == 1:
         lines = stderr.getvalue().splitlines()
         assert len(lines) == 1 and set(json.loads(lines[0])) == {"error", "detail"}
-    return rc, out, stdout.getvalue()
+    assert rc in (0, 1, 2)
+    return rc, stdout.getvalue()
+
+
+def run_on_rows(argv, rows, tmp):
+    """(exit code, output path, stdout) of main(argv) on a CSV of the rows;
+    it must exit 0, or 1 with one JSON line (run_cli)."""
+    inp, out = os.path.join(tmp, "in.csv"), os.path.join(tmp, "out.csv")
+    with open(inp, "w", encoding="utf-8") as fh:
+        fh.write("id,x,sigma\n" + "".join(f"r{i},{x},{s}\n" for i, (x, s) in enumerate(rows)))
+    rc, stdout = run_cli(argv + ["--input", inp, "--output", out])
+    assert rc in (0, 1)
+    return rc, out, stdout
+
+
+def csv_numbers(path, columns):
+    """The named columns of every row of a CSV, as floats."""
+    with open(path, encoding="utf-8") as fh:
+        return [float(row[c]) for row in csv.DictReader(fh) for c in columns]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -358,3 +383,99 @@ def test_tune_exits_0_with_finite_output_or_1_with_one_json_line(rows, folds, gr
             with open(out, encoding="utf-8") as fh:
                 cells = [r["S"] for r in csv.DictReader(fh)]
             assert cells and all(c == "" or math.isfinite(float(c)) for c in cells)
+
+
+
+# `simulate` and `bias` run at tiny n and at most two reps, so that the
+# non-slow suite stays short. Most examples draw options argparse accepts;
+# USAGE sometimes appends one it refuses (exit 2).
+CONTRACT = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+USAGE = st.sampled_from([[]] * 8 + [["--n=0"], ["--folds=1"], ["--reps=0"], ["--seed=-1"]])
+RATIOS = ["0.9", "0.5", "0.2", "0.99", "1e-300", "1e-308", "0.9999999999999999", "1", "nan"]
+ESTIMATORS = ["naive", "oracle", "nest", "tf", "scaled", "kgroups:2", "kgroups:9", "bogus"]
+
+
+@CONTRACT
+@given(scenario=st.sampled_from(["normal", "sparse", "twopoint"]), ratio=st.sampled_from(RATIOS),
+       n=st.sampled_from(["1", "2", "3", "8"]), reps=st.sampled_from(["1", "2"]),
+       estimators=st.none() | st.lists(st.sampled_from(ESTIMATORS), min_size=1, max_size=3, unique=True),
+       folds=st.sampled_from(["2", "3", "10"]), usage=USAGE)
+# sigma_M = inf: NumPy's uniform draw raised OverflowError
+@example(scenario="normal", ratio="1e-308", n="3", reps="1", estimators=None, folds="10", usage=[])
+def test_simulate_keeps_the_exit_contract(scenario, ratio, n, reps, estimators, folds, usage):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "sim.csv")
+        argv = ["simulate", "--scenario", scenario, f"--ratio={ratio}", f"--n={n}", "--reps", reps,
+                f"--folds={folds}", "--output", out]
+        rc, _ = run_cli(argv + (["--estimators", ",".join(estimators)] if estimators else []) + usage)
+        if rc == 0:
+            assert all(math.isfinite(v) for v in csv_numbers(out, ("mse", "se")))
+
+
+@CONTRACT
+@given(setting=st.sampled_from(["single-center", "two-center"]), n=st.sampled_from(["1", "2", "3", "8", "20"]),
+       select_k=st.sampled_from(["1", "3", "8"]), reps=st.sampled_from(["1", "2"]),
+       folds=st.sampled_from(["2", "3", "10"]), seed=st.sampled_from(["0", "7"]), usage=USAGE)
+def test_bias_keeps_the_exit_contract(setting, n, select_k, reps, folds, seed, usage):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "bias.csv")
+        rc, _ = run_cli(["bias", "--setting", setting, f"--n={n}", f"--select-k={select_k}", "--reps", reps,
+                         f"--folds={folds}", f"--seed={seed}", "--output", out] + usage)
+        if rc == 0:
+            assert all(math.isfinite(v) for v in csv_numbers(out, ("diff",)))
+
+
+HOSTILE_COUNTS = ["-1", "2.5", "x", "", "5" + "0" * 401, "1" + "0" * 402, "1" + "0" * 5000]
+
+
+@st.composite
+def gap_rows(draw):
+    """(pass_A, n_A, pass_D, n_D) fields: consistent counts, one of them
+    replaced by a hostile field in about a quarter of the rows."""
+    row = []
+    for _ in range(2):
+        n = draw(st.integers(1, 200))
+        row += [str(draw(st.integers(0, n))), str(n)]
+    if draw(st.integers(0, 3)) == 0:
+        row[draw(st.integers(0, 3))] = draw(st.sampled_from(HOSTILE_COUNTS))
+    return tuple(row)
+
+
+@CONTRACT
+@given(rows=st.lists(gap_rows(), min_size=1, max_size=4))
+# p_a (1 - p_a) / n_A: converting n_A to a float raised OverflowError
+@example(rows=[("5" + "0" * 401, "1" + "0" * 402, "10", "40")])
+def test_prep_gap_keeps_the_exit_contract(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        inp, out = os.path.join(tmp, "gap-in.csv"), os.path.join(tmp, "gap.csv")
+        with open(inp, "w", encoding="utf-8") as fh:
+            fh.write("id,pass_A,n_A,pass_D,n_D\n" + "".join(f"s{i},{','.join(r)}\n" for i, r in enumerate(rows)))
+        rc, _ = run_cli(["prep-gap", "--input", inp, "--output", out])
+        assert rc in (0, 1)
+        if rc == 0:
+            assert all(math.isfinite(v) for v in csv_numbers(out, ("x", "s")))
+
+
+FAMILY_PARAMS = {"binomial": "--n-trials", "negbinomial": "--r", "gamma": "--alpha", "beta": "--beta"}
+PARAMS = ["1", "3", "10", "0", "-1", "2.5", "1e308", "inf", "nan", "1000000", "1000001", "100000000000",
+          "1" + "0" * 400]
+XS = ["0", "1", "2", "3", "0.5", "0.25", "-1", "1e300", "1e-320", "0.9999999999999999", "inf", "nan"]
+LF1S = ["0", "-0.5", "2", "1.7e308", "-1e308", "nan"]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(family=st.sampled_from(sorted(FAMILY_PARAMS)), param=st.sampled_from(PARAMS),
+       x=st.sampled_from(XS), lf1=st.sampled_from(LF1S))
+# an int past the float range: math.isfinite raised OverflowError
+@example(family="negbinomial", param="1" + "0" * 400, x="3", lf1="0")
+@example(family="binomial", param="1" + "0" * 400, x="3", lf1="0")
+# 1e11 carrier terms: the sum did not return
+@example(family="binomial", param="100000000000", x="3", lf1="0")
+@example(family="negbinomial", param="100000000000", x="3", lf1="0")
+def test_expfam_keeps_the_exit_contract(family, param, x, lf1):
+    rc, stdout = run_cli(["expfam", "--family", family, f"{FAMILY_PARAMS[family]}={param}", f"--x={x}",
+                          f"--lf1={lf1}"])
+    if rc == 0:
+        header, row = stdout.splitlines()
+        assert header == "family,value,lh_prime,lf1,posterior_mean"
+        assert all(math.isfinite(float(v)) for v in row.split(",")[1:])

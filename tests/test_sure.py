@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 import nesteb.kernel
-from nesteb.data import H_MIN, Bandwidths, kfold_split, validate_sample
-from nesteb.errors import AllCellsDegenerate, EmptyMonteCarlo, LengthMismatch, NonFiniteValue, NonPositiveSigma
+from nesteb.data import H_MIN, Bandwidths, check_bandwidths, kfold_split, validate_sample
+from nesteb.errors import (
+    AllCellsDegenerate,
+    EmptyMonteCarlo,
+    LengthMismatch,
+    NonFiniteValue,
+    NonPositiveSigma,
+    OutOfDomain,
+)
 from nesteb.estimators import Nest
 from nesteb.kernel import KernelContext, in_sample_triple
 from nesteb.priors import NormalPrior
@@ -213,23 +220,28 @@ class TestTune:
             tune(s, grid)
 
     def test_non_finite_cells_marked_degenerate(self):
-        # at sigma = 1e-160 the kernel's 1 / sigma^3 overflows, so every NEST
-        # cell's sums are NaN; at a risk sigma of 1e160 every pooled cell's
-        # SURE values overflow; no cell may be selected, by tune or by
-        # tune_pooled
+        # sigma = 1e-160 (the kernel's 1 / sigma^3 overflowed, so every NEST
+        # cell's sums were NaN and no cell could be selected), a risk sigma
+        # of 1e160 (every pooled cell's SURE values overflowed), x = 1e200
+        # (dx^2 overflowed) and x = +-1.7e308 (dx / s^3 too) are outside the
+        # input domain: tune and tune_pooled refuse them as samples
         rng = np.random.default_rng(12)
         draws = rng.normal(size=300)
         sigma = rng.uniform(0.5, 2.0, 300)
         tiny, huge = sigma.copy(), sigma.copy()
         tiny[17], huge[17] = 1e-160, 1e160
-        s = validate_sample(draws, tiny)
-        with pytest.raises(AllCellsDegenerate):
-            tune(s, default_grid(s))
-        with pytest.raises(AllCellsDegenerate):
+        with pytest.raises(OutOfDomain):
+            validate_sample(draws, tiny)
+        with pytest.raises(OutOfDomain):
             tune_pooled(draws, huge, (0.5, 1.0), kfold_split(300, 10, 0))
-        # x = 1e200 overflows dx^2 and x = +-1.7e308 dx / s^3 too, beside
-        # E = 0: every term against them is exactly 0 and no cell is degenerate
         for far in ((1e200,), (1.7e308, -1.7e308)):
+            x = draws.copy()
+            x[17 : 17 + len(far)] = far
+            with pytest.raises(OutOfDomain):
+                tune_pooled(x, sigma, (0.5, 1.0), kfold_split(300, 10, 0))
+        # x = 2^128 and +-2^128, the domain's edges, beside E = 0: every
+        # term against them is exactly 0 and no cell is degenerate
+        for far in ((2.0**128,), (2.0**128, -(2.0**128))):
             x = draws.copy()
             x[17 : 17 + len(far)] = far
             s = validate_sample(x, sigma)
@@ -426,12 +438,15 @@ class TestGridValidation:
             tune_pooled([0.0, 1.0, 2.0], np.ones(3), (below, 1.0), fold_of)
 
     def test_non_finite_pooled_grids_rejected(self):
-        # sd overflows to inf near the float64 limit; an inf grid would run a
-        # whole tune on NaN surfaces before anything noticed
+        # x = 1e308, whose sd overflowed to inf (an inf grid would run a whole
+        # tune on NaN surfaces), is outside the input domain: refused as a
+        # sample; at the domain's edges the grid ends at sd = X_MAX <= H_MAX
         x = np.array([1.0, 1e308, 2.0])
-        with pytest.raises(ValueError, match="sd = inf"):
-            pooled_grid_for(x)
         fold_of = kfold_split(3, 3, seed=0)
+        with pytest.raises(OutOfDomain):
+            tune_pooled(x, np.ones(3), (0.5, 1.0), fold_of)
+        edge = pooled_grid_for([-(2.0**128), 2.0**128])
+        assert edge[-1] == 2.0**128 and check_bandwidths("h_values", edge) == edge
         # and, as SureGrid's axes, a descending or repeated grid, which the
         # argmin's smallest-h-first tie rule cannot read
         for bad, match in (((0.5, math.inf), "finite"), ((math.nan,), "finite"),
