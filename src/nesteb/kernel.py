@@ -168,7 +168,13 @@ together hold at most ``_BLOCK_ELEMS`` = 3 * 2^19 elements (12 MB of
 float64): on one cell the weights, the c kernel rows (c = 3, or 2 without
 f2) and two (b, n) scratch matrices, (1 + c + 2) n elements per query; on a
 grid the 4 ns weight rows, the nx E planes and two scratch matrices,
-(4 ns + nx + 2) n elements per query.
+(4 ns + nx + 2) n elements per query. Each block then hands its (nx, ns, b)
+f, f1 and f2 to a per-block reducer. The default one writes them into the
+whole (nx, ns, m) arrays the call returns, so such a call holds the budget
+plus those three arrays and wsum; the SURE search's reducer writes only a
+per-point score and a floor mask (``sure``), so a tune holds the budget
+plus one float and one bool per (cell, point), beside per-point vectors
+and wsum.
 """
 
 from __future__ import annotations
@@ -279,6 +285,7 @@ def density_grid(
     qkey: np.ndarray | None = None,
     tkey: np.ndarray | None = None,
     f2: bool = True,
+    reduce=None,
 ):
     """Raw (f, f1, f2) at each query for every (h_x, h_sigma) grid cell, and
     the weight normalizers, evaluated in row blocks spread over up to
@@ -291,6 +298,13 @@ def density_grid(
     overflow as inf or NaN, without a warning: the caller handles both.
     With ``f2=False`` (one cell only: the f2-free rule) the f2 row is not
     built and f2 is None.
+
+    Each row block hands its (nx, ns, b) f_raw, f1 and f2 for query rows
+    lo:hi to ``reduce(lo, hi, f_raw, f1, f2)``. By default that writes them
+    into the three whole arrays returned; a caller that passes its own
+    reducer gets wsum alone back. The reducer runs on the kernel's threads
+    under the fill's errstate (over, invalid and divide ignored), once per
+    block, and must write only rows lo:hi of whatever it fills.
     """
     m, n = xq.shape[0], xt.shape[0]
     order = np.lexsort((st, xt, np.frexp(st)[1]))          # the order rule
@@ -300,8 +314,15 @@ def density_grid(
     if not f2 and nx * ns != 1:
         raise ValueError(f"f2=False needs a one-cell grid, got {nx} h_x by {ns} h_sigma")
     c = 3 if f2 else 2                    # kernel rows of a one-cell call
-    f, f1 = np.empty((nx, ns, m)), np.empty((nx, ns, m))
-    f2_raw = np.empty((nx, ns, m)) if f2 else None
+    whole = reduce is None
+    if whole:
+        f, f1 = np.empty((nx, ns, m)), np.empty((nx, ns, m))
+        f2_raw = np.empty((nx, ns, m)) if f2 else None
+
+        def reduce(lo, hi, f_b, f1_b, f2_b):
+            f[:, :, lo:hi], f1[:, :, lo:hi] = f_b, f1_b
+            if f2:
+                f2_raw[:, :, lo:hi] = f2_b
     wsum = np.empty((ns, m))
     wscale = np.array([-0.5 / (h * h) for h in hs_values])[:, None, None]
     unit = bool(np.all(st == 1.0) and np.all(sq == 1.0))   # the unit-sigma rule
@@ -401,11 +422,9 @@ def density_grid(
                 np.multiply(t, v, out=r[2 * ns : 3 * ns])
                 s = _contract(r, e).reshape(hi - lo, 4, ns, nx).transpose(1, 3, 2, 0)
             norm = SQRT_2PI * ws
-            f[:, :, lo:hi] = s[0] / (hcol * norm)
             norm3 = hcol**3 * norm
-            f1[:, :, lo:hi] = -s[1] / norm3
-            if f2:
-                f2_raw[:, :, lo:hi] = (s[2] if one_cell else s[2] / (hcol * hcol) - s[3]) / norm3
+            reduce(lo, hi, s[0] / (hcol * norm), -s[1] / norm3,
+                   (s[2] if one_cell else s[2] / (hcol * hcol) - s[3]) / norm3 if f2 else None)
 
     with nullcontext() if one_cell else _one_blas_thread():
         if workers == 1:
@@ -416,7 +435,7 @@ def density_grid(
                 fill(0)
                 for d in done:
                     d.result()
-    return f, f1, f2_raw, wsum
+    return (f, f1, f2_raw, wsum) if whole else wsum
 
 
 def in_sample_triple(ctx: KernelContext, jackknife: bool = False, queries=None, f2: bool = True):

@@ -30,6 +30,17 @@ noise alone. The default selection therefore minimizes S(h) + SE{S(h)},
 the one standard-error safeguard, with the SE estimated from the per-point
 values; the plain ``argmin`` rule is available as an option and the raw
 surface is always reported for diagnostics.
+
+Memory rule: the kernel hands each row block's f, f1 and f2 to the search
+as the block is filled, and the search keeps only the floored per-point
+S_i and the ``f < FLOOR`` mask. So a tune holds the kernel's block budget
+(``kernel._BLOCK_ELEMS``, 12 MB) plus one float and one bool per (cell,
+point), 4.5 MB at n = 5000 on the 10 x 10 default grid; all else it holds
+is per point (the kernel's sorted copies and sigma factors) or per
+(h_sigma, point) (the weight normalizers, and the SE's temporary, taken
+one h_x slab at a time). The surface, its SE and the degenerate rule
+reduce those two arrays and the weight normalizers, with the bits they
+would have with f, f1 and f2 held whole.
 """
 
 from __future__ import annotations
@@ -138,20 +149,30 @@ def _search(xd, sd, sigma_risk, hx_values, hs_values, fold_of, bracket_power: in
     sigma_risk enters the risk terms. Returns (surface, selection scores,
     degenerate, chosen cell (i, j)), the first three of shape (nx, ns).
     Per-point values that overflow make a cell's score inf or NaN, without
-    a warning, and so mark the cell degenerate.
+    a warning, and so mark the cell degenerate. Each kernel row block is
+    scored as it is filled (the module docstring's memory rule).
     """
     if selection not in _SELECTION_RULES:
         raise ValueError(f"selection must be one of {_SELECTION_RULES}, got {selection!r}")
     n = xd.shape[0]
-    f_raw, f1, f2, wsum = density_grid(xd, sd, xd, sd, hx_values, hs_values, fold_of, fold_of)
+    pp = np.empty((len(hx_values), len(hs_values), n))
+    low = np.empty(pp.shape, dtype=bool)
+
+    def reduce(lo, hi, f_raw, f1, f2):
+        np.less(f_raw, FLOOR, out=low[:, :, lo:hi])
+        pp[:, :, lo:hi] = _sure_values(np.maximum(f_raw, FLOOR), f1, f2, sigma_risk[lo:hi], bracket_power)
+
+    wsum = density_grid(xd, sd, xd, sd, hx_values, hs_values, fold_of, fold_of, reduce=reduce)
     with np.errstate(over="ignore", invalid="ignore"):
-        pp = _sure_values(np.maximum(f_raw, FLOOR), f1, f2, sigma_risk, bracket_power)
         surface = pp.sum(axis=-1)
         if selection == "argmin" or n < 2:
             scores = surface.copy()
         else:
-            scores = surface + pp.std(axis=-1, ddof=1) * np.sqrt(n)
-    floored = np.count_nonzero(f_raw < FLOOR, axis=-1)
+            # one h_x slab at a time, so std's (pp - mean) is a slab, not a
+            # second grid-sized array; each row's SE has the same bits
+            se = np.array([slab.std(axis=-1, ddof=1) for slab in pp])
+            scores = surface + se * np.sqrt(n)
+    floored = np.count_nonzero(low, axis=-1)
     degenerate = (wsum == 0.0).any(axis=1) | (floored > _FLOOR_FRACTION * n) | ~np.isfinite(scores)
     return surface, scores, degenerate, _argmin_cell(scores, degenerate)
 

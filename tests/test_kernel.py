@@ -412,6 +412,16 @@ def run_under_blas_threads(code):
     return out
 
 
+def bundled_blas():
+    """(get, set) thread-count functions of the OpenBLAS bundled with NumPy;
+    skips the calling test under a NumPy that carries none, whose gemms the
+    BLAS rule leaves unpinned."""
+    blas = nesteb.kernel._openblas_threads()
+    if blas is None:
+        pytest.skip("NumPy carries no bundled OpenBLAS (libscipy_openblas64_*), so no gemm is pinned")
+    return blas
+
+
 def peak_beyond_outputs(hx, hs, f2=True):
     """Traced peak bytes of one keyed density_grid call at n = 2000, less the
     bytes of the arrays it returns."""
@@ -558,7 +568,7 @@ class TestDensityGrid:
 
     def test_gemms_run_on_one_blas_thread(self):
         # the thread-count rule's mechanism: pinned inside, restored after
-        get, _ = nesteb.kernel._openblas_threads()
+        get, _ = bundled_blas()
         before = get()
         with nesteb.kernel._one_blas_thread():
             assert get() == 1
@@ -609,7 +619,7 @@ class TestKernelThreads:
         assert np.isnan(full[0]).any() == (case == "weight-underflow")
 
     def test_worker_threads_run_gemms_on_one_blas_thread(self, monkeypatch):
-        get, set_ = nesteb.kernel._openblas_threads()
+        get, set_ = bundled_blas()
         before = get()
         contract = nesteb.kernel._contract
         seen = {}
@@ -636,6 +646,15 @@ class TestKernelThreads:
         assert len(seen) == 2 and threading.get_ident() in seen
         assert sum(map(len, seen.values())) == len(xq)
         assert all(c == 1 for counts in seen.values() for c in counts)
+
+    def test_blas_pin_tests_skip_without_the_bundled_blas(self, monkeypatch):
+        # under a NumPy without libscipy_openblas64_* the two pin tests skip
+        # with the reason, rather than fail unpacking None
+        monkeypatch.setattr(nesteb.kernel, "_openblas_threads", lambda: None)
+        for test in (TestDensityGrid().test_gemms_run_on_one_blas_thread,
+                     lambda: self.test_worker_threads_run_gemms_on_one_blas_thread(monkeypatch)):
+            with pytest.raises(pytest.skip.Exception, match="no bundled OpenBLAS"):
+                test()
 
     @pytest.mark.parametrize("threads", [2, 64])
     def test_peak_memory_follows_block_budget_on_threads(self, monkeypatch, threads):

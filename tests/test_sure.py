@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import test_kernel
 
 import nesteb.kernel
+import nesteb.sure
 from nesteb.data import H_MIN, Bandwidths, check_bandwidths, kfold_split, validate_sample
 from nesteb.errors import (
     AllCellsDegenerate,
@@ -14,7 +17,7 @@ from nesteb.errors import (
     OutOfDomain,
 )
 from nesteb.estimators import Nest
-from nesteb.kernel import KernelContext, in_sample_triple
+from nesteb.kernel import FLOOR, KernelContext, density_grid, in_sample_triple
 from nesteb.priors import NormalPrior
 from nesteb.simulation import (
     SimScenario,
@@ -25,10 +28,12 @@ from nesteb.simulation import (
     sure_unbiasedness_check,
 )
 from nesteb.sure import (
+    _FLOOR_FRACTION,
     SureGrid,
     _argmin_cell,
     _sure_values,
     default_grid,
+    fold_count,
     tune,
     tune_kgroups,
     tune_pooled,
@@ -61,6 +66,24 @@ def per_fold_reference(sample, bw, fold_of):
         f, f1, f2 = in_sample_triple(ctx, queries=(sample.x[idx], sample.sigma[idx]))
         out[idx] = _sure_values(f, f1, f2, sample.sigma[idx], 4)
     return out
+
+
+def whole_array_search(xd, sd, sigma_risk, hx_values, hs_values, fold_of, bracket_power, selection):
+    """(surface, selection scores, degenerate, floored counts) by whole-array arithmetic:
+    f, f1 and f2 of every (cell, point) held at once, floored, scored, then
+    summed; the reference for the per-block reduction in the tuners."""
+    n = xd.shape[0]
+    f_raw, f1, f2, wsum = density_grid(xd, sd, xd, sd, hx_values, hs_values, fold_of, fold_of)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pp = _sure_values(np.maximum(f_raw, FLOOR), f1, f2, sigma_risk, bracket_power)
+        surface = pp.sum(axis=-1)
+        if selection == "argmin" or n < 2:
+            scores = surface.copy()
+        else:
+            scores = surface + pp.std(axis=-1, ddof=1) * np.sqrt(n)
+    floored = np.count_nonzero(f_raw < FLOOR, axis=-1)
+    degenerate = (wsum == 0.0).any(axis=1) | (floored > _FLOOR_FRACTION * n) | ~np.isfinite(scores)
+    return surface, scores, degenerate, floored
 
 
 class TestSurePoint:
@@ -338,6 +361,129 @@ class TestTunePooled:
             tune_pooled(x, sigma_risk, (0.3, 0.6, 0.9), kfold_split(50, 5, 0))
         if index is not None:
             assert info.value.index == index
+
+
+def reduction_case(name):
+    """(sample, h_x grid, h_sigma grid) for a tune: the training points of
+    the kernel tests' named case (the first 300 of the long index), its
+    grids sorted; or, for "floored-tail", 300 points of which 4 sit far out,
+    so more than 1% of the points floor at the small h_x only."""
+    if name == "floored-tail":
+        rng = np.random.default_rng(31)
+        x = np.append(rng.normal(size=296), 40.0 + np.arange(4.0))
+        return validate_sample(x, rng.uniform(0.5, 1.5, 300)), (0.05, 0.3, 1.0), (0.2, 0.6)
+    _, _, x, s, hxs, hss, _ = test_kernel.grid_case(name)
+    return validate_sample(x[:300], s[:300]), tuple(sorted(hxs)), tuple(sorted(hss))
+
+
+class TestBlockReduction:
+    """The tuners score each kernel row block as it is filled: the same bytes
+    as the whole-array formula, on any block budget and thread count."""
+
+    CASES = [*test_kernel.TestDensityGrid.CASES, "floored-tail"]
+
+    @staticmethod
+    def set_block_rows(monkeypatch, rows, nx, ns, n):
+        # the kernel's block planes per query row (its budget rule)
+        planes = 1 + 3 + 2 if nx * ns == 1 else 4 * ns + nx + 2
+        monkeypatch.setattr(nesteb.kernel, "_BLOCK_ELEMS", rows * planes * n)
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 13])
+    @pytest.mark.parametrize("case", CASES)
+    def test_tuners_match_the_whole_array_formula(self, monkeypatch, case, block_rows):
+        sample, hxs, hss = reduction_case(case)
+        grid = SureGrid(hxs, hss, k=4, seed=3)
+        fold_of = kfold_split(sample.n, fold_count(sample.n, grid.k), grid.seed)
+        unit = np.ones(sample.n)
+        # (pooled, selection, bracket power): tune scores in x with power 4,
+        # tune_pooled fits sigma = 1 with one h_sigma
+        runs = [(False, "penalized", 4), (False, "argmin", 4), (True, "penalized", 4), (True, "argmin", 2)]
+        want = [whole_array_search(sample.x, unit if pooled else sample.sigma, sample.sigma, hxs,
+                                   (1.0,) if pooled else hss, fold_of, power, sel)
+                for pooled, sel, power in runs]
+        if case == "floored-tail":
+            # the floor alone marks the small h_x cells, and only those
+            for surface, scores, degenerate, floored in want:
+                assert (degenerate[0] & (floored[0] > _FLOOR_FRACTION * sample.n) & np.isfinite(scores[0])).all()
+                assert not degenerate[1:].any()
+        for threads in (1, 2, 3):
+            monkeypatch.setattr(nesteb.kernel, "_THREADS", threads)
+            for (pooled, sel, power), (surface, scores, degenerate, _) in zip(runs, want):
+                self.set_block_rows(monkeypatch, block_rows, len(hxs), 1 if pooled else len(hss), sample.n)
+                if degenerate.all():
+                    with pytest.raises(AllCellsDegenerate):
+                        if pooled:
+                            tune_pooled(sample.x, sample.sigma, hxs, fold_of, power, sel)
+                        else:
+                            tune(sample, grid, sel)
+                    continue
+                i, j = _argmin_cell(scores, degenerate)
+                if not pooled:
+                    rep = tune(sample, grid, sel)
+                    assert rep.argmin == Bandwidths(hxs[i], hss[j])
+                else:
+                    rep = tune_pooled(sample.x, sample.sigma, hxs, fold_of, power, sel)
+                    assert rep.best_h == hxs[i]
+                    surface, scores, degenerate = surface[:, 0], scores[:, 0], degenerate[:, 0]
+                assert rep.surface.tobytes() == surface.tobytes()
+                assert rep.selection.tobytes() == scores.tobytes()
+                assert rep.degenerate.tobytes() == degenerate.tobytes()
+        assert want[0][2].any() == (case in ("weight-underflow", "far-point", "floored-tail"))
+
+
+def tune_peak_bytes(n):
+    """Traced peak bytes of `tune` on the default grid at n points, and the
+    grid's cell count."""
+    rng = np.random.default_rng(8)
+    sigma = rng.uniform(0.4, 2.0, n)
+    s = validate_sample(rng.normal(size=n) + sigma * rng.normal(size=n), sigma)
+    grid = default_grid(s)
+    tracemalloc.start()
+    try:
+        tune(s, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, len(grid.h_x_values) * len(grid.h_sigma_values)
+
+
+def tune_budget_bytes(cells, n):
+    # the kernel's block budget and a quarter more for its per-block
+    # temporaries (as the kernel's own memory tests allow), one float64 and
+    # one bool per (cell, point), and the report's two surfaces and mask
+    return 8 * nesteb.kernel._BLOCK_ELEMS * 1.25 + 9 * cells * n + 17 * cells
+
+
+class TestTuneMemory:
+    """A tune holds the kernel's block budget plus one float and one bool per
+    (cell, point): about 19.3 MiB at n = 5000 on the 10 x 10 default grid."""
+
+    def test_peak_memory_follows_block_budget(self):
+        peak, cells = tune_peak_bytes(5000)
+        assert peak <= tune_budget_bytes(cells, 5000)
+
+    @pytest.mark.parametrize("threads", [1, 64])
+    def test_peak_memory_follows_block_budget_on_threads(self, monkeypatch, threads):
+        # at 64 threads the budget holds 15 rows of the 10 x 10 grid at
+        # n = 2000, so 15 workers run one row each
+        monkeypatch.setattr(nesteb.kernel, "_THREADS", threads)
+        peak, cells = tune_peak_bytes(2000)
+        assert peak <= tune_budget_bytes(cells, 2000)
+
+    def test_scoring_after_the_fill_adds_no_grid_sized_array(self, monkeypatch):
+        # once the kernel returns, the surface, the SE (taken one h_x slab
+        # at a time) and the degenerate rule add at most a slab and the
+        # weight normalizers to the per-point scores and mask
+        fill = nesteb.sure.density_grid
+
+        def then_reset_peak(*args, **kwargs):
+            out = fill(*args, **kwargs)
+            tracemalloc.reset_peak()
+            return out
+
+        monkeypatch.setattr(nesteb.sure, "density_grid", then_reset_peak)
+        peak, cells = tune_peak_bytes(2000)
+        assert peak <= 1.5 * 9 * cells * 2000
 
 
 class TestGridEdges:
